@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: classify, rep4n, rank3, invariants, bounds, scan, validate.
-Exit codes: 0 success, 1 domain/usage error, 2 I/O error.
+Exit codes: 0 success, 1 domain/usage error, 2 I/O error, 3 validate found
+mismatches or bound violations.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .eisenstein import represent_4n
 from .invariants import invariant_record
 from .modmath import ModulusContext, find_order_p_element
 from .primes import classify_target
-from .rank import bounds, rank3, rank3_methods
+from .rank import bounds, rank3_detail
 from .reporting import emit
 from .scan import scan_alpha, scan_rank3
 from .validation import ingest_truth
@@ -93,11 +94,10 @@ def _cmd_rep4n(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank3(args: argparse.Namespace) -> int:
-    value = rank3(args.n, args.method)
-    rep = represent_4n(args.n)
+    value, split, runs = rank3_detail(args.n, args.method)
+    rep = split.rep
     print(f"rank3={value} N={args.n} A={rep.A} B={rep.B} method={args.method}")
     if args.method == "all":
-        runs = rank3_methods(args.n)
         print("methods: " + " ".join(f"{m}={r}" for m, r in sorted(runs.items())))
     return 0
 
@@ -159,7 +159,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"violation line {m.line}: N={m.n} p={m.p} expected {m.expected}, observed={m.observed}")
     for line, reason in report.skipped:
         print(f"skipped line {line}: {reason}")
-    return 0
+    return 0 if report.ok else 3
 
 
 _COMMANDS = {

@@ -11,6 +11,10 @@ Two normalizations coexist on purpose:
 
 Conflating the two conventions flips a sign (first visible at N = 61), so both
 are kept explicit and cross-checked.
+
+The representation has one algorithm for the whole contract N < 2^62: integer
+Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  represent_4n
+validates N; cornacchia_4n trusts it (the scan feeds it sieved primes).
 """
 
 from __future__ import annotations
@@ -19,14 +23,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .modmath import ModulusContext, PowerClass, find_order_p_element, power_class
+from .modmath import MODULUS_BITS, ModulusContext, PowerClass, power_class, root_of_unity
 from .primes import is_prime
 
 _COEFF_BOUND = 1 << 63
-
-# Threshold below which the direct B-scan is used; above it the split-based
-# path (square root of a primitive cube root of unity) takes over.
-_SCAN_THRESHOLD = 10**6
 
 
 @dataclass(frozen=True)
@@ -122,55 +122,46 @@ class SplitData:
         assert (a + b * t) % n == 0
 
 
-def _normalize_pair(a_abs: int, b_abs: int, n: int) -> QuadRep:
-    a = a_abs if a_abs % 3 == 1 else -a_abs
-    return QuadRep(A=a, B=abs(b_abs), n=n)
+def _normalize_pair(a: int, b: int, n: int) -> QuadRep:
+    return QuadRep(A=a if a % 3 == 1 else -a, B=abs(b), n=n)
 
 
 def _require_split_prime(n: int) -> None:
+    if n >= 1 << MODULUS_BITS:
+        raise DomainError(f"N={n} exceeds the 2^{MODULUS_BITS} bound")
     if n == 3 or not is_prime(n):
         raise DomainError(f"N={n} must be a prime other than 3")
     if n % 3 != 1:
         raise DomainError(f"N={n} is not 1 mod 3")
 
 
-def _represent_scan(n: int) -> QuadRep:
-    for b in range(1, math.isqrt(4 * n // 27) + 1):
-        r = 4 * n - 27 * b * b
-        s = math.isqrt(r)
-        if s * s == r:
-            return _normalize_pair(s, b, n)
-    raise AssertionError(f"no representation found for N={n}")
+def cornacchia_4n(n: int) -> QuadRep:
+    """represent_4n for a prime N = 1 (mod 3) below 2^62 that the caller vouches for.
 
-
-def _eis_round_div(num: int, den: int) -> int:
-    # nearest integer to num/den for den > 0
-    return (2 * num + den) // (2 * den)
-
-
-def _eis_divmod(x: EisensteinInt, y: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]:
-    nrm = y.norm()
-    z = x * y.conjugate()
-    q = EisensteinInt(_eis_round_div(z.a, nrm), _eis_round_div(z.b, nrm))
-    return q, x - q * y
-
-
-def _eis_gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-    while y.norm() != 0:
-        _, r = _eis_divmod(x, y)
-        x, y = y, r
-    return x
-
-
-def _represent_split(n: int) -> QuadRep:
-    ctx = ModulusContext(n, 3)
-    t = find_order_p_element(ctx)
-    g = _eis_gcd(EisensteinInt(n, 0), EisensteinInt(t, -1))
-    assert g.norm() == n
-    for cand in g.associates():
-        if cand.b % 3 == 0:
-            return _normalize_pair(abs(2 * cand.a - cand.b), abs(cand.b) // 3, n)
-    raise AssertionError(f"no associate of the split factor of {n} has 3 | b")
+    Cornacchia (Cohen, Alg. 1.5.2): r = 2t + 1 is a square root of -3 for a
+    cube root of unity t != 1, and Euclid on (N, r) stops at the first
+    remainder x <= sqrt(N), where (N - x^2)/3 = y^2.  A failed search raises.
+    """
+    r = (2 * root_of_unity(n, 3) + 1) % n
+    if 2 * r < n:
+        r = n - r
+    a, x = n, r
+    bound = math.isqrt(n)
+    while x > bound:
+        a, x = x, a % x
+    y2, rem = divmod(n - x * x, 3)
+    y = math.isqrt(y2)
+    if rem or y * y != y2:
+        raise DomainError(f"Cornacchia found no x^2 + 3y^2 = {n}: N is not a split prime")
+    # 4N = (2x)^2 + 12y^2 = (x + 3y)^2 + 3(x - y)^2 = (x - 3y)^2 + 3(x + y)^2;
+    # 3 does not divide x, so one of 2y, x - y, x + y is divisible by 3.
+    if y % 3 == 0:
+        a, b = 2 * x, 2 * y // 3
+    elif (x - y) % 3 == 0:
+        a, b = x + 3 * y, (x - y) // 3
+    else:
+        a, b = x - 3 * y, (x + y) // 3
+    return _normalize_pair(a, b, n)
 
 
 def _wilson_jacobi_holds(rep: QuadRep) -> bool:
@@ -187,9 +178,9 @@ _WILSON_ASSERT_BOUND = 3000
 
 
 def represent_4n(n: int) -> QuadRep:
-    """The unique (A, B) with 4N = A^2 + 27B^2, A = 1 (mod 3), B >= 0."""
+    """The unique (A, B) with 4N = A^2 + 27B^2, A = 1 (mod 3), B > 0, for prime N < 2^62."""
     _require_split_prime(n)
-    rep = _represent_scan(n) if n < _SCAN_THRESHOLD else _represent_split(n)
+    rep = cornacchia_4n(n)
     # Wilson-Jacobi pinning of the sign: A * (((N-1)/3)!)^3 = 1 (mod N).
     assert n > _WILSON_ASSERT_BOUND or _wilson_jacobi_holds(rep)
     return rep
@@ -257,16 +248,16 @@ def _star_candidates() -> frozenset[tuple[int, int]]:
 _STAR_CANDIDATES = _star_candidates()
 
 
-def star_condition(n: int) -> bool:
+def star_condition(n: int | SplitData) -> bool:
     """Whether some generator of the split factor is +-zeta_3^v * 2^w (mod 9).
 
     Equivalent to 3 | B for N != 1 (mod 9); the candidate set is closed under
-    unit multiplication, so scanning the six associates is exhaustive.
+    unit multiplication, so scanning the six associates is exhaustive.  Pass
+    split_prime(N) instead of N to reuse a split already computed.
     """
-    _require_split_prime(n)
-    if n % 9 == 1:
+    s = n if isinstance(n, SplitData) else split_prime(n)
+    if s.rep.n % 9 == 1:
         raise DomainError("the unit-congruence test is defined for N != 1 (mod 9)")
-    s = split_prime(n)
     return any(g.reduce_mod(9) in _STAR_CANDIDATES for g in s.primary.associates())
 
 
@@ -279,20 +270,21 @@ class GerthMatrix:
     rank: int
 
 
-def gerth_matrix(n: int) -> GerthMatrix:
+def gerth_matrix(n: int | SplitData) -> GerthMatrix:
     """Symbol matrix for N = 4, 7 (mod 9), where ambiguous classes are strong.
 
     The first two entries are the symbol of 2a - b, always trivial by the
     Wilson-Jacobi identity (asserted); the third is the exponent of the symbol
-    at the prime above 3, zero exactly when N*a = 1 (mod 9).
+    at the prime above 3, zero exactly when N*a = 1 (mod 9).  Pass
+    split_prime(N) instead of N to reuse a split already computed.
     """
-    _require_split_prime(n)
+    s = n if isinstance(n, SplitData) else split_prime(n)
+    n = s.rep.n
     if n % 9 not in (4, 7):
         raise DomainError("the symbol-matrix path requires N != 1 (mod 9)")
-    s = split_prime(n)
     ctx = ModulusContext(n, 3)
-    f = find_order_p_element(ctx)
-    sym = cubic_symbol(abs(2 * s.primary.a - s.primary.b) % n, s, f)
+    f = root_of_unity(n, 3)
+    sym = power_class(abs(2 * s.primary.a - s.primary.b) % n, ctx, f)
     assert sym.index == 0
     na = n * s.primary.a
     assert (1 - na) % 3 == 0

@@ -71,9 +71,18 @@ def mod_pow(base: int, exp: int, ctx: ModulusContext) -> int:
 
 def find_order_p_element(ctx: ModulusContext) -> int:
     """First g^((N-1)/p) != 1 over g = 2, 3, 4, ...; deterministic per (N, p)."""
-    n = ctx.modulus
+    return root_of_unity(ctx.modulus, ctx.p)
+
+
+def root_of_unity(n: int, p: int) -> int:
+    """find_order_p_element for a prime N = 1 (mod p) that the caller vouches for.
+
+    No ModulusContext is built, so N is not re-validated; for prime N the
+    result is a primitive p-th root of unity in F_N.
+    """
+    e = (n - 1) // p
     for g in count(2):
-        f = pow(g, ctx.cofactor, n)
+        f = pow(g, e, n)
         if f != 1:
             return f
     raise AssertionError("unreachable")

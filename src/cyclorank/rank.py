@@ -10,6 +10,11 @@ or 2, decided by divisibility data of the representation 4N = A^2 + 27B^2:
   * factorial:   rank 2 iff ((N-1)/3)! is a cubic residue (N = 1 (mod 9) only;
                  O(N), kept as an independent oracle).
 
+cornacchia, gerth and star all read the same split_prime(N), computed once per
+query, and test the same congruence, so their agreement is not an independent
+check of the representation.  Only factorial (and represent_4n_bruteforce in
+the tests) are independent of it.
+
 For general regular p only bounds are reported: the coarse envelope
 (p-1)/2 .. (p-1)(p-2) and the alpha-refined window
 (p-1)/2 + alpha .. (p-1)(p-2) - (p-1)((p-1)/2 - 1 - alpha).
@@ -21,16 +26,21 @@ from dataclasses import dataclass
 
 from . import eisenstein, invariants
 from .errors import DomainError
-from .modmath import ModulusContext, factorial_mod, find_order_p_element, is_9th_power
-from .primes import TargetClass, classify_target, is_prime
+from .modmath import ModulusContext, factorial_mod, find_order_p_element
+from .primes import TargetClass, classify_target
 
 RANK3_METHODS = ("cornacchia", "gerth", "star", "factorial")
 
 
-def _rank3_cornacchia(n: int, rep: eisenstein.QuadRep) -> int:
+def rank3_criterion(rep: eisenstein.QuadRep) -> int:
+    """The cornacchia method: exact 3-rank read off 4N = A^2 + 27B^2.
+
+    N != 1 (mod 9): rank 2 iff 3 | B.  N = 1 (mod 9): rank 2 iff A is a 9th
+    power mod N; (N-1)/9 is even, so the sign of A does not matter.
+    """
+    n = rep.n
     if n % 9 == 1:
-        ctx = ModulusContext(n, 3)
-        return 2 if is_9th_power(abs(rep.A) % n, ctx) else 1
+        return 2 if pow(rep.A, (n - 1) // 9, n) == 1 else 1
     return 2 if rep.B % 3 == 0 else 1
 
 
@@ -40,39 +50,46 @@ def _rank3_factorial(n: int) -> int:
     return 2 if pow(fm, ctx.cofactor, n) == 1 else 1
 
 
-def rank3_methods(n: int, methods: tuple[str, ...] = RANK3_METHODS) -> dict[str, int]:
-    """Run every requested method that is valid for N's class mod 9."""
-    if n == 3 or not is_prime(n) or n % 3 != 1:
-        raise DomainError(f"N={n} must be a prime that is 1 mod 3 and differs from 3")
+def _rank3_on_split(s: eisenstein.SplitData, methods: tuple[str, ...]) -> dict[str, int]:
+    n = s.rep.n
     one_mod_9 = n % 9 == 1
     out: dict[str, int] = {}
-    rep = None
     for method in methods:
         if method == "cornacchia":
-            rep = rep or eisenstein.represent_4n(n)
-            out[method] = _rank3_cornacchia(n, rep)
+            out[method] = rank3_criterion(s.rep)
         elif method == "gerth" and not one_mod_9:
-            out[method] = 2 - eisenstein.gerth_matrix(n).rank
+            out[method] = 2 - eisenstein.gerth_matrix(s).rank
         elif method == "star" and not one_mod_9:
-            out[method] = 2 if eisenstein.star_condition(n) else 1
+            out[method] = 2 if eisenstein.star_condition(s) else 1
         elif method == "factorial" and one_mod_9:
             out[method] = _rank3_factorial(n)
     return out
 
 
+def rank3_methods(n: int, methods: tuple[str, ...] = RANK3_METHODS) -> dict[str, int]:
+    """Run every requested method that is valid for N's class mod 9."""
+    return _rank3_on_split(eisenstein.split_prime(n), methods)
+
+
+def rank3_detail(
+    n: int, method: str = "cornacchia"
+) -> tuple[int, eisenstein.SplitData, dict[str, int]]:
+    """rank3 with what it rests on: the split of N and every method result run."""
+    if method != "all" and method not in RANK3_METHODS:
+        raise DomainError(f"unknown method {method!r}; pick from {RANK3_METHODS + ('all',)}")
+    s = eisenstein.split_prime(n)
+    results = _rank3_on_split(s, RANK3_METHODS if method == "all" else (method,))
+    if not results:
+        raise DomainError(f"method {method!r} is not valid for N={n} (mod 9 class)")
+    values = set(results.values())
+    if len(values) != 1:
+        raise AssertionError(f"rank criteria disagree at N={n}: {results}")
+    return values.pop(), s, results
+
+
 def rank3(n: int, method: str = "cornacchia") -> int:
     """Exact 3-rank (1 or 2) of the class group of Q(zeta_3, N^(1/3))."""
-    if method == "all":
-        results = rank3_methods(n)
-        if len(set(results.values())) != 1:
-            raise AssertionError(f"rank criteria disagree at N={n}: {results}")
-        return next(iter(results.values()))
-    if method not in RANK3_METHODS:
-        raise DomainError(f"unknown method {method!r}; pick from {RANK3_METHODS + ('all',)}")
-    results = rank3_methods(n, (method,))
-    if method not in results:
-        raise DomainError(f"method {method!r} is not valid for N={n} (mod 9 class)")
-    return results[method]
+    return rank3_detail(n, method)[0]
 
 
 def odd_twist_count(p: int) -> int:
@@ -155,10 +172,11 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     agreed = None
     if p == 3:
         # Every cheap applicable method; the O(N) factorial path stays opt-in.
-        results = rank3_methods(n, ("cornacchia", "gerth", "star"))
+        s = eisenstein.split_prime(n)
+        results = _rank3_on_split(s, ("cornacchia", "gerth", "star"))
         agreed = len(set(results.values())) == 1
         exact = results["cornacchia"]
-        rep = eisenstein.represent_4n(n)
+        rep = s.rep
     return RankReport(
         n=n,
         p=p,

@@ -1,12 +1,12 @@
 import math
+import random
 
 import pytest
 
 from cyclorank.eisenstein import (
     EisensteinInt,
     QuadRep,
-    _represent_scan,
-    _represent_split,
+    cornacchia_4n,
     cubic_symbol,
     eis_norm,
     gerth_matrix,
@@ -18,7 +18,7 @@ from cyclorank.eisenstein import (
 )
 from cyclorank.errors import DomainError
 from cyclorank.modmath import ModulusContext, factorial_mod, find_order_p_element
-from cyclorank.primes import primes_in_class
+from cyclorank.primes import is_prime, primes_in_class
 
 
 def test_eis_norm_examples():
@@ -64,6 +64,17 @@ def test_represent_errors():
         represent_4n(3)
     with pytest.raises(DomainError):
         represent_4n(21)  # composite
+    with pytest.raises(DomainError, match="2\\^62"):
+        represent_4n(2**62 + 135)  # prime, 1 (mod 3), outside the contract
+    with pytest.raises(DomainError, match="2\\^62"):
+        split_prime(2**64 + 1)
+
+
+def test_cornacchia_failure_raises():
+    # 25 = 1 (mod 3) has no primitive x^2 + 3y^2: the kernel must raise, not
+    # assert, so the check also runs under python -O.
+    with pytest.raises(DomainError, match="Cornacchia"):
+        cornacchia_4n(25)
 
 
 def test_represent_oracle_equivalence():
@@ -80,13 +91,45 @@ def test_wilson_jacobi_identity_small():
         assert rep.A * cube % n == 1
 
 
-def test_split_path_agrees_with_scan():
-    # the gcd-based path used above 10^6 must match the scan everywhere
+def test_cornacchia_agrees_with_bruteforce():
     for n in primes_in_class(4000, 3, {1}):
-        assert _represent_split(n) == _represent_scan(n)
+        assert cornacchia_4n(n) == represent_4n_bruteforce(n)
     for n in primes_in_class(1_000_400, 3, {1}, cap=2**31):
         if n > 10**6:
-            assert represent_4n(n) == represent_4n_bruteforce(n)
+            assert cornacchia_4n(n) == represent_4n(n) == represent_4n_bruteforce(n)
+
+
+def _random_split_primes(rng: random.Random, count: int, hi: int) -> list[int]:
+    # the next prime = 1 (mod 3) after a log-uniform start, so large N are as
+    # likely as small ones
+    out = []
+    while len(out) < count:
+        n = int(2 ** rng.uniform(3, math.log2(hi)))
+        while not (n % 3 == 1 and is_prime(n)):
+            n += 1
+        if n < hi:
+            out.append(n)
+    return out
+
+
+def _b_scan(n: int) -> tuple[int, int]:
+    for b in range(1, math.isqrt(4 * n // 27) + 1):
+        r = 4 * n - 27 * b * b
+        s = math.isqrt(r)
+        if s * s == r:
+            return (s if s % 3 == 1 else -s), b
+    raise AssertionError(f"no representation of 4*{n}")
+
+
+def test_represent_property_up_to_2_62():
+    rng = random.Random(20240808)
+    for n in _random_split_primes(rng, 400, 2**62):
+        rep = represent_4n(n)
+        assert rep.A**2 + 27 * rep.B**2 == 4 * n
+        assert rep.A % 3 == 1 and rep.B > 0
+    for n in _random_split_primes(rng, 40, 10**12):
+        rep = represent_4n(n)
+        assert (rep.A, rep.B) == _b_scan(n)
 
 
 def test_split_prime_examples():

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -171,7 +172,37 @@ def test_cli_exit_codes(capsys):
     assert cli_dispatch(["bogus"]) == 1
     assert cli_dispatch(["rank3", "61", "--method", "nope"]) == 1
     assert cli_dispatch(["validate", "--table", "/definitely/not/there.csv"]) == 2
-    capsys.readouterr()
+    big = str(2**62 + 135)  # prime, 1 (mod 3), beyond the 2^62 contract
+    for argv in (["rep4n", big], ["rank3", big], ["bounds", big, "--p", "3"]):
+        assert cli_dispatch(argv) == 1
+    assert "2^62" in capsys.readouterr().err
+    for shards in ("0", "-3"):
+        argv = ["scan", "--limit", "1000", "--shards", shards, "--workers", "1"]
+        assert cli_dispatch(argv) == 1
+    assert "shard count" in capsys.readouterr().err
+
+
+# primes = 1 (mod 3) just above 10^10 and 10^18; the representation used to
+# overflow from about 3 * 10^9
+@pytest.mark.parametrize("n", [10_000_000_033, 1_000_000_000_000_000_003])
+def test_cli_p3_commands_at_large_n(n, capsys):
+    for argv in (["rep4n", str(n)], ["rank3", str(n)], ["bounds", str(n), "--p", "3"]):
+        assert cli_dispatch(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    a, b = (int(v) for v in re.search(r"A=(-?\d+) B=(\d+)", out).groups())
+    assert a * a + 27 * b * b == 4 * n and a % 3 == 1
+    assert f"rank3={2 if b % 3 == 0 else 1}" in out  # n = 4, 7 (mod 9)
+
+
+def test_cli_validate_exit_code_on_failures(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("N,p,rank\n61,3,1\n")  # predicted rank is 2
+    assert cli_dispatch(["validate", "--table", str(bad)]) == 3
+    assert "mismatches=1" in capsys.readouterr().out
+    bad.write_text("N,p,rank\n31,5,9\n")  # 9 lies outside [2, 8]
+    assert cli_dispatch(["validate", "--table", str(bad)]) == 3
+    assert "violations=1" in capsys.readouterr().out
 
 
 def test_cli_invariants(capsys):

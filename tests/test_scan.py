@@ -1,10 +1,12 @@
+import os
+
 import pytest
 
 from cyclorank.errors import DomainError
 from cyclorank.primes import primes_in_class
 from cyclorank.rank import rank3
 from cyclorank.reporting import render
-from cyclorank.scan import scan_alpha, scan_rank3
+from cyclorank.scan import _worker_count, scan_alpha, scan_rank3
 
 
 def test_scan_matches_single_threaded_reference():
@@ -64,6 +66,33 @@ def test_scan_validation():
         scan_rank3(1000, ())
     with pytest.raises(DomainError, match="regular"):
         scan_alpha(37, 1000)
+
+
+@pytest.mark.parametrize("shards", [0, -3])
+def test_scan_rejects_shard_counts_below_one(shards):
+    with pytest.raises(DomainError, match="shard count"):
+        scan_rank3(1000, (4, 7), shards=shards, workers=1)
+    with pytest.raises(DomainError, match="shard count"):
+        scan_alpha(5, 1000, shards=shards, workers=1)
+
+
+def test_worker_count_env_and_clamp(monkeypatch):
+    # starts no process: the clamp is read off _worker_count, and the scan
+    # with a bad CYCLORANK_THREADS raises before any pool exists
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("CYCLORANK_THREADS", raising=False)
+    assert _worker_count(None) == 2
+    assert _worker_count(64) == 2
+    assert _worker_count(0) == 1
+    monkeypatch.setenv("CYCLORANK_THREADS", "5000")
+    assert _worker_count(None) == 2
+    monkeypatch.setenv("CYCLORANK_THREADS", "1")
+    assert _worker_count(None) == 1
+    monkeypatch.setenv("CYCLORANK_THREADS", "abc")
+    with pytest.raises(DomainError, match="CYCLORANK_THREADS"):
+        _worker_count(None)
+    with pytest.raises(DomainError, match="CYCLORANK_THREADS"):
+        scan_rank3(1000, (4, 7), shards=1)
 
 
 def test_scan_alpha_p3_all_zero():
