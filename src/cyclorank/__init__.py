@@ -39,13 +39,15 @@ from .invariants import (
 from .modmath import (
     ModulusContext,
     PowerClass,
+    TargetClass,
+    classify_target,
     factorial_mod,
     find_order_p_element,
     is_9th_power,
     mod_pow,
     power_class,
 )
-from .primes import TargetClass, classify_target, is_prime, primes_in_class
+from .primes import is_prime, primes_in_class
 from .rank import RankReport, bounds, odd_twist_count, rank3, rank3_methods
 from .reporting import emit, render
 from .scan import ScanSummary, scan_alpha, scan_rank3

@@ -14,8 +14,7 @@ from . import __version__
 from .errors import DomainError
 from .eisenstein import represent_4n
 from .invariants import invariant_record
-from .modmath import ModulusContext, find_order_p_element
-from .primes import classify_target
+from .modmath import classify_target
 from .rank import bounds, rank3_detail
 from .reporting import emit
 from .scan import scan_alpha, scan_rank3

@@ -13,8 +13,8 @@ Conflating the two conventions flips a sign (first visible at N = 61), so both
 are kept explicit and cross-checked.
 
 The representation has one algorithm for the whole contract N < 2^62: integer
-Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  represent_4n
-validates N; cornacchia_4n trusts it (the scan feeds it sieved primes).
+Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  N is checked once,
+by the ModulusContext gate; cornacchia_4n and split_of trust it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .modmath import MODULUS_BITS, ModulusContext, PowerClass, power_class, root_of_unity
-from .primes import is_prime
+from .modmath import ModulusContext, PowerClass, power_class, root_of_unity
 
 _COEFF_BOUND = 1 << 63
 
@@ -116,23 +115,13 @@ class SplitData:
         n = self.rep.n
         a, b = self.primary.a, self.primary.b
         t = self.zeta_image
-        assert self.primary.norm() == n
-        assert a % 3 == 1 and b % 3 == 0
-        assert (t * t + t + 1) % n == 0
-        assert (a + b * t) % n == 0
+        if not (self.primary.norm() == n and a % 3 == 1 and b % 3 == 0
+                and (t * t + t + 1) % n == 0 and (a + b * t) % n == 0):
+            raise AssertionError(f"inconsistent split data for N={n}")
 
 
 def _normalize_pair(a: int, b: int, n: int) -> QuadRep:
     return QuadRep(A=a if a % 3 == 1 else -a, B=abs(b), n=n)
-
-
-def _require_split_prime(n: int) -> None:
-    if n >= 1 << MODULUS_BITS:
-        raise DomainError(f"N={n} exceeds the 2^{MODULUS_BITS} bound")
-    if n == 3 or not is_prime(n):
-        raise DomainError(f"N={n} must be a prime other than 3")
-    if n % 3 != 1:
-        raise DomainError(f"N={n} is not 1 mod 3")
 
 
 def cornacchia_4n(n: int) -> QuadRep:
@@ -179,7 +168,7 @@ _WILSON_ASSERT_BOUND = 3000
 
 def represent_4n(n: int) -> QuadRep:
     """The unique (A, B) with 4N = A^2 + 27B^2, A = 1 (mod 3), B > 0, for prime N < 2^62."""
-    _require_split_prime(n)
+    ModulusContext(n, 3)
     rep = cornacchia_4n(n)
     # Wilson-Jacobi pinning of the sign: A * (((N-1)/3)!)^3 = 1 (mod N).
     assert n > _WILSON_ASSERT_BOUND or _wilson_jacobi_holds(rep)
@@ -188,7 +177,7 @@ def represent_4n(n: int) -> QuadRep:
 
 def represent_4n_bruteforce(n: int) -> QuadRep:
     """Exhaustive oracle: scan every B and assert exactly one representation."""
-    _require_split_prime(n)
+    ModulusContext(n, 3)
     if n > 10**8:
         raise DomainError("brute-force representation is capped at 10^8")
     found = []
@@ -204,7 +193,12 @@ def represent_4n_bruteforce(n: int) -> QuadRep:
 
 def split_prime(n: int) -> SplitData:
     """Split N = n * conj(n) and return the primary generator with its F_N data."""
-    rep = represent_4n(n)
+    return split_of(represent_4n(n))
+
+
+def split_of(rep: QuadRep) -> SplitData:
+    """split_prime from a representation already in hand; rep.n is not re-validated."""
+    n = rep.n
     a = (-rep.A - 3 * rep.B) // 2
     b = -3 * rep.B
     t = (-a * pow(b, -1, n)) % n
@@ -220,8 +214,7 @@ def cubic_symbol(x: int | EisensteinInt, s: SplitData, f: int) -> PowerClass:
     n = s.rep.n
     if isinstance(x, EisensteinInt):
         x = (x.a + x.b * s.zeta_image) % n
-    ctx = ModulusContext(n, 3)
-    return power_class(x % n, ctx, f)
+    return power_class(x % n, ModulusContext.trusted(n, 3), f)
 
 
 def hilbert_pi_unit_criterion(s: SplitData) -> bool:
@@ -282,9 +275,8 @@ def gerth_matrix(n: int | SplitData) -> GerthMatrix:
     n = s.rep.n
     if n % 9 not in (4, 7):
         raise DomainError("the symbol-matrix path requires N != 1 (mod 9)")
-    ctx = ModulusContext(n, 3)
     f = root_of_unity(n, 3)
-    sym = power_class(abs(2 * s.primary.a - s.primary.b) % n, ctx, f)
+    sym = power_class(abs(2 * s.primary.a - s.primary.b) % n, ModulusContext.trusted(n, 3), f)
     assert sym.index == 0
     na = n * s.primary.a
     assert (1 - na) % 3 == 0

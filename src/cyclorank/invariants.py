@@ -10,7 +10,7 @@ Only the power class of M and M_i is needed, so their exponents are reduced
 mod p at the character level; U_k additionally reports the residue itself.
 mu counts the odd i with M_i not a p-th power; alpha counts the even i with
 U_(p-1-i) a p-th power.  Both counts presume p regular, guarded by the list
-of irregular primes below 100.
+of the regular odd primes below 100.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .modmath import ModulusContext, PowerClass, find_order_p_element, power_class
 
-IRREGULAR_PRIMES_BELOW_100 = frozenset({37, 59, 67})
-REGULARITY_GUARD_BOUND = 100
+REGULAR_PRIMES_BELOW_100 = frozenset(
+    {3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43, 47, 53, 61, 71, 73, 79, 83, 89, 97}
+)
 
 
 def is_vetted_regular(p: int) -> bool:
-    return p < REGULARITY_GUARD_BOUND and p not in IRREGULAR_PRIMES_BELOW_100
+    return p in REGULAR_PRIMES_BELOW_100
 
 
 def require_regular(p: int) -> None:
@@ -191,9 +192,10 @@ class InvariantRecord:
     power_flags: dict[int, bool]
 
     def __post_init__(self) -> None:
-        assert 0 <= self.alpha <= max(0, (self.p - 3) // 2)
-        if 1 in self.mi_classes:
-            assert (self.m_cls.index == 0) == (self.mi_classes[1].index == 0)
+        if not 0 <= self.alpha <= max(0, (self.p - 3) // 2):
+            raise AssertionError(f"alpha={self.alpha} out of range for p={self.p}")
+        if 1 in self.mi_classes and (self.m_cls.index == 0) != (self.mi_classes[1].index == 0):
+            raise AssertionError(f"M and M_1 disagree on p-th powers at N={self.n}")
 
 
 def invariant_record(n: int, p: int, f: int | None = None) -> InvariantRecord:

@@ -5,6 +5,10 @@ below 2^62 together with an odd prime p dividing N-1 and the cofactor
 (N-1)/p.  The p-th-power residue character is chi(x) = x^((N-1)/p), valued in
 the order-p subgroup of F_N^x; fixing a reference element f of order p turns
 chi into an index in 0..p-1 that is additive under multiplication.
+
+ModulusContext.__post_init__ is the one gate for the (N, p) contract; code
+downstream of a context trusts it.  ModulusContext.trusted skips the gate for
+callers that hold a proof already (a sieved N, the N of a gated split).
 """
 
 from __future__ import annotations
@@ -34,14 +38,49 @@ class ModulusContext:
     def __post_init__(self) -> None:
         n, p = self.modulus, self.p
         if n >= 1 << MODULUS_BITS:
-            raise DomainError(f"modulus {n} exceeds the 2^{MODULUS_BITS} bound")
+            raise DomainError(f"N={n} exceeds the 2^{MODULUS_BITS} bound")
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise DomainError(f"p={p} must be an odd prime")
         if not is_prime(n):
-            raise DomainError(f"modulus {n} is not prime")
-        if n == p or (n - 1) % p != 0:
-            raise DomainError(f"modulus {n} is not 1 mod p={p}")
+            raise DomainError(f"N={n} is not prime")
+        if n == p:
+            raise DomainError("N must differ from p")
+        if n % p != 1:
+            raise DomainError(f"N must split completely: N={n} is not 1 mod p={p}")
         object.__setattr__(self, "cofactor", (n - 1) // p)
+
+    @classmethod
+    def trusted(cls, n: int, p: int) -> "ModulusContext":
+        """The context for an (N, p) the caller has already proved in contract; no checks run."""
+        ctx = object.__new__(cls)
+        ctx.__dict__.update(modulus=n, p=p, cofactor=(n - 1) // p)
+        return ctx
+
+
+@dataclass(frozen=True)
+class TargetClass:
+    """By N mod p^2: the prime above p ramifies in L/Q(zeta_p), and zeta_p is no norm, iff N != 1."""
+
+    n: int
+    p: int
+    residue_mod_p2: int
+    pi_ramified: bool
+    zeta_is_norm: bool
+
+    def __post_init__(self) -> None:
+        r = self.residue_mod_p2
+        if self.pi_ramified != (r != 1) or self.zeta_is_norm != (r == 1):
+            raise AssertionError(f"inconsistent target class {self}")
+
+    @classmethod
+    def of(cls, ctx: ModulusContext) -> "TargetClass":
+        r = ctx.modulus % (ctx.p * ctx.p)
+        return cls(ctx.modulus, ctx.p, r, pi_ramified=r != 1, zeta_is_norm=r == 1)
+
+
+def classify_target(n: int, p: int) -> TargetClass:
+    """Classify prime N = 1 (mod p) by the congruence N mod p^2."""
+    return TargetClass.of(ModulusContext(n, p))
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,13 @@
-"""Prime generation in residue classes and splitting/ramification classification.
+"""Primality and prime generation in residue classes.
 
 Primes are streamed by a segmented sieve so memory stays proportional to the
-segment, not the limit.  Classification of a target prime N for an odd prime p
-reduces to the single congruence N mod p^2: the prime above p ramifies in the
-degree-p Kummer extension of the p-th cyclotomic field exactly when
-N != 1 (mod p^2), and the p-th root of unity is a norm exactly when
-N == 1 (mod p^2).
+segment, not the limit.  Validating a target (N, p) is not done here but by
+the ModulusContext gate in modmath, which uses is_prime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -119,37 +115,3 @@ def primes_in_class(
             f"limit {limit} exceeds the sieve cap {cap}; pass cap= to raise it"
         )
     return primes_in_range(2, limit + 1, modulus, residues)
-
-
-@dataclass(frozen=True)
-class TargetClass:
-    """Ramification/norm dichotomy of a target prime N for an odd prime p."""
-
-    n: int
-    p: int
-    residue_mod_p2: int
-    pi_ramified: bool
-    zeta_is_norm: bool
-
-    def __post_init__(self) -> None:
-        assert self.pi_ramified != self.zeta_is_norm
-
-
-def classify_target(n: int, p: int) -> TargetClass:
-    """Classify prime N == 1 (mod p) by the congruence N mod p^2."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise DomainError(f"p={p} must be an odd prime")
-    if not is_prime(n):
-        raise DomainError(f"N={n} is not prime")
-    if n == p:
-        raise DomainError("N must differ from p")
-    if n % p != 1:
-        raise DomainError(f"N must split completely: N={n} is not 1 mod p={p}")
-    residue = n % (p * p)
-    return TargetClass(
-        n=n,
-        p=p,
-        residue_mod_p2=residue,
-        pi_ramified=(residue != 1),
-        zeta_is_norm=(residue == 1),
-    )

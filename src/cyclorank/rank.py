@@ -16,8 +16,7 @@ check of the representation.  Only factorial (and represent_4n_bruteforce in
 the tests) are independent of it.
 
 For general regular p only bounds are reported: the coarse envelope
-(p-1)/2 .. (p-1)(p-2) and the alpha-refined window
-(p-1)/2 + alpha .. (p-1)(p-2) - (p-1)((p-1)/2 - 1 - alpha).
+(p-1)/2 .. (p-1)(p-2) and the alpha-refined window of rank_window.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from dataclasses import dataclass
 
 from . import eisenstein, invariants
 from .errors import DomainError
-from .modmath import ModulusContext, factorial_mod, find_order_p_element
-from .primes import TargetClass, classify_target
+from .modmath import ModulusContext, TargetClass, factorial_mod, find_order_p_element
 
 RANK3_METHODS = ("cornacchia", "gerth", "star", "factorial")
 
@@ -45,7 +43,7 @@ def rank3_criterion(rep: eisenstein.QuadRep) -> int:
 
 
 def _rank3_factorial(n: int) -> int:
-    ctx = ModulusContext(n, 3)
+    ctx = ModulusContext.trusted(n, 3)  # n comes from a split made through the gate
     fm = factorial_mod((n - 1) // 3, ctx)
     return 2 if pow(fm, ctx.cofactor, n) == 1 else 1
 
@@ -102,6 +100,11 @@ def odd_twist_count(p: int) -> int:
     return sum(1 for j in range(1, p - 1, 2) if j % (p - 1) != 1)
 
 
+def rank_window(p: int, alpha: int) -> tuple[int, int]:
+    """The alpha-refined window (p-1)/2 + alpha .. (p-1)(p-2) - (p-1)((p-1)/2 - 1 - alpha)."""
+    return (p - 1) // 2 + alpha, (p - 1) * (p - 2) - (p - 1) * ((p - 1) // 2 - 1 - alpha)
+
+
 @dataclass(frozen=True)
 class RankReport:
     """Per-(N, p) record of classification, exact rank or bounds, and witnesses.
@@ -124,10 +127,10 @@ class RankReport:
     cl_f_upper: int | None = None
 
     def __post_init__(self) -> None:
-        assert self.coarse_lower <= self.lower <= self.upper <= self.coarse_upper
-        if self.p == 3:
-            assert (self.lower, self.upper) == (1, 2)
-            assert self.exact_rank3 in (1, 2)
+        if not self.coarse_lower <= self.lower <= self.upper <= self.coarse_upper:
+            raise AssertionError(f"window [{self.lower},{self.upper}] leaves its envelope")
+        if self.p == 3 and ((self.lower, self.upper) != (1, 2) or self.exact_rank3 not in (1, 2)):
+            raise AssertionError(f"p = 3 report for N={self.n} is not an exact rank 1 or 2")
 
 
 def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> RankReport:
@@ -140,7 +143,7 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     """
     if cl_k_rank < 0:
         raise DomainError("cl_k_rank must be non-negative")
-    target = classify_target(n, p)
+    ctx = ModulusContext(n, p)
     regular = invariants.is_vetted_regular(p)
     if not regular and cl_k_rank == 0:
         raise DomainError(
@@ -155,11 +158,9 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     alpha: int | None = None
     cl_f_upper: int | None = None
     if regular:
-        ctx = ModulusContext(n, p)
         f = find_order_p_element(ctx)
         alpha = invariants.alpha_count(ctx, f).alpha
-        lower = coarse_lower + alpha
-        upper = (p - 1) * (p - 2) - (p - 1) * ((p - 1) // 2 - 1 - alpha)
+        lower, upper = rank_window(p, alpha)
         if cl_k_rank:
             upper = min(upper, coarse_upper)
         if include_cl_f:
@@ -172,7 +173,8 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     agreed = None
     if p == 3:
         # Every cheap applicable method; the O(N) factorial path stays opt-in.
-        s = eisenstein.split_prime(n)
+        # ctx has proved N, so the split skips a second gate.
+        s = eisenstein.split_of(eisenstein.cornacchia_4n(n))
         results = _rank3_on_split(s, ("cornacchia", "gerth", "star"))
         agreed = len(set(results.values())) == 1
         exact = results["cornacchia"]
@@ -180,7 +182,7 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     return RankReport(
         n=n,
         p=p,
-        target_class=target,
+        target_class=TargetClass.of(ctx),
         rep=rep,
         exact_rank3=exact,
         methods_agreed=agreed,

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import IO, Iterable, Union
 
-from .rank import RankReport
+from .rank import RankReport, rank_window
 from .scan import ScanSummary
 from .validation import ValidationReport
 
@@ -61,11 +61,9 @@ def _summary_csv(s: ScanSummary) -> str:
     # Alpha summaries tabulate the final histogram with the implied rank window;
     # convergence checkpoints are available through the JSON form.
     lines = ["class,threshold,alpha,lower,upper,count"]
-    p = s.p
     for c in s.classes:
         for a, count in sorted((s.alpha_hist or {}).get(c, {}).items()):
-            lo = (p - 1) // 2 + a
-            hi = (p - 1) * (p - 2) - (p - 1) * ((p - 1) // 2 - 1 - a)
+            lo, hi = rank_window(s.p, a)
             lines.append(f"{c},{s.limit},{a},{lo},{hi},{count}")
     return "\n".join(lines) + "\n"
 

@@ -22,7 +22,7 @@ from .errors import DomainError
 from .invariants import alpha_count, require_regular
 from .modmath import ModulusContext, find_order_p_element
 from .primes import primes_in_range
-from .rank import rank3, rank3_criterion  # noqa: F401  (perfbench/ looks up scan.rank3)
+from .rank import rank3, rank3_criterion, rank_window  # noqa: F401  (perfbench/: scan.rank3)
 
 ENV_THREADS = "CYCLORANK_THREADS"
 
@@ -80,8 +80,9 @@ def _rank3_shard(args: tuple[int, int, tuple[int, ...], tuple[int, ...]]) -> Cou
 def _alpha_shard(args: tuple[int, int, int, tuple[int, ...]]) -> Counter:
     lo, hi, p, thresholds = args
     counts: Counter = {}
+    # scan_alpha has checked p; the sieve proves every n prime and = 1 (mod p).
     for n in primes_in_range(lo, hi, p, (1,)):
-        ctx = ModulusContext(n, p)
+        ctx = ModulusContext.trusted(n, p)
         a = alpha_count(ctx, find_order_p_element(ctx)).alpha
         key = (_bucket(n, thresholds), n % (p * p), a)
         counts[key] = counts.get(key, 0) + 1
@@ -154,13 +155,11 @@ class ScanSummary:
 
     def bounds_histogram(self) -> dict[tuple[int, int], int]:
         """Histogram of refined (lower, upper) windows implied by alpha."""
-        p = self.p
         out: dict[tuple[int, int], int] = {}
         for hist in (self.alpha_hist or {}).values():
             for a, count in hist.items():
-                lo = (p - 1) // 2 + a
-                hi = (p - 1) * (p - 2) - (p - 1) * ((p - 1) // 2 - 1 - a)
-                out[(lo, hi)] = out.get((lo, hi), 0) + count
+                window = rank_window(self.p, a)
+                out[window] = out.get(window, 0) + count
         return dict(sorted(out.items()))
 
 
@@ -178,6 +177,8 @@ def _build_summary(
     alpha_hist: dict[int, dict[int, int]] | None = (
         {c: {} for c in classes} if kind == "alpha" else None
     )
+    run_total = run_hits = 0  # keys sort by bucket first, so these run cumulatively
+    reached: dict[int, tuple[int, int]] = {}
     for (bucket, cls, outcome), c in sorted(counts.items()):
         totals[cls] = totals.get(cls, 0) + c
         if rank2 is not None and outcome == 2:
@@ -185,16 +186,15 @@ def _build_summary(
         if alpha_hist is not None:
             hist = alpha_hist.setdefault(cls, {})
             hist[outcome] = hist.get(outcome, 0) + c
+        run_total += c
+        if (kind == "rank3" and outcome == 2) or (kind == "alpha" and outcome > 0):
+            run_hits += c
+        reached[bucket] = (run_total, run_hits)
     checkpoints = []
-    run_total = 0
-    run_hits = 0
-    for t in thresholds:
-        for (bucket, cls, outcome), c in sorted(counts.items()):
-            if bucket == t:
-                run_total += c
-                if (kind == "rank3" and outcome == 2) or (kind == "alpha" and outcome > 0):
-                    run_hits += c
-        checkpoints.append(Checkpoint(threshold=t, total=run_total, hits=run_hits))
+    last = (0, 0)
+    for t in thresholds:  # a threshold with an empty bucket repeats the previous tally
+        last = reached.get(t, last)
+        checkpoints.append(Checkpoint(t, *last))
     return ScanSummary(
         kind=kind,
         p=p,

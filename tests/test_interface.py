@@ -100,10 +100,14 @@ def test_ingest_parse_errors(tmp_path):
 
 def test_ingest_skips_invalid_rows(tmp_path):
     f = tmp_path / "t.csv"
-    f.write_text("# provenance comment\nN,p,rank\n25,3,1\n11,3,1\n7,3,0\n7,3,1\n")
+    big = 2**62 + 135  # prime, 1 (mod 3), outside the contract
+    f.write_text(
+        f"# provenance comment\nN,p,rank\n25,3,1\n11,3,1\n7,3,0\n7,3,1\n{big},3,1\n61,3,2\n"
+    )
     report = ingest_truth(f)
-    assert report.rows_checked == 1 and report.matches == 1
-    assert [line for line, _ in report.skipped] == [3, 4, 5]
+    assert report.rows_checked == 2 and report.matches == 2
+    assert [line for line, _ in report.skipped] == [3, 4, 5, 7]
+    assert "2^62" in report.skipped[-1][1]
 
 
 def test_ingest_bounds_rows(tmp_path):
@@ -152,6 +156,8 @@ def test_cli_classify(capsys):
     assert cli_dispatch(["classify", "7", "--p", "3"]) == 0
     out = capsys.readouterr().out
     assert "pi ramified" in out and "not a norm" in out
+    assert cli_dispatch(["classify", str(2**62 + 135), "--p", "3"]) == 1
+    assert "2^62" in capsys.readouterr().err
 
 
 def test_cli_scan_and_validate(tmp_path, capsys):

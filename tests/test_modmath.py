@@ -19,6 +19,7 @@ def test_context_validation():
     ctx = ModulusContext(19, 3)
     assert ctx.cofactor == 6
     assert ctx.cofactor * ctx.p == ctx.modulus - 1
+    assert ModulusContext.trusted(19, 3) == ctx
     with pytest.raises(DomainError):
         ModulusContext(20, 3)  # composite
     with pytest.raises(DomainError):

@@ -1,7 +1,8 @@
 import pytest
 
 from cyclorank.errors import DomainError
-from cyclorank.primes import classify_target, is_prime, primes_in_class, primes_in_range
+from cyclorank.modmath import classify_target
+from cyclorank.primes import is_prime, primes_in_class, primes_in_range
 
 
 def _trial_division(limit):
@@ -97,3 +98,5 @@ def test_classify_errors():
         classify_target(25, 3)
     with pytest.raises(DomainError, match="odd prime"):
         classify_target(7, 4)
+    with pytest.raises(DomainError, match="2\\^62"):
+        classify_target(2**62 + 135, 3)  # prime, 1 (mod 3), outside the contract

@@ -57,6 +57,8 @@ def test_bounds_errors():
         bounds(7, 5)
     with pytest.raises(DomainError):
         bounds(11, 5, cl_k_rank=-1)
+    with pytest.raises(DomainError, match="2\\^62"):
+        bounds(4611686018427391417, 37, cl_k_rank=1)  # prime, 1 (mod 37), beyond 2^62
 
 
 def test_bounds_alpha_one_instance():
@@ -103,6 +105,9 @@ def test_odd_twist_count():
         assert odd_twist_count(p) == (p - 3) // 2
     with pytest.raises(DomainError):
         odd_twist_count(37)
+    for p in (1, 2, 9, 15):  # not odd primes: the regularity guard lists primes by value
+        with pytest.raises(DomainError):
+            odd_twist_count(p)
 
 
 def test_rank_report_invariants_enforced():

@@ -66,6 +66,9 @@ def test_scan_validation():
         scan_rank3(1000, ())
     with pytest.raises(DomainError, match="regular"):
         scan_alpha(37, 1000)
+    for p in (2, 9):  # rejected by the guard, not by a per-prime check
+        with pytest.raises(DomainError, match="regular"):
+            scan_alpha(p, 1000)
 
 
 @pytest.mark.parametrize("shards", [0, -3])
