@@ -11,15 +11,29 @@ mod p at the character level; U_k additionally reports the residue itself.
 mu counts the odd i with M_i not a p-th power; alpha counts the even i with
 U_(p-1-i) a p-th power.  Both counts presume p regular, guarded by the list
 of the regular odd primes below 100.
+
+M and every M_i come from one walk (product_classes).  The character index
+is additive, and the exponent of k in M_i is S_i(k-1) = sum_{a<k} a^i.  For
+odd i in 1..p-4, p-1 does not divide i, so sum_{a=0}^{p-1} a^i = 0 (mod p)
+and S_i(k-1) mod p depends only on (k-1) mod p: it is T_i[(k-1) mod p] with
+T_i[s] = sum_{a=1}^{s} a^i.  Grouping k by its residue r mod p,
+
+  ind(M_i) = sum_r T_i[(r-1) mod p] * ind(P_r),   P_r = prod_{k<N, k=r} k,
+  ind(M)   = sum_r r * ind(Q_r),                  Q_r = prod_{k<=(N-1)/2, k=r} k,
+
+and Q_r is a prefix of the walk that gives P_r.  So N-1 modular products and
+about 2p characters give M, every M_i and mu in O(p) memory.  The walk, and
+the m_class_direct oracle, refuse N above primes.DEFAULT_SIEVE_CAP (2^30)
+with a DomainError instead of looping for hours.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .modmath import ModulusContext, PowerClass, find_order_p_element, power_class
+from .primes import require_within_cap
 
 REGULAR_PRIMES_BELOW_100 = frozenset(
     {3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43, 47, 53, 61, 71, 73, 79, 83, 89, 97}
@@ -37,47 +51,59 @@ def require_regular(p: int) -> None:
         )
 
 
-def _char_index_table(ctx: ModulusContext, f: int, upto: int) -> list[int]:
-    """ind[k] for 1 <= k <= upto, extended multiplicatively from primes.
+@dataclass(frozen=True)
+class ProductClasses:
+    """Power classes of M and of every M_i (odd i in 1..p-4), against one f."""
 
-    Smallest-prime-factor sieve so each prime pays one modular exponentiation
-    and each composite a single table lookup.
+    m: PowerClass
+    mi: dict[int, PowerClass]
+
+
+def product_classes(ctx: ModulusContext, f: int | None = None) -> ProductClasses:
+    """M and every M_i from one walk over k = 1..N-1, split by k mod p.
+
+    The walk keeps two products per residue r: Q_r over k <= (N-1)/2, then
+    P_r over all k < N, so memory is O(p).  ind(M) = sum_r r ind(Q_r) and
+    ind(M_i) = sum_r T_i[r-1] ind(P_r); both coefficients vanish at r = 0.
     """
-    spf = list(range(upto + 1))
-    for q in range(2, math.isqrt(upto) + 1):
-        if spf[q] == q:
-            for j in range(q * q, upto + 1, q):
-                if spf[j] == j:
-                    spf[j] = q
-    p = ctx.p
-    ind = [0] * (upto + 1)
-    for k in range(2, upto + 1):
-        q = spf[k]
-        if q == k:
-            ind[k] = power_class(k, ctx, f).index
-        else:
-            ind[k] = (ind[q] + ind[k // q]) % p
-    return ind
+    n, p = ctx.modulus, ctx.p
+    require_within_cap(n, "N")
+    if f is None:
+        f = find_order_p_element(ctx)
+    half = (n - 1) // 2
+    m_index = 0
+    p_index = [0] * p
+    for r in range(1, p):
+        walk = range(r, n, p)
+        cut = len(range(r, half + 1, p))
+        acc = 1
+        for k in walk[:cut]:
+            acc = acc * k % n
+        m_index += r * power_class(acc, ctx, f).index
+        for k in walk[cut:]:
+            acc = acc * k % n
+        p_index[r] = power_class(acc, ctx, f).index
+    mi = {}
+    for i in range(1, p - 3, 2):
+        total = t = 0  # t = T_i[r-1] = sum_{a<r} a^i mod p
+        for r in range(1, p):
+            total += t * p_index[r]
+            t += pow(r, i, p)
+        mi[i] = PowerClass(total % p, f)
+    return ProductClasses(PowerClass(m_index % p, f), mi)
 
 
 def m_class(ctx: ModulusContext, f: int | None = None) -> PowerClass:
     """Power class of M = prod_{k<=(N-1)/2} k^k."""
-    if f is None:
-        f = find_order_p_element(ctx)
-    half = (ctx.modulus - 1) // 2
-    ind = _char_index_table(ctx, f, half)
-    p = ctx.p
-    total = 0
-    for k in range(2, half + 1):
-        total += k * ind[k]
-    return PowerClass(total % p, f)
+    return product_classes(ctx, f).m
 
 
 def m_class_direct(ctx: ModulusContext, f: int | None = None) -> PowerClass:
     """Oracle path for m_class: evaluate the product in F_N, then classify."""
+    n = ctx.modulus
+    require_within_cap(n, "N")
     if f is None:
         f = find_order_p_element(ctx)
-    n = ctx.modulus
     acc = 1
     for k in range(2, (n - 1) // 2 + 1):
         acc = acc * pow(k, k, n) % n
@@ -85,23 +111,11 @@ def m_class_direct(ctx: ModulusContext, f: int | None = None) -> PowerClass:
 
 
 def m_i_class(ctx: ModulusContext, i: int, f: int | None = None) -> PowerClass:
-    """Power class of M_i via the running sum S_i(k-1) = sum_{a<k} a^i mod p."""
+    """Power class of M_i = prod_k k^(S_i(k-1)), S_i(k-1) = sum_{a<k} a^i."""
     p = ctx.p
     if i % 2 == 0 or not 1 <= i <= p - 4:
         raise DomainError(f"i={i} must be odd and within 1..{p - 4}")
-    if f is None:
-        f = find_order_p_element(ctx)
-    n = ctx.modulus
-    ind = _char_index_table(ctx, f, n - 1)
-    powi = [pow(r, i, p) for r in range(p)]
-    total = 0
-    s = 0  # S_i(k-1) mod p
-    for k in range(1, n):
-        total += ind[k] * s
-        s += powi[k % p]
-        if s >= p:
-            s -= p
-    return PowerClass(total % p, f)
+    return product_classes(ctx, f).mi[i]
 
 
 @dataclass(frozen=True)
@@ -111,16 +125,16 @@ class MuBound:
     mu: int
     cl_f_upper: int
 
+    @classmethod
+    def of(cls, p: int, mi: dict[int, PowerClass]) -> "MuBound":
+        mu = sum(1 for c in mi.values() if c.index != 0)
+        return cls(mu=mu, cl_f_upper=p - 2 - 2 * mu)
+
 
 def mu_count(ctx: ModulusContext, f: int | None = None) -> MuBound:
     """Count odd i in 1..p-4 with M_i not a p-th power (regular p only)."""
     require_regular(ctx.p)
-    if f is None:
-        f = find_order_p_element(ctx)
-    mu = sum(
-        1 for i in range(1, ctx.p - 3, 2) if m_i_class(ctx, i, f).index != 0
-    )
-    return MuBound(mu=mu, cl_f_upper=ctx.p - 2 - 2 * mu)
+    return MuBound.of(ctx.p, product_classes(ctx, f).mi)
 
 
 @dataclass(frozen=True)
@@ -206,10 +220,10 @@ def invariant_record(n: int, p: int, f: int | None = None) -> InvariantRecord:
     ctx = ModulusContext(n, p)
     if f is None:
         f = find_order_p_element(ctx)
-    mi = {i: m_i_class(ctx, i, f) for i in range(1, p - 3, 2)}
+    pc = product_classes(ctx, f)
     mk = {k: unit_product(ctx, k, f) for k in range(1, p - 1)}
     if is_vetted_regular(p):
-        mb = mu_count(ctx, f)
+        mb = MuBound.of(p, pc.mi)
         mu, cl_f_upper = mb.mu, mb.cl_f_upper
     else:
         mu, cl_f_upper = None, None
@@ -218,8 +232,8 @@ def invariant_record(n: int, p: int, f: int | None = None) -> InvariantRecord:
         n=n,
         p=p,
         f=f,
-        m_cls=m_class(ctx, f),
-        mi_classes=mi,
+        m_cls=pc.m,
+        mi_classes=pc.mi,
         mk_products=mk,
         mu=mu,
         cl_f_upper=cl_f_upper,

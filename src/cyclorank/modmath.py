@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .errors import DomainError
-from .primes import is_prime
+from .primes import is_prime, require_within_cap
 
 MODULUS_BITS = 62
 
@@ -152,10 +152,11 @@ def is_9th_power(x: int, ctx: ModulusContext) -> bool:
 
 
 def factorial_mod(m: int, ctx: ModulusContext) -> int:
-    """m! mod N by direct accumulation; requires m < N."""
+    """m! mod N by direct accumulation; requires m < N and m within the O(N) cap."""
     n = ctx.modulus
     if not 0 <= m < n:
         raise DomainError(f"factorial argument {m} must lie in [0, N)")
+    require_within_cap(m, "factorial argument m")
     acc = 1
     for k in range(2, m + 1):
         acc = acc * k % n

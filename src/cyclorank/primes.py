@@ -3,6 +3,10 @@
 Primes are streamed by a segmented sieve so memory stays proportional to the
 segment, not the limit.  Validating a target (N, p) is not done here but by
 the ModulusContext gate in modmath, which uses is_prime.
+
+DEFAULT_SIEVE_CAP (2^30) bounds every O(N) path: sieves, scans, and the
+walks over 1..N of the product invariants and the factorial criterion all
+refuse larger sizes through require_within_cap.
 """
 
 from __future__ import annotations
@@ -46,6 +50,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_within_cap(size: int, what: str) -> None:
+    """Raise DomainError when O(size) work would exceed DEFAULT_SIEVE_CAP."""
+    if size > DEFAULT_SIEVE_CAP:
+        bits = DEFAULT_SIEVE_CAP.bit_length() - 1
+        raise DomainError(f"{what}={size} exceeds the 2^{bits} cap on O(N) work")
 
 
 def _base_primes(limit: int) -> np.ndarray:

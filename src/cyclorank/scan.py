@@ -9,6 +9,8 @@ using exactly the primes below each threshold.
 
 Only O(sqrt(N)) per-prime work is allowed here; the O(N) paths (factorial
 criterion, double-product invariants) are confined to bounded test sweeps.
+A limit above primes.DEFAULT_SIEVE_CAP (2^30), the cap primes_in_class
+applies, is refused before any shard sieves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .eisenstein import cornacchia_4n
 from .errors import DomainError
 from .invariants import alpha_count, require_regular
 from .modmath import ModulusContext, find_order_p_element
-from .primes import primes_in_range
+from .primes import primes_in_range, require_within_cap
 from .rank import rank3, rank3_criterion, rank_window  # noqa: F401  (perfbench/: scan.rank3)
 
 ENV_THREADS = "CYCLORANK_THREADS"
@@ -221,6 +223,7 @@ def scan_rank3(
     """
     if limit < 100:
         raise DomainError("scan limit must be at least 100")
+    require_within_cap(limit, "scan limit")
     classes = tuple(sorted(set(classes)))
     if not classes or any(c not in (1, 4, 7) for c in classes):
         raise DomainError(f"classes must be a nonempty subset of (1, 4, 7), got {classes}")
@@ -242,6 +245,7 @@ def scan_alpha(
     require_regular(p)
     if limit < 100:
         raise DomainError("scan limit must be at least 100")
+    require_within_cap(limit, "scan limit")
     workers_n = _worker_count(workers)
     shards_n = shards if shards is not None else workers_n
     thresholds = _thresholds(limit)

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cyclorank
 from cyclorank.cli import cli_dispatch
 from cyclorank.errors import TruthTableError
 from cyclorank.primes import primes_in_class
@@ -199,6 +203,32 @@ def test_cli_p3_commands_at_large_n(n, capsys):
     a, b = (int(v) for v in re.search(r"A=(-?\d+) B=(\d+)", out).groups())
     assert a * a + 27 * b * b == 4 * n and a % 3 == 1
     assert f"rank3={2 if b % 3 == 0 else 1}" in out  # n = 4, 7 (mod 9)
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so stderr shows any traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cyclorank.__file__).parents[1]))
+    code = "import sys; from cyclorank.cli import main; sys.argv[1:] = sys.argv[2:]; main()"
+    return subprocess.run(
+        [sys.executable, "-c", code, "cyclorank", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # O(N) walks at N = 10^12 + 61 (prime, 1 mod 5): refused, not run out of memory
+        ("invariants", "1000000000061", "--p", "5"),
+        ("bounds", "1000000000061", "--p", "5", "--mu"),
+        ("rank3", "10000000207", "--method", "all"),  # 1 (mod 9): factorial of (N-1)/3
+        ("scan", "--limit", str(2**40), "--shards", "1", "--workers", "1"),
+    ],
+)
+def test_cli_refuses_o_n_work_above_the_cap(argv):
+    done = _run_cli(*argv)
+    assert done.returncode == 1
+    assert "cap" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_cli_validate_exit_code_on_failures(tmp_path, capsys):

@@ -8,6 +8,7 @@ from cyclorank.invariants import (
     m_class_direct,
     m_i_class,
     mu_count,
+    product_classes,
     unit_product,
 )
 from cyclorank.modmath import ModulusContext, find_order_p_element, power_class
@@ -57,6 +58,60 @@ def test_m_i_matches_naive_double_product():
             f = find_order_p_element(ctx)
             for i in range(1, p - 3, 2):
                 assert m_i_class(ctx, i, f) == _naive_m_i(ctx, f, i)
+
+
+def _direct_m_i(ctx, f, i):
+    # F_N evaluation of prod_k k^(S_i(k-1)), the exponent reduced mod N-1 only
+    n = ctx.modulus
+    acc = 1
+    s = 0  # S_i(k-1) mod (N-1)
+    for k in range(1, n):
+        acc = acc * pow(k, s, n) % n
+        s = (s + pow(k, i, n - 1)) % (n - 1)
+    return power_class(acc, ctx, f)
+
+
+def test_product_classes_match_direct_evaluation():
+    checked = 0
+    for p in (5, 7, 11, 13):
+        for n in primes_in_class(2000, p, {1}):
+            ctx = ModulusContext(n, p)
+            f = find_order_p_element(ctx)
+            pc = product_classes(ctx, f)
+            assert pc.m == m_class_direct(ctx, f)
+            assert set(pc.mi) == set(range(1, p - 3, 2))
+            for i, cls in pc.mi.items():
+                assert cls == _direct_m_i(ctx, f, i), (n, p, i)
+            rec = invariant_record(n, p, f)
+            assert rec.mu == mu_count(ctx, f).mu
+            assert rec.m_cls == m_class(ctx, f)
+            for i in pc.mi:
+                assert rec.mi_classes[i] == m_i_class(ctx, i, f)
+            checked += 1
+    assert checked > 150
+
+
+def test_invariant_record_frozen_at_1000039():
+    # recorded from the per-k index table that product_classes replaced
+    rec = invariant_record(1000039, 13)
+    assert rec.f == 844395
+    assert rec.m_cls.index == 9
+    assert {i: c.index for i, c in rec.mi_classes.items()} == {1: 7, 3: 5, 5: 6, 7: 9, 9: 3}
+    assert (rec.mu, rec.cl_f_upper, rec.alpha) == (5, 1, 0)
+
+
+def test_o_n_paths_refuse_n_above_the_cap():
+    ctx = ModulusContext(1000000000061, 5)  # prime, 1 (mod 5), above 2^30
+    for run in (
+        lambda: product_classes(ctx),
+        lambda: m_class(ctx),
+        lambda: m_i_class(ctx, 1),
+        lambda: mu_count(ctx),
+        lambda: m_class_direct(ctx),
+        lambda: invariant_record(1000000000061, 5),
+    ):
+        with pytest.raises(DomainError, match="cap"):
+            run()
 
 
 def test_mu_examples():

@@ -133,6 +133,8 @@ def test_factorial_mod_examples():
     assert factorial_mod(20, ModulusContext(61, 3)) == math.factorial(20) % 61
     with pytest.raises(DomainError):
         factorial_mod(19, ctx19)
+    with pytest.raises(DomainError, match="cap"):  # O(m) work above 2^30
+        factorial_mod(2**30 + 1, ModulusContext(1000000000061, 5))
 
 
 def test_factorial_mod_matches_math_factorial():

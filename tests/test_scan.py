@@ -69,6 +69,11 @@ def test_scan_validation():
     for p in (2, 9):  # rejected by the guard, not by a per-prime check
         with pytest.raises(DomainError, match="regular"):
             scan_alpha(p, 1000)
+    # the 2^30 sieve cap of primes_in_class, enforced before any shard sieves
+    with pytest.raises(DomainError, match="cap"):
+        scan_rank3(2**40, (4, 7), shards=1, workers=1)
+    with pytest.raises(DomainError, match="cap"):
+        scan_alpha(5, 2**40, shards=1, workers=1)
 
 
 @pytest.mark.parametrize("shards", [0, -3])
