@@ -30,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _classes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers like 4,7, got {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cyclorank", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cyclorank {__version__}")
@@ -65,7 +72,9 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("scan", help="density experiment over a prime range")
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--classes", default="1,4,7", help="residues of N mod 9 (p = 3 only)")
+    sp.add_argument(
+        "--classes", type=_classes, default="1,4,7", help="residues of N mod 9 (p = 3 only)"
+    )
     sp.add_argument("--shards", type=int, default=None)
     sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--format", default="csv", choices=("csv", "json"))
@@ -136,8 +145,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.p == 3:
-        classes = tuple(int(c) for c in args.classes.split(","))
-        summary = scan_rank3(args.limit, classes, shards=args.shards, workers=args.workers)
+        summary = scan_rank3(args.limit, args.classes, shards=args.shards, workers=args.workers)
     else:
         summary = scan_alpha(args.p, args.limit, shards=args.shards, workers=args.workers)
     emit(summary, args.format, args.out)

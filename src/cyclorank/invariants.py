@@ -175,6 +175,12 @@ class AlphaCount:
     alpha: int
     power_flags: dict[int, bool]
 
+    @classmethod
+    def of(cls, p: int, products: dict[int, UnitProduct]) -> "AlphaCount":
+        """alpha from unit products keyed by k; reads U_k for the even k in 2..p-3."""
+        flags = {i: products[p - 1 - i].cls.index == 0 for i in range(2, p - 2, 2)}
+        return cls(alpha=sum(flags.values()), power_flags=flags)
+
 
 def alpha_count(ctx: ModulusContext, f: int | None = None) -> AlphaCount:
     """Count positive even i < p-1 with U_(p-1-i) a p-th power in F_N^x.
@@ -183,11 +189,8 @@ def alpha_count(ctx: ModulusContext, f: int | None = None) -> AlphaCount:
     """
     if f is None:
         f = find_order_p_element(ctx)
-    flags = {
-        i: unit_product(ctx, ctx.p - 1 - i, f).cls.index == 0
-        for i in range(2, ctx.p - 2, 2)
-    }
-    return AlphaCount(alpha=sum(flags.values()), power_flags=flags)
+    # k = p-1-i runs over the same even numbers 2..p-3 as the twist i
+    return AlphaCount.of(ctx.p, {k: unit_product(ctx, k, f) for k in range(2, ctx.p - 2, 2)})
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,7 @@ def invariant_record(n: int, p: int, f: int | None = None) -> InvariantRecord:
         mu, cl_f_upper = mb.mu, mb.cl_f_upper
     else:
         mu, cl_f_upper = None, None
-    ac = alpha_count(ctx, f)
+    ac = AlphaCount.of(p, mk)
     return InvariantRecord(
         n=n,
         p=p,

@@ -109,20 +109,9 @@ def primes_in_range(
             yield n
 
 
-def primes_in_class(
-    limit: int,
-    modulus: int,
-    residues: Iterable[int],
-    cap: int = DEFAULT_SIEVE_CAP,
-) -> Iterator[int]:
-    """All primes N <= limit with N mod modulus in residues, ascending.
-
-    `cap` guards against accidental huge sweeps; pass a larger value to raise it.
-    """
+def primes_in_class(limit: int, modulus: int, residues: Iterable[int]) -> Iterator[int]:
+    """All primes N <= limit with N mod modulus in residues, ascending."""
     if limit < 2:
         raise DomainError("limit must be at least 2")
-    if limit > cap:
-        raise DomainError(
-            f"limit {limit} exceeds the sieve cap {cap}; pass cap= to raise it"
-        )
+    require_within_cap(limit, "limit")
     return primes_in_range(2, limit + 1, modulus, residues)

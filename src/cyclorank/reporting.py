@@ -5,9 +5,11 @@ Per-prime CSV rows use the fixed column order
     N,p,class_mod_p2,A,B,rank3,alpha,lower,upper
 
 with empty cells for fields that do not apply (A, B, rank3 are p = 3 only).
-Scan summaries serialize as a cumulative long-format checkpoint table; JSON
-mirrors the field names of the report types.  Output is byte-deterministic
-for a given report.
+Scan summaries serialize as a cumulative long-format checkpoint table (rank-3)
+or the final alpha histogram with its rank windows (alpha); both read the one
+per-class histogram ScanSummary.hist and its hit predicate.  JSON mirrors the
+field names of the report types, except that scan JSON has the fixed keys of
+_SCAN_JSON_KEYS.  Output is byte-deterministic for a given report.
 """
 
 from __future__ import annotations
@@ -49,23 +51,23 @@ def _summary_csv(s: ScanSummary) -> str:
     if s.kind == "rank3":
         # Checkpoint rows aggregate the scanned classes; final per-class rows
         # follow at threshold = limit.
+        rows = [("all", cp) for cp in s.checkpoints] + [(c, s.tally((c,))) for c in s.classes]
         lines = ["class,threshold,total,rank2,density"]
-        for cp in s.checkpoints:
-            lines.append(f"all,{cp.threshold},{cp.total},{cp.hits},{cp.density:.6f}")
-        for c in s.classes:
-            total = s.totals.get(c, 0)
-            hits = (s.rank2 or {}).get(c, 0)
-            dens = hits / total if total else 0.0
-            lines.append(f"{c},{s.limit},{total},{hits},{dens:.6f}")
+        lines += [f"{c},{cp.threshold},{cp.total},{cp.hits},{cp.density:.6f}" for c, cp in rows]
         return "\n".join(lines) + "\n"
     # Alpha summaries tabulate the final histogram with the implied rank window;
     # convergence checkpoints are available through the JSON form.
     lines = ["class,threshold,alpha,lower,upper,count"]
     for c in s.classes:
-        for a, count in sorted((s.alpha_hist or {}).get(c, {}).items()):
+        for a, count in sorted(s.hist[c].items()):
             lo, hi = rank_window(s.p, a)
             lines.append(f"{c},{s.limit},{a},{lo},{hi},{count}")
     return "\n".join(lines) + "\n"
+
+
+# The published scan JSON layout: the derived per-kind views, not the fields.
+_SCAN_JSON_KEYS = ("kind", "p", "limit", "class_modulus", "classes", "totals", "rank2",
+                   "alpha_hist", "checkpoints")
 
 
 def _jsonable(obj: object) -> object:
@@ -73,6 +75,8 @@ def _jsonable(obj: object) -> object:
         return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, ScanSummary):
+        return {name: _jsonable(getattr(obj, name)) for name in _SCAN_JSON_KEYS}
     if hasattr(obj, "__dataclass_fields__"):
         return {
             name: _jsonable(getattr(obj, name))

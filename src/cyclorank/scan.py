@@ -1,23 +1,29 @@
 """Parallel density experiments over prime ranges with convergence reporting.
 
+Rank-3 and alpha scans are one pipeline.  A scan sieves the primes N up to
+its limit in chosen classes mod p^2, computes one integer outcome per prime
+(the exact 3-rank, or alpha), and counts (threshold-bucket, class, outcome).
 Work is partitioned into contiguous prime sub-ranges whose boundaries depend
-only on (limit, shards), and every per-prime outcome is accumulated into a
-(threshold-bucket, class, outcome) counter.  Merging is therefore a plain sum
-of integer counters: summaries are bit-identical for any shard or worker
-count.  Checkpoints at 10^3, 10^4, ..., limit report the running density
-using exactly the primes below each threshold.
+only on (limit, shards), so merging is a plain sum of integer counters and
+summaries are bit-identical for any shard or worker count.  The summary
+keeps one histogram per class; one hit predicate (rank 2, or alpha > 0)
+gives the checkpoints at 10^3, 10^4, ..., limit, using exactly the primes
+below each threshold, and the densities.
 
 Only O(sqrt(N)) per-prime work is allowed here; the O(N) paths (factorial
 criterion, double-product invariants) are confined to bounded test sweeps.
-A limit above primes.DEFAULT_SIEVE_CAP (2^30), the cap primes_in_class
-applies, is refused before any shard sieves.
+A limit above primes.DEFAULT_SIEVE_CAP (2^30) is refused before any shard
+sieves.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 from .eisenstein import cornacchia_4n
 from .errors import DomainError
@@ -28,7 +34,13 @@ from .rank import rank3, rank3_criterion, rank_window  # noqa: F401  (perfbench/
 
 ENV_THREADS = "CYCLORANK_THREADS"
 
-Counter = dict[tuple[int, int, int], int]  # (bucket, class residue, outcome) -> count
+Tally = Counter[tuple[int, int, int]]  # (bucket, class residue, outcome) -> count
+Outcome = Callable[[int], int]  # trusted per-prime kernel: sieved N -> 3-rank or alpha
+
+
+def _is_hit(kind: str, outcome: int) -> bool:
+    """The one hit predicate: rank 2 in a rank-3 scan, alpha > 0 in an alpha scan."""
+    return outcome == 2 if kind == "rank3" else outcome > 0
 
 
 def _worker_count(workers: int | None) -> int:
@@ -69,39 +81,22 @@ def _shard_edges(limit: int, shards: int) -> list[tuple[int, int]]:
     return [(edges[i], edges[i + 1]) for i in range(shards) if edges[i] < edges[i + 1]]
 
 
-def _rank3_shard(args: tuple[int, int, tuple[int, ...], tuple[int, ...]]) -> Counter:
-    lo, hi, classes, thresholds = args
-    counts: Counter = {}
-    # The sieve has proved every n prime and = 1 (mod 3): use the trusted kernel.
-    for n in primes_in_range(lo, hi, 9, classes):
-        key = (_bucket(n, thresholds), n % 9, rank3_criterion(cornacchia_4n(n)))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _rank3_outcome(n: int) -> int:
+    return rank3_criterion(cornacchia_4n(n))
 
 
-def _alpha_shard(args: tuple[int, int, int, tuple[int, ...]]) -> Counter:
-    lo, hi, p, thresholds = args
-    counts: Counter = {}
-    # scan_alpha has checked p; the sieve proves every n prime and = 1 (mod p).
-    for n in primes_in_range(lo, hi, p, (1,)):
-        ctx = ModulusContext.trusted(n, p)
-        a = alpha_count(ctx, find_order_p_element(ctx)).alpha
-        key = (_bucket(n, thresholds), n % (p * p), a)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _alpha_outcome(p: int, n: int) -> int:
+    ctx = ModulusContext.trusted(n, p)
+    return alpha_count(ctx, find_order_p_element(ctx)).alpha
 
 
-def _run_shards(worker, jobs: list, workers: int) -> Counter:
-    merged: Counter = {}
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(worker, jobs))
-    else:
-        results = [worker(job) for job in jobs]
-    for counts in results:
-        for key, c in counts.items():
-            merged[key] = merged.get(key, 0) + c
-    return merged
+def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], outcome: Outcome,
+           thresholds: tuple[int, ...]) -> Tally:
+    # The caller has checked p; the sieve proves every n prime and = 1 (mod p).
+    m = p * p
+    return Counter(
+        (_bucket(n, thresholds), n % m, outcome(n)) for n in primes_in_range(lo, hi, m, classes)
+    )
 
 
 @dataclass(frozen=True)
@@ -119,41 +114,54 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class ScanSummary:
-    """Aggregated per-class tallies with logarithmic convergence checkpoints.
+    """Per-class outcome histograms with logarithmic convergence checkpoints.
 
-    For kind "rank3", hits are rank-2 primes and rank2 maps each class to its
-    rank-2 count.  For kind "alpha", hits are primes with alpha > 0 and
-    alpha_hist maps each class to its alpha histogram.
+    hist maps each class (N mod p^2) to {outcome: count}.  The outcome is the
+    3-rank for kind "rank3" and alpha for kind "alpha"; hits (checkpoints,
+    density) are rank-2 primes and primes with alpha > 0 respectively.
     """
 
     kind: str
     p: int
     limit: int
-    class_modulus: int
     classes: tuple[int, ...]
-    totals: dict[int, int]
-    rank2: dict[int, int] | None
-    alpha_hist: dict[int, dict[int, int]] | None
+    hist: dict[int, dict[int, int]]
     checkpoints: tuple[Checkpoint, ...]
+
+    @property
+    def class_modulus(self) -> int:
+        return self.p * self.p
+
+    @property
+    def totals(self) -> dict[int, int]:
+        return {c: sum(h.values()) for c, h in self.hist.items()}
 
     @property
     def total(self) -> int:
         return sum(self.totals.values())
 
+    @property
+    def rank2(self) -> dict[int, int] | None:
+        """Rank-2 count per class, for rank-3 scans."""
+        return {c: h.get(2, 0) for c, h in self.hist.items()} if self.kind == "rank3" else None
+
+    @property
+    def alpha_hist(self) -> dict[int, dict[int, int]] | None:
+        """The alpha histogram per class, for alpha scans."""
+        return self.hist if self.kind == "alpha" else None
+
+    def tally(self, classes: tuple[int, ...] | None = None) -> Checkpoint:
+        """Total and hits at the limit over the given classes (default: all)."""
+        total = hits = 0
+        for c in classes if classes is not None else self.classes:
+            for outcome, count in self.hist.get(c, {}).items():
+                total += count
+                hits += count if _is_hit(self.kind, outcome) else 0
+        return Checkpoint(self.limit, total, hits)
+
     def density(self, classes: tuple[int, ...] | None = None) -> float:
         """Final rank-2 (or alpha > 0) density over the given classes."""
-        keys = classes if classes is not None else self.classes
-        total = sum(self.totals.get(c, 0) for c in keys)
-        if self.kind == "rank3":
-            hits = sum((self.rank2 or {}).get(c, 0) for c in keys)
-        else:
-            hits = sum(
-                count
-                for c in keys
-                for a, count in (self.alpha_hist or {}).get(c, {}).items()
-                if a > 0
-            )
-        return hits / total if total else 0.0
+        return self.tally(classes).density
 
     def bounds_histogram(self) -> dict[tuple[int, int], int]:
         """Histogram of refined (lower, upper) windows implied by alpha."""
@@ -165,49 +173,40 @@ class ScanSummary:
         return dict(sorted(out.items()))
 
 
-def _build_summary(
-    kind: str,
-    p: int,
-    limit: int,
-    class_modulus: int,
-    classes: tuple[int, ...],
-    thresholds: tuple[int, ...],
-    counts: Counter,
-) -> ScanSummary:
-    totals = {c: 0 for c in classes}
-    rank2 = {c: 0 for c in classes} if kind == "rank3" else None
-    alpha_hist: dict[int, dict[int, int]] | None = (
-        {c: {} for c in classes} if kind == "alpha" else None
-    )
+def _build_summary(kind: str, p: int, limit: int, classes: tuple[int, ...],
+                   thresholds: tuple[int, ...], counts: Tally) -> ScanSummary:
+    hist: dict[int, dict[int, int]] = {c: {} for c in classes}
     run_total = run_hits = 0  # keys sort by bucket first, so these run cumulatively
     reached: dict[int, tuple[int, int]] = {}
     for (bucket, cls, outcome), c in sorted(counts.items()):
-        totals[cls] = totals.get(cls, 0) + c
-        if rank2 is not None and outcome == 2:
-            rank2[cls] = rank2.get(cls, 0) + c
-        if alpha_hist is not None:
-            hist = alpha_hist.setdefault(cls, {})
-            hist[outcome] = hist.get(outcome, 0) + c
+        hist[cls][outcome] = hist[cls].get(outcome, 0) + c
         run_total += c
-        if (kind == "rank3" and outcome == 2) or (kind == "alpha" and outcome > 0):
-            run_hits += c
+        run_hits += c if _is_hit(kind, outcome) else 0
         reached[bucket] = (run_total, run_hits)
     checkpoints = []
     last = (0, 0)
     for t in thresholds:  # a threshold with an empty bucket repeats the previous tally
         last = reached.get(t, last)
         checkpoints.append(Checkpoint(t, *last))
-    return ScanSummary(
-        kind=kind,
-        p=p,
-        limit=limit,
-        class_modulus=class_modulus,
-        classes=classes,
-        totals=totals,
-        rank2=rank2,
-        alpha_hist=alpha_hist,
-        checkpoints=tuple(checkpoints),
-    )
+    return ScanSummary(kind, p, limit, classes, hist, tuple(checkpoints))
+
+
+def _scan(kind: str, p: int, limit: int, classes: tuple[int, ...], outcome: Outcome,
+          shards: int | None, workers: int | None) -> ScanSummary:
+    """Sieve N <= limit in classes mod p^2, tally outcome(N), and summarize."""
+    if limit < 100:
+        raise DomainError("scan limit must be at least 100")
+    require_within_cap(limit, "scan limit")
+    workers_n = _worker_count(workers)
+    edges = _shard_edges(limit, shards if shards is not None else workers_n)
+    thresholds = _thresholds(limit)
+    run = functools.partial(_shard, p=p, classes=classes, outcome=outcome, thresholds=thresholds)
+    if workers_n > 1 and len(edges) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers_n, len(edges))) as pool:
+            results = list(pool.map(run, *zip(*edges)))
+    else:
+        results = [run(lo, hi) for lo, hi in edges]
+    return _build_summary(kind, p, limit, classes, thresholds, sum(results, Counter()))
 
 
 def scan_rank3(
@@ -221,18 +220,10 @@ def scan_rank3(
     classes selects residues of N mod 9 from {1, 4, 7}; the expected limiting
     rank-2 density is 1/3 in each class.
     """
-    if limit < 100:
-        raise DomainError("scan limit must be at least 100")
-    require_within_cap(limit, "scan limit")
     classes = tuple(sorted(set(classes)))
     if not classes or any(c not in (1, 4, 7) for c in classes):
         raise DomainError(f"classes must be a nonempty subset of (1, 4, 7), got {classes}")
-    workers_n = _worker_count(workers)
-    shards_n = shards if shards is not None else workers_n
-    thresholds = _thresholds(limit)
-    jobs = [(lo, hi, classes, thresholds) for lo, hi in _shard_edges(limit, shards_n)]
-    counts = _run_shards(_rank3_shard, jobs, workers_n)
-    return _build_summary("rank3", 3, limit, 9, classes, thresholds, counts)
+    return _scan("rank3", 3, limit, classes, _rank3_outcome, shards, workers)
 
 
 def scan_alpha(
@@ -243,13 +234,5 @@ def scan_alpha(
 ) -> ScanSummary:
     """Histogram of alpha over primes N = 1 (mod p) up to limit (regular p)."""
     require_regular(p)
-    if limit < 100:
-        raise DomainError("scan limit must be at least 100")
-    require_within_cap(limit, "scan limit")
-    workers_n = _worker_count(workers)
-    shards_n = shards if shards is not None else workers_n
-    thresholds = _thresholds(limit)
-    classes = tuple(range(1, p * p, p))
-    jobs = [(lo, hi, p, thresholds) for lo, hi in _shard_edges(limit, shards_n)]
-    counts = _run_shards(_alpha_shard, jobs, workers_n)
-    return _build_summary("alpha", p, limit, p * p, classes, thresholds, counts)
+    classes = tuple(range(1, p * p, p))  # every N = 1 (mod p)
+    return _scan("alpha", p, limit, classes, functools.partial(_alpha_outcome, p), shards, workers)

@@ -61,9 +61,12 @@ def parse_truth_table(path: Union[str, Path]) -> list[TruthRow]:
     """Parse rows; malformed content raises with the offending line number."""
     rows: list[TruthRow] = []
     header_seen = False
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded per line, so a bad byte is reported with its line
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise TruthTableError(f"line {lineno}: not valid UTF-8") from None
             if not line or line.startswith("#"):
                 continue
             if not header_seen:

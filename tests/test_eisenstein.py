@@ -94,7 +94,7 @@ def test_wilson_jacobi_identity_small():
 def test_cornacchia_agrees_with_bruteforce():
     for n in primes_in_class(4000, 3, {1}):
         assert cornacchia_4n(n) == represent_4n_bruteforce(n)
-    for n in primes_in_class(1_000_400, 3, {1}, cap=2**31):
+    for n in primes_in_class(1_000_400, 3, {1}):
         if n > 10**6:
             assert cornacchia_4n(n) == represent_4n(n) == represent_4n_bruteforce(n)
 

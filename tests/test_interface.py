@@ -231,6 +231,23 @@ def test_cli_refuses_o_n_work_above_the_cap(argv):
     assert "cap" in done.stderr and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("classes", ["4,x", ""])
+def test_cli_scan_rejects_malformed_classes(classes):
+    done = _run_cli("scan", "--limit", "1000", "--classes", classes, "--workers", "1")
+    assert done.returncode == 1
+    assert "--classes" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_cli_validate_rejects_non_utf8_table(tmp_path):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"N,p,rank\n61,3,2\n# caf\xe9\n")
+    done = _run_cli("validate", "--table", str(bad))
+    assert done.returncode == 1
+    assert "line 3" in done.stderr and "Traceback" not in done.stderr
+    with pytest.raises(TruthTableError, match="line 3: not valid UTF-8"):
+        parse_truth_table(bad)
+
+
 def test_cli_validate_exit_code_on_failures(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("N,p,rank\n61,3,1\n")  # predicted rank is 2

@@ -84,6 +84,8 @@ def test_product_classes_match_direct_evaluation():
                 assert cls == _direct_m_i(ctx, f, i), (n, p, i)
             rec = invariant_record(n, p, f)
             assert rec.mu == mu_count(ctx, f).mu
+            ac = alpha_count(ctx, f)  # U_k of its own, not the record's
+            assert (rec.alpha, rec.power_flags) == (ac.alpha, ac.power_flags)
             assert rec.m_cls == m_class(ctx, f)
             for i in pc.mi:
                 assert rec.mi_classes[i] == m_i_class(ctx, i, f)
@@ -156,6 +158,25 @@ def test_alpha_examples():
     # first prime with alpha = 1 for p = 5, frozen from the direct evaluation
     ac = alpha_count(ModulusContext(211, 5))
     assert ac.alpha == 1 and ac.power_flags == {2: True}
+
+
+def test_power_flags_match_euler_criterion():
+    # flag i says whether U_(p-1-i) is a p-th power; U is evaluated directly here
+    asymmetric = 0
+    for p in (7, 11, 13):
+        for n in primes_in_class(3000, p, {1}):
+            ctx = ModulusContext(n, p)
+            f = find_order_p_element(ctx)
+            want = {}
+            for i in range(2, p - 2, 2):
+                u = 1
+                for j in range(1, p):
+                    u = u * pow(1 - pow(f, j, n), j ** (p - 1 - i), n) % n
+                want[i] = pow(u, (n - 1) // p, n) == 1
+            assert alpha_count(ctx, f).power_flags == want, (n, p)
+            assert invariant_record(n, p, f).power_flags == want, (n, p)
+            asymmetric += want != {i: want[p - 1 - i] for i in want}
+    assert asymmetric > 0
 
 
 def test_alpha_range_law():

@@ -59,8 +59,6 @@ def test_stream_errors():
         list(primes_in_class(100, 9, set()))
     with pytest.raises(DomainError, match="cap"):
         primes_in_class(2**31, 3, {1})
-    # the cap is a flag, not a hard limit
-    assert primes_in_class(2**31, 3, {1}, cap=2**31) is not None
 
 
 def test_counting_sanity_dirichlet_densities():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -35,6 +36,36 @@ def test_worker_pool_matches_serial():
     serial = scan_rank3(30000, (4, 7), shards=4, workers=1)
     pooled = scan_rank3(30000, (4, 7), shards=4, workers=2)
     assert pooled == serial
+
+
+def test_alpha_worker_pool_matches_serial():
+    serial = scan_alpha(7, 30000, shards=1, workers=1)
+    pooled = scan_alpha(7, 30000, shards=4, workers=2)
+    assert pooled == serial
+    assert render(pooled, "json") == render(serial, "json")
+
+
+# sha256 of the published CSV and JSON of three scans: any change to these
+# digests is a change of the output format.
+@pytest.mark.parametrize(
+    "scan, csv_digest, json_digest",
+    [
+        (lambda: scan_rank3(20000, (1, 4, 7), shards=1, workers=1),
+         "9f1f1643d5a6befabe2e81565ff91ac6cb69debbcbe8a4bc47221b09d8b06812",
+         "c9d9cb31aae2216b6012384a6969928288caa4aef50921c1bee5165fc4489bdb"),
+        (lambda: scan_alpha(5, 20000, shards=1, workers=1),
+         "43a973d06cfe19a5a568a312ecc666a73257b407b2b1fb11930e8f0ae333761a",
+         "cd7ad169930cadc49aa0eaf2abfabf0485dbafe37e360ac523b735c089300bdd"),
+        (lambda: scan_alpha(7, 20000, shards=1, workers=1),
+         "d382c0b95be304151730664b53bbc3fe94a843cc0cea0d4f6578cdf8f765c4a2",
+         "f3a34b5ccc199a6edd6f64ea175d83157367f10837114591987d24d6fd1b2f6b"),
+    ],
+    ids=["rank3", "alpha5", "alpha7"],
+)
+def test_scan_output_bytes_are_pinned(scan, csv_digest, json_digest):
+    summary = scan()
+    for fmt, want in (("csv", csv_digest), ("json", json_digest)):
+        assert hashlib.sha256(render(summary, fmt).encode()).hexdigest() == want, fmt
 
 
 def test_checkpoints_are_exact_prefixes():
