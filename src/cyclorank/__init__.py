@@ -15,7 +15,6 @@ from .eisenstein import (
     QuadRep,
     SplitData,
     cubic_symbol,
-    eis_norm,
     gerth_matrix,
     hilbert_pi_unit_criterion,
     represent_4n,
@@ -31,8 +30,6 @@ from .invariants import (
     UnitProduct,
     alpha_count,
     invariant_record,
-    m_class,
-    m_i_class,
     mu_count,
     unit_product,
 )
@@ -43,12 +40,10 @@ from .modmath import (
     classify_target,
     factorial_mod,
     find_order_p_element,
-    is_9th_power,
-    mod_pow,
     power_class,
 )
 from .primes import is_prime, primes_in_class
-from .rank import RankReport, bounds, odd_twist_count, rank3, rank3_methods
+from .rank import RankReport, bounds, rank3
 from .reporting import emit, render
 from .scan import ScanSummary, scan_alpha, scan_rank3
 from .validation import TruthRow, ValidationReport, ingest_truth
@@ -75,7 +70,6 @@ __all__ = [
     "bounds",
     "classify_target",
     "cubic_symbol",
-    "eis_norm",
     "emit",
     "factorial_mod",
     "find_order_p_element",
@@ -83,17 +77,11 @@ __all__ = [
     "hilbert_pi_unit_criterion",
     "ingest_truth",
     "invariant_record",
-    "is_9th_power",
     "is_prime",
-    "m_class",
-    "m_i_class",
-    "mod_pow",
     "mu_count",
-    "odd_twist_count",
     "power_class",
     "primes_in_class",
     "rank3",
-    "rank3_methods",
     "render",
     "represent_4n",
     "represent_4n_bruteforce",

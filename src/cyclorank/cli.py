@@ -2,7 +2,8 @@
 
 Subcommands: classify, rep4n, rank3, invariants, bounds, scan, validate.
 Exit codes: 0 success, 1 domain/usage error, 2 I/O error, 3 validate found
-mismatches or bound violations.
+mismatches or bound violations, 4 internal error (a failed result guard, or
+rank3 --method all methods that disagree).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .errors import DomainError
 from .eisenstein import represent_4n
 from .invariants import invariant_record
 from .modmath import classify_target
-from .rank import bounds, rank3_detail
+from .rank import RANK3_METHODS, bounds, rank3_detail
 from .reporting import emit
 from .scan import scan_alpha, scan_rank3
 from .validation import ingest_truth
@@ -51,11 +52,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("rank3", help="exact 3-rank with its (A, B) witness")
     sp.add_argument("n", type=int)
-    sp.add_argument(
-        "--method",
-        default="cornacchia",
-        choices=("cornacchia", "gerth", "star", "factorial", "all"),
-    )
+    sp.add_argument("--method", default="cornacchia", choices=RANK3_METHODS + ("all",))
 
     sp = sub.add_parser("invariants", help="product invariants, mu, and alpha for (N, p)")
     sp.add_argument("n", type=int)
@@ -73,7 +70,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--limit", type=int, required=True)
     sp.add_argument(
-        "--classes", type=_classes, default="1,4,7", help="residues of N mod 9 (p = 3 only)"
+        "--classes", type=_classes, help="residues of N mod 9; default 1,4,7 (p = 3 only)"
     )
     sp.add_argument("--shards", type=int, default=None)
     sp.add_argument("--workers", type=int, default=None)
@@ -145,7 +142,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.p == 3:
-        summary = scan_rank3(args.limit, args.classes, shards=args.shards, workers=args.workers)
+        classes = args.classes or (1, 4, 7)
+        summary = scan_rank3(args.limit, classes, shards=args.shards, workers=args.workers)
+    elif args.classes:
+        raise DomainError("--classes applies to p = 3 only")
     else:
         summary = scan_alpha(args.p, args.limit, shards=args.shards, workers=args.workers)
     emit(summary, args.format, args.out)
@@ -195,6 +195,9 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -42,26 +42,11 @@ class EisensteinInt:
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    def conjugate(self) -> "EisensteinInt":
-        return EisensteinInt(self.a - self.b, -self.b)
-
     def times_zeta(self) -> "EisensteinInt":
         return EisensteinInt(-self.b, self.a - self.b)
 
     def __neg__(self) -> "EisensteinInt":
         return EisensteinInt(-self.a, -self.b)
-
-    def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "EisensteinInt") -> "EisensteinInt":
-        # (a + b z)(c + d z) = ac - bd + (ad + bc - bd) z
-        a, b, c, d = self.a, self.b, other.a, other.b
-        bd = b * d
-        return EisensteinInt(a * c - bd, a * d + b * c - bd)
 
     def associates(self) -> tuple["EisensteinInt", ...]:
         """The six unit multiples +-zeta_3^v * self."""
@@ -71,11 +56,6 @@ class EisensteinInt:
 
     def reduce_mod(self, m: int) -> tuple[int, int]:
         return (self.a % m, self.b % m)
-
-
-def eis_norm(x: EisensteinInt) -> int:
-    """a^2 - ab + b^2; zero only at the origin."""
-    return x.norm()
 
 
 @dataclass(frozen=True)
@@ -153,26 +133,10 @@ def cornacchia_4n(n: int) -> QuadRep:
     return _normalize_pair(a, b, n)
 
 
-def _wilson_jacobi_holds(rep: QuadRep) -> bool:
-    n = rep.n
-    acc = 1
-    for k in range(2, (n - 1) // 3 + 1):
-        acc = acc * k % n
-    return rep.A * pow(acc, 3, n) % n == 1
-
-
-# Debug-assert ceiling for the O(N) sign identity; the full identity is
-# exercised separately up to 50,000 by the acceptance suite.
-_WILSON_ASSERT_BOUND = 3000
-
-
 def represent_4n(n: int) -> QuadRep:
     """The unique (A, B) with 4N = A^2 + 27B^2, A = 1 (mod 3), B > 0, for prime N < 2^62."""
     ModulusContext(n, 3)
-    rep = cornacchia_4n(n)
-    # Wilson-Jacobi pinning of the sign: A * (((N-1)/3)!)^3 = 1 (mod N).
-    assert n > _WILSON_ASSERT_BOUND or _wilson_jacobi_holds(rep)
-    return rep
+    return cornacchia_4n(n)
 
 
 def represent_4n_bruteforce(n: int) -> QuadRep:
@@ -267,7 +231,7 @@ def gerth_matrix(n: int | SplitData) -> GerthMatrix:
     """Symbol matrix for N = 4, 7 (mod 9), where ambiguous classes are strong.
 
     The first two entries are the symbol of 2a - b, always trivial by the
-    Wilson-Jacobi identity (asserted); the third is the exponent of the symbol
+    Wilson-Jacobi identity (checked); the third is the exponent of the symbol
     at the prime above 3, zero exactly when N*a = 1 (mod 9).  Pass
     split_prime(N) instead of N to reuse a split already computed.
     """
@@ -275,12 +239,15 @@ def gerth_matrix(n: int | SplitData) -> GerthMatrix:
     n = s.rep.n
     if n % 9 not in (4, 7):
         raise DomainError("the symbol-matrix path requires N != 1 (mod 9)")
-    f = root_of_unity(n, 3)
-    sym = power_class(abs(2 * s.primary.a - s.primary.b) % n, ModulusContext.trusted(n, 3), f)
-    assert sym.index == 0
+    # 2a - b = -A, and -1 is a cube, so the sign does not change the symbol.
+    sym = cubic_symbol(2 * s.primary.a - s.primary.b, s, root_of_unity(n, 3))
+    if sym.index != 0:
+        raise AssertionError(f"symbol of 2a - b is nontrivial at N={n}")
     na = n * s.primary.a
-    assert (1 - na) % 3 == 0
+    if (1 - na) % 3 != 0:
+        raise AssertionError(f"3 does not divide 1 - N*a at N={n}")
     e3 = ((1 - na) // 3) % 3
-    assert (e3 == 0) == hilbert_pi_unit_criterion(s)
+    if (e3 == 0) != hilbert_pi_unit_criterion(s):
+        raise AssertionError(f"e3 disagrees with the Hilbert-symbol criterion at N={n}")
     entries = (sym.index, sym.index, e3)
     return GerthMatrix(width=3, entries=entries, rank=0 if e3 == 0 else 1)

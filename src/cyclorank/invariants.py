@@ -93,13 +93,8 @@ def product_classes(ctx: ModulusContext, f: int | None = None) -> ProductClasses
     return ProductClasses(PowerClass(m_index % p, f), mi)
 
 
-def m_class(ctx: ModulusContext, f: int | None = None) -> PowerClass:
-    """Power class of M = prod_{k<=(N-1)/2} k^k."""
-    return product_classes(ctx, f).m
-
-
 def m_class_direct(ctx: ModulusContext, f: int | None = None) -> PowerClass:
-    """Oracle path for m_class: evaluate the product in F_N, then classify."""
+    """Oracle for product_classes(ctx, f).m: evaluate M in F_N, then classify."""
     n = ctx.modulus
     require_within_cap(n, "N")
     if f is None:
@@ -108,14 +103,6 @@ def m_class_direct(ctx: ModulusContext, f: int | None = None) -> PowerClass:
     for k in range(2, (n - 1) // 2 + 1):
         acc = acc * pow(k, k, n) % n
     return power_class(acc, ctx, f)
-
-
-def m_i_class(ctx: ModulusContext, i: int, f: int | None = None) -> PowerClass:
-    """Power class of M_i = prod_k k^(S_i(k-1)), S_i(k-1) = sum_{a<k} a^i."""
-    p = ctx.p
-    if i % 2 == 0 or not 1 <= i <= p - 4:
-        raise DomainError(f"i={i} must be odd and within 1..{p - 4}")
-    return product_classes(ctx, f).mi[i]
 
 
 @dataclass(frozen=True)

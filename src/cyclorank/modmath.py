@@ -99,15 +99,6 @@ class PowerClass:
         return self.index != 0
 
 
-def mod_pow(base: int, exp: int, ctx: ModulusContext) -> int:
-    """base^exp mod N in O(log exp) multiplications."""
-    if not 0 <= base < ctx.modulus:
-        raise DomainError(f"base {base} out of range for modulus {ctx.modulus}")
-    if exp < 0:
-        raise DomainError("exponent must be non-negative")
-    return pow(base, exp, ctx.modulus)
-
-
 def find_order_p_element(ctx: ModulusContext) -> int:
     """First g^((N-1)/p) != 1 over g = 2, 3, 4, ...; deterministic per (N, p)."""
     return root_of_unity(ctx.modulus, ctx.p)
@@ -139,16 +130,6 @@ def power_class(x: int, ctx: ModulusContext, f: int) -> PowerClass:
             return PowerClass(idx, f)
         cur = cur * f % n
     raise DomainError(f"reference element {f} does not have order {ctx.p}")
-
-
-def is_9th_power(x: int, ctx: ModulusContext) -> bool:
-    """x^((N-1)/9) == 1.  The exponent is even for odd N, so signs never matter."""
-    n = ctx.modulus
-    if (n - 1) % 9 != 0:
-        raise DomainError("9th power test requires N = 1 (mod 9)")
-    if x % n == 0:
-        raise DomainError("9th power test undefined at zero")
-    return pow(x, (n - 1) // 9, n) == 1
 
 
 def factorial_mod(m: int, ctx: ModulusContext) -> int:

@@ -64,11 +64,6 @@ def _rank3_on_split(s: eisenstein.SplitData, methods: tuple[str, ...]) -> dict[s
     return out
 
 
-def rank3_methods(n: int, methods: tuple[str, ...] = RANK3_METHODS) -> dict[str, int]:
-    """Run every requested method that is valid for N's class mod 9."""
-    return _rank3_on_split(eisenstein.split_prime(n), methods)
-
-
 def rank3_detail(
     n: int, method: str = "cornacchia"
 ) -> tuple[int, eisenstein.SplitData, dict[str, int]]:
@@ -88,16 +83,6 @@ def rank3_detail(
 def rank3(n: int, method: str = "cornacchia") -> int:
     """Exact 3-rank (1 or 2) of the class group of Q(zeta_3, N^(1/3))."""
     return rank3_detail(n, method)[0]
-
-
-def odd_twist_count(p: int) -> int:
-    """Number of odd j in 1..p-2 with j != 1 (mod p-1), i.e. (p-3)/2.
-
-    These are the twists whose cohomological contribution to the lower bound
-    is unconditionally 1 for regular p.
-    """
-    invariants.require_regular(p)
-    return sum(1 for j in range(1, p - 1, 2) if j % (p - 1) != 1)
 
 
 def rank_window(p: int, alpha: int) -> tuple[int, int]:

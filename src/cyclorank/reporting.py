@@ -14,7 +14,6 @@ _SCAN_JSON_KEYS.  Output is byte-deterministic for a given report.
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from pathlib import Path

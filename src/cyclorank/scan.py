@@ -30,7 +30,7 @@ from .errors import DomainError
 from .invariants import alpha_count, require_regular
 from .modmath import ModulusContext, find_order_p_element
 from .primes import primes_in_range, require_within_cap
-from .rank import rank3, rank3_criterion, rank_window  # noqa: F401  (perfbench/: scan.rank3)
+from .rank import rank3, rank3_criterion  # noqa: F401  (perfbench/: scan.rank3)
 
 ENV_THREADS = "CYCLORANK_THREADS"
 
@@ -162,15 +162,6 @@ class ScanSummary:
     def density(self, classes: tuple[int, ...] | None = None) -> float:
         """Final rank-2 (or alpha > 0) density over the given classes."""
         return self.tally(classes).density
-
-    def bounds_histogram(self) -> dict[tuple[int, int], int]:
-        """Histogram of refined (lower, upper) windows implied by alpha."""
-        out: dict[tuple[int, int], int] = {}
-        for hist in (self.alpha_hist or {}).values():
-            for a, count in hist.items():
-                window = rank_window(self.p, a)
-                out[window] = out.get(window, 0) + count
-        return dict(sorted(out.items()))
 
 
 def _build_summary(kind: str, p: int, limit: int, classes: tuple[int, ...],

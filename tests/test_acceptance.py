@@ -8,10 +8,10 @@ import time
 from pathlib import Path
 
 from cyclorank.eisenstein import represent_4n, represent_4n_bruteforce
-from cyclorank.invariants import alpha_count, m_class, m_class_direct, m_i_class
+from cyclorank.invariants import alpha_count, m_class_direct, product_classes
 from cyclorank.modmath import ModulusContext, factorial_mod, find_order_p_element
 from cyclorank.primes import primes_in_class
-from cyclorank.rank import bounds, rank3, rank3_methods
+from cyclorank.rank import bounds, rank3, rank3_detail
 from cyclorank.scan import scan_rank3
 from cyclorank.validation import ingest_truth
 
@@ -63,7 +63,7 @@ def test_c04_criterion_chain_exactness():
     total = 0
     for n in primes_in_class(10**5, 9, {4, 7}):
         total += 1
-        results = rank3_methods(n)
+        results = rank3_detail(n, "all")[2]
         if set(results) != {"cornacchia", "gerth", "star"} or len(set(results.values())) != 1:
             disagreements += 1
     _report(
@@ -110,7 +110,8 @@ def test_c07_m_m1_equivalence():
             total += 1
             ctx = ModulusContext(n, p)
             f = find_order_p_element(ctx)
-            if (m_class(ctx, f).index == 0) != (m_i_class(ctx, 1, f).index == 0):
+            pc = product_classes(ctx, f)
+            if (pc.m.index == 0) != (pc.mi[1].index == 0):
                 counterexamples += 1
     _report(7, counterexamples == 0,
             f"M p-th power iff M_1 is, p in {{5,7}}, {total} primes to 2*10^4 "
@@ -120,7 +121,7 @@ def test_c07_m_m1_equivalence():
 def test_c08_converse_failure_instance():
     ctx = ModulusContext(337, 7)
     f = find_order_p_element(ctx)
-    sieve_cls = m_class(ctx, f)
+    sieve_cls = product_classes(ctx, f).m
     direct_cls = m_class_direct(ctx, f)  # independent O(N) evaluation
     _report(8, sieve_cls.index != 0 and sieve_cls == direct_cls,
             f"M is not a 7th power at N=337 (index {sieve_cls.index}, oracle agrees)")

@@ -8,7 +8,6 @@ from cyclorank.eisenstein import (
     QuadRep,
     cornacchia_4n,
     cubic_symbol,
-    eis_norm,
     gerth_matrix,
     hilbert_pi_unit_criterion,
     represent_4n,
@@ -21,22 +20,22 @@ from cyclorank.modmath import ModulusContext, factorial_mod, find_order_p_elemen
 from cyclorank.primes import is_prime, primes_in_class
 
 
-def test_eis_norm_examples():
-    assert eis_norm(EisensteinInt(0, 0)) == 0
-    assert eis_norm(EisensteinInt(2, 3)) == 7
-    assert eis_norm(EisensteinInt(-5, -9)) == 61
-
-
 def test_eis_arithmetic():
-    x, y = EisensteinInt(3, -2), EisensteinInt(-1, 5)
-    assert (x * y).norm() == x.norm() * y.norm()
+    x = EisensteinInt(3, -2)
     z = x.times_zeta()
     assert z.norm() == x.norm()
     assert z.times_zeta().times_zeta() == x  # zeta^3 = 1
-    assert x.conjugate().conjugate() == x
-    assert x * x.conjugate() == EisensteinInt(x.norm(), 0)
     with pytest.raises(OverflowError):
         EisensteinInt(2**63, 0)
+
+
+def test_gerth_matrix_guard_survives_dash_o(monkeypatch):
+    from cyclorank import eisenstein
+
+    flipped = eisenstein.hilbert_pi_unit_criterion
+    monkeypatch.setattr(eisenstein, "hilbert_pi_unit_criterion", lambda s: not flipped(s))
+    with pytest.raises(AssertionError, match="Hilbert"):
+        gerth_matrix(split_prime(7))
 
 
 def test_associate_count():

@@ -190,6 +190,18 @@ def test_cli_exit_codes(capsys):
         argv = ["scan", "--limit", "1000", "--shards", shards, "--workers", "1"]
         assert cli_dispatch(argv) == 1
     assert "shard count" in capsys.readouterr().err
+    argv = ["scan", "--p", "5", "--limit", "1000", "--classes", "2", "--workers", "1"]
+    assert cli_dispatch(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--classes applies to p = 3 only" in err
+
+
+def test_cli_internal_fault_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(cyclorank.rank, "rank3_criterion", lambda rep: 3)
+    assert cli_dispatch(["rank3", "61", "--method", "all"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: rank criteria disagree at N=61")
+    assert "Traceback" not in err
 
 
 # primes = 1 (mod 3) just above 10^10 and 10^18; the representation used to

@@ -4,9 +4,7 @@ from cyclorank.errors import DomainError
 from cyclorank.invariants import (
     alpha_count,
     invariant_record,
-    m_class,
     m_class_direct,
-    m_i_class,
     mu_count,
     product_classes,
     unit_product,
@@ -27,10 +25,10 @@ def _naive_m_i(ctx, f, i):
 
 def test_m_class_examples():
     ctx7 = ModulusContext(7, 3)
-    assert m_class(ctx7, 4).index != 0  # M = 1*4*27 = 3 (mod 7), not a cube
+    assert product_classes(ctx7, 4).m.index != 0  # M = 1*4*27 = 3 (mod 7), not a cube
     ctx11 = ModulusContext(11, 5)
-    assert m_class(ctx11, 4).index == 4
-    assert m_class(ModulusContext(337, 7)).index != 0  # converse failure instance
+    assert product_classes(ctx11, 4).m.index == 4
+    assert product_classes(ModulusContext(337, 7)).m.index != 0  # converse failure instance
 
 
 def test_m_class_matches_direct_oracle():
@@ -38,17 +36,13 @@ def test_m_class_matches_direct_oracle():
         for n in primes_in_class(2000, p, {1}):
             ctx = ModulusContext(n, p)
             f = find_order_p_element(ctx)
-            assert m_class(ctx, f) == m_class_direct(ctx, f)
+            assert product_classes(ctx, f).m == m_class_direct(ctx, f)
 
 
 def test_m_i_examples():
-    assert m_i_class(ModulusContext(11, 5), 1, 4).index == 4
-    ctx7 = ModulusContext(7, 3)
-    for i in (1, 2, 3):
-        with pytest.raises(DomainError):
-            m_i_class(ctx7, i)  # the range 1..p-4 is empty for p = 3
-    with pytest.raises(DomainError):
-        m_i_class(ModulusContext(29, 7), 2)  # even i
+    assert product_classes(ModulusContext(11, 5), 4).mi[1].index == 4
+    assert product_classes(ModulusContext(7, 3)).mi == {}  # 1..p-4 is empty for p = 3
+    assert set(product_classes(ModulusContext(29, 7)).mi) == {1, 3}  # odd i only
 
 
 def test_m_i_matches_naive_double_product():
@@ -56,8 +50,8 @@ def test_m_i_matches_naive_double_product():
         for n in primes_in_class(500, p, {1}):
             ctx = ModulusContext(n, p)
             f = find_order_p_element(ctx)
-            for i in range(1, p - 3, 2):
-                assert m_i_class(ctx, i, f) == _naive_m_i(ctx, f, i)
+            for i, cls in product_classes(ctx, f).mi.items():
+                assert cls == _naive_m_i(ctx, f, i)
 
 
 def _direct_m_i(ctx, f, i):
@@ -86,9 +80,7 @@ def test_product_classes_match_direct_evaluation():
             assert rec.mu == mu_count(ctx, f).mu
             ac = alpha_count(ctx, f)  # U_k of its own, not the record's
             assert (rec.alpha, rec.power_flags) == (ac.alpha, ac.power_flags)
-            assert rec.m_cls == m_class(ctx, f)
-            for i in pc.mi:
-                assert rec.mi_classes[i] == m_i_class(ctx, i, f)
+            assert (rec.m_cls, rec.mi_classes) == (pc.m, pc.mi)
             checked += 1
     assert checked > 150
 
@@ -106,8 +98,6 @@ def test_o_n_paths_refuse_n_above_the_cap():
     ctx = ModulusContext(1000000000061, 5)  # prime, 1 (mod 5), above 2^30
     for run in (
         lambda: product_classes(ctx),
-        lambda: m_class(ctx),
-        lambda: m_i_class(ctx, 1),
         lambda: mu_count(ctx),
         lambda: m_class_direct(ctx),
         lambda: invariant_record(1000000000061, 5),
@@ -193,7 +183,8 @@ def test_m_m1_equivalence_small():
         for n in primes_in_class(3000, p, {1}):
             ctx = ModulusContext(n, p)
             f = find_order_p_element(ctx)
-            assert (m_class(ctx, f).index == 0) == (m_i_class(ctx, 1, f).index == 0)
+            pc = product_classes(ctx, f)
+            assert (pc.m.index == 0) == (pc.mi[1].index == 0)
 
 
 def test_invariant_record_assembly():

@@ -9,8 +9,6 @@ from cyclorank.modmath import (
     PowerClass,
     factorial_mod,
     find_order_p_element,
-    is_9th_power,
-    mod_pow,
     power_class,
 )
 
@@ -30,24 +28,6 @@ def test_context_validation():
         ModulusContext(7, 2)  # p must be odd
     with pytest.raises(DomainError):
         ModulusContext(2**62 + 135, 3)  # beyond the width cap (value is prime-agnostic)
-
-
-def test_mod_pow_examples():
-    ctx = ModulusContext(7, 3)
-    assert mod_pow(5, 0, ctx) == 1
-    assert mod_pow(2, 2, ctx) == 4
-    assert mod_pow(0, 5, ctx) == 0
-    assert mod_pow(17 % 19, 6, ModulusContext(19, 3)) == 7
-
-
-def test_mod_pow_matches_naive():
-    for n, p in ((7, 3), (31, 5), (211, 7), (997, 3)):
-        ctx = ModulusContext(n, p)
-        for base in (0, 1, 2, 3, n // 2, n - 1):
-            acc = 1
-            for exp in range(51):
-                assert mod_pow(base, exp, ctx) == acc
-                acc = acc * base % n
 
 
 def test_find_order_p_element_examples():
@@ -107,23 +87,7 @@ def test_power_class_consistency_full_sweep(p):
         ctx = ModulusContext(n, p)
         f = find_order_p_element(ctx)
         for x in range(1, n):
-            assert (power_class(x, ctx, f).index == 0) == (mod_pow(x, ctx.cofactor, ctx) == 1)
-
-
-def test_is_9th_power_examples():
-    ctx = ModulusContext(19, 3)
-    assert is_9th_power(1, ctx)
-    assert not is_9th_power(7, ctx)
-    assert is_9th_power(18, ctx)  # (-1)^2 = 1: the exponent (N-1)/9 is even
-    with pytest.raises(DomainError, match="requires N = 1"):
-        is_9th_power(2, ModulusContext(7, 3))
-
-
-def test_is_9th_power_sign_irrelevant():
-    for n in (19, 37, 73, 109, 163, 181):
-        ctx = ModulusContext(n, 3)
-        for x in range(1, n):
-            assert is_9th_power(x, ctx) == is_9th_power(n - x, ctx)
+            assert (power_class(x, ctx, f).index == 0) == (pow(x, ctx.cofactor, n) == 1)
 
 
 def test_factorial_mod_examples():

@@ -2,7 +2,7 @@ import pytest
 
 from cyclorank.errors import DomainError
 from cyclorank.primes import primes_in_class
-from cyclorank.rank import RankReport, bounds, odd_twist_count, rank3, rank3_methods
+from cyclorank.rank import RankReport, bounds, rank3, rank3_detail
 
 
 def test_rank3_examples():
@@ -15,8 +15,8 @@ def test_rank3_examples():
 
 
 def test_rank3_method_validity():
-    assert set(rank3_methods(7)) == {"cornacchia", "gerth", "star"}
-    assert set(rank3_methods(19)) == {"cornacchia", "factorial"}
+    assert set(rank3_detail(7, "all")[2]) == {"cornacchia", "gerth", "star"}
+    assert set(rank3_detail(19, "all")[2]) == {"cornacchia", "factorial"}
     with pytest.raises(DomainError, match="not valid"):
         rank3(19, "gerth")
     with pytest.raises(DomainError, match="not valid"):
@@ -33,7 +33,7 @@ def test_rank3_method_validity():
 
 def test_rank3_methods_agree():
     for n in primes_in_class(20000, 3, {1}):
-        results = rank3_methods(n)
+        results = rank3_detail(n, "all")[2]
         assert len(set(results.values())) == 1, (n, results)
 
 
@@ -95,19 +95,6 @@ def test_p5_envelope_small():
         seen.add((r.lower, r.upper))
     assert seen <= {(2, 8), (3, 12)}
     assert (2, 8) in seen and (3, 12) in seen
-
-
-def test_odd_twist_count():
-    assert odd_twist_count(3) == 0
-    assert odd_twist_count(5) == 1
-    assert odd_twist_count(13) == 5
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        assert odd_twist_count(p) == (p - 3) // 2
-    with pytest.raises(DomainError):
-        odd_twist_count(37)
-    for p in (1, 2, 9, 15):  # not odd primes: the regularity guard lists primes by value
-        with pytest.raises(DomainError):
-            odd_twist_count(p)
 
 
 def test_rank_report_invariants_enforced():

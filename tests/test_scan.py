@@ -134,12 +134,21 @@ def test_worker_count_env_and_clamp(monkeypatch):
         scan_rank3(1000, (4, 7), shards=1)
 
 
+def _csv_windows(summary):
+    # the alpha CSV's (lower, upper) columns, counts summed over classes
+    out = {}
+    for row in render(summary, "csv").splitlines()[1:]:
+        _, _, _, lo, hi, count = map(int, row.split(","))
+        out[lo, hi] = out.get((lo, hi), 0) + count
+    return out
+
+
 def test_scan_alpha_p3_all_zero():
     summary = scan_alpha(3, 20000, shards=2, workers=1)
     for hist in summary.alpha_hist.values():
         assert set(hist) <= {0}
     assert summary.density() == 0.0
-    assert summary.bounds_histogram() == {(1, 2): summary.total}
+    assert _csv_windows(summary) == {(1, 2): summary.total}
 
 
 def test_scan_alpha_p5_populates_both_bins():
@@ -151,8 +160,7 @@ def test_scan_alpha_p5_populates_both_bins():
             merged[a] = merged.get(a, 0) + c
     assert set(merged) == {0, 1}
     assert merged[0] > 0 and merged[1] > 0
-    bh = summary.bounds_histogram()
-    assert set(bh) == {(2, 8), (3, 12)}
+    assert _csv_windows(summary) == {(2, 8): merged[0], (3, 12): merged[1]}
     assert summary == scan_alpha(5, 10000, shards=1, workers=1)
 
 
