@@ -39,7 +39,6 @@ from .modmath import (
     TargetClass,
     classify_target,
     factorial_mod,
-    find_order_p_element,
     power_class,
 )
 from .primes import is_prime, primes_in_class
@@ -72,7 +71,6 @@ __all__ = [
     "cubic_symbol",
     "emit",
     "factorial_mod",
-    "find_order_p_element",
     "gerth_matrix",
     "hilbert_pi_unit_criterion",
     "ingest_truth",

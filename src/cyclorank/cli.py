@@ -2,14 +2,17 @@
 
 Subcommands: classify, rep4n, rank3, invariants, bounds, scan, validate.
 Exit codes: 0 success, 1 domain/usage error, 2 I/O error, 3 validate found
-mismatches or bound violations, 4 internal error (a failed result guard, or
-rank3 --method all methods that disagree).
+mismatches or bound violations, 4 internal error (a failed result guard,
+rank3 --method all methods that disagree, MemoryError, or a scan worker
+process that died), 130 interrupted (KeyboardInterrupt).  Every nonzero exit
+prints one line on stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .errors import DomainError
@@ -195,9 +198,12 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except (AssertionError, MemoryError, BrokenProcessPool) as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

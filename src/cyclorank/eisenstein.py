@@ -169,8 +169,8 @@ def split_of(rep: QuadRep) -> SplitData:
     return SplitData(primary=EisensteinInt(a, b), rep=rep, zeta_image=t)
 
 
-def cubic_symbol(x: int | EisensteinInt, s: SplitData, f: int) -> PowerClass:
-    """Cubic residue symbol of x modulo the primary factor, as an index base f.
+def cubic_symbol(x: int | EisensteinInt, s: SplitData) -> PowerClass:
+    """Cubic residue symbol of x modulo the primary factor, as an index to ModulusContext.root.
 
     Computed in the residue field F_N via the Euler criterion x^((N-1)/3);
     Eisenstein arguments are first mapped through zeta_3 -> zeta_image.
@@ -178,7 +178,7 @@ def cubic_symbol(x: int | EisensteinInt, s: SplitData, f: int) -> PowerClass:
     n = s.rep.n
     if isinstance(x, EisensteinInt):
         x = (x.a + x.b * s.zeta_image) % n
-    return power_class(x % n, ModulusContext.trusted(n, 3), f)
+    return power_class(x % n, ModulusContext.trusted(n, 3))
 
 
 def hilbert_pi_unit_criterion(s: SplitData) -> bool:
@@ -205,14 +205,12 @@ def _star_candidates() -> frozenset[tuple[int, int]]:
 _STAR_CANDIDATES = _star_candidates()
 
 
-def star_condition(n: int | SplitData) -> bool:
-    """Whether some generator of the split factor is +-zeta_3^v * 2^w (mod 9).
+def star_condition(s: SplitData) -> bool:
+    """Whether some generator of the factor in s = split_prime(N) is +-zeta_3^v * 2^w (mod 9).
 
     Equivalent to 3 | B for N != 1 (mod 9); the candidate set is closed under
-    unit multiplication, so scanning the six associates is exhaustive.  Pass
-    split_prime(N) instead of N to reuse a split already computed.
+    unit multiplication, so scanning the six associates is exhaustive.
     """
-    s = n if isinstance(n, SplitData) else split_prime(n)
     if s.rep.n % 9 == 1:
         raise DomainError("the unit-congruence test is defined for N != 1 (mod 9)")
     return any(g.reduce_mod(9) in _STAR_CANDIDATES for g in s.primary.associates())
@@ -227,20 +225,18 @@ class GerthMatrix:
     rank: int
 
 
-def gerth_matrix(n: int | SplitData) -> GerthMatrix:
-    """Symbol matrix for N = 4, 7 (mod 9), where ambiguous classes are strong.
+def gerth_matrix(s: SplitData) -> GerthMatrix:
+    """Symbol matrix of s = split_prime(N), for N = 4, 7 (mod 9): ambiguous classes are strong.
 
     The first two entries are the symbol of 2a - b, always trivial by the
     Wilson-Jacobi identity (checked); the third is the exponent of the symbol
-    at the prime above 3, zero exactly when N*a = 1 (mod 9).  Pass
-    split_prime(N) instead of N to reuse a split already computed.
+    at the prime above 3, zero exactly when N*a = 1 (mod 9).
     """
-    s = n if isinstance(n, SplitData) else split_prime(n)
     n = s.rep.n
     if n % 9 not in (4, 7):
         raise DomainError("the symbol-matrix path requires N != 1 (mod 9)")
     # 2a - b = -A, and -1 is a cube, so the sign does not change the symbol.
-    sym = cubic_symbol(2 * s.primary.a - s.primary.b, s, root_of_unity(n, 3))
+    sym = cubic_symbol(2 * s.primary.a - s.primary.b, s)
     if sym.index != 0:
         raise AssertionError(f"symbol of 2a - b is nontrivial at N={n}")
     na = n * s.primary.a

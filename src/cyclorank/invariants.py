@@ -6,6 +6,8 @@ Three product families are evaluated through the p-th-power residue character:
   * M_i    = prod_{k=1}^{N-1} prod_{a=1}^{k-1} k^(a^i)   for odd i in 1..p-4
   * U_k    = prod_{j=1}^{p-1} (1 - f^j)^(j^k)            for 0 < k < p-1
 
+where f = ModulusContext.root, the one reference element of order p that
+every character index is taken against (alpha and mu do not depend on it).
 Only the power class of M and M_i is needed, so their exponents are reduced
 mod p at the character level; U_k additionally reports the residue itself.
 mu counts the odd i with M_i not a p-th power; alpha counts the even i with
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .modmath import ModulusContext, PowerClass, find_order_p_element, power_class
+from .modmath import ModulusContext, PowerClass, power_class
 from .primes import require_within_cap
 
 REGULAR_PRIMES_BELOW_100 = frozenset(
@@ -53,13 +55,13 @@ def require_regular(p: int) -> None:
 
 @dataclass(frozen=True)
 class ProductClasses:
-    """Power classes of M and of every M_i (odd i in 1..p-4), against one f."""
+    """Power classes of M and of every M_i (odd i in 1..p-4), against ctx.root."""
 
     m: PowerClass
     mi: dict[int, PowerClass]
 
 
-def product_classes(ctx: ModulusContext, f: int | None = None) -> ProductClasses:
+def product_classes(ctx: ModulusContext) -> ProductClasses:
     """M and every M_i from one walk over k = 1..N-1, split by k mod p.
 
     The walk keeps two products per residue r: Q_r over k <= (N-1)/2, then
@@ -68,8 +70,6 @@ def product_classes(ctx: ModulusContext, f: int | None = None) -> ProductClasses
     """
     n, p = ctx.modulus, ctx.p
     require_within_cap(n, "N")
-    if f is None:
-        f = find_order_p_element(ctx)
     half = (n - 1) // 2
     m_index = 0
     p_index = [0] * p
@@ -79,30 +79,36 @@ def product_classes(ctx: ModulusContext, f: int | None = None) -> ProductClasses
         acc = 1
         for k in walk[:cut]:
             acc = acc * k % n
-        m_index += r * power_class(acc, ctx, f).index
+        m_index += r * power_class(acc, ctx).index
         for k in walk[cut:]:
             acc = acc * k % n
-        p_index[r] = power_class(acc, ctx, f).index
+        p_index[r] = power_class(acc, ctx).index
     mi = {}
     for i in range(1, p - 3, 2):
         total = t = 0  # t = T_i[r-1] = sum_{a<r} a^i mod p
         for r in range(1, p):
             total += t * p_index[r]
             t += pow(r, i, p)
-        mi[i] = PowerClass(total % p, f)
-    return ProductClasses(PowerClass(m_index % p, f), mi)
+        mi[i] = PowerClass(total % p)
+    return ProductClasses(PowerClass(m_index % p), mi)
 
 
-def m_class_direct(ctx: ModulusContext, f: int | None = None) -> PowerClass:
-    """Oracle for product_classes(ctx, f).m: evaluate M in F_N, then classify."""
+def m_class_direct(ctx: ModulusContext, f: int) -> PowerClass:
+    """Oracle for product_classes(ctx).m: evaluate M in F_N, then classify against f.
+
+    Shares no code with power_class: chi(M) is matched against f^0..f^(p-1)
+    here, so with f = ctx.root the two must agree.
+    """
     n = ctx.modulus
     require_within_cap(n, "N")
-    if f is None:
-        f = find_order_p_element(ctx)
     acc = 1
     for k in range(2, (n - 1) // 2 + 1):
         acc = acc * pow(k, k, n) % n
-    return power_class(acc, ctx, f)
+    chi = pow(acc, ctx.cofactor, n)
+    powers = [pow(f, i, n) for i in range(ctx.p)]
+    if chi not in powers:
+        raise DomainError(f"f={f} does not have order {ctx.p} mod {n}")
+    return PowerClass(powers.index(chi))
 
 
 @dataclass(frozen=True)
@@ -118,37 +124,32 @@ class MuBound:
         return cls(mu=mu, cl_f_upper=p - 2 - 2 * mu)
 
 
-def mu_count(ctx: ModulusContext, f: int | None = None) -> MuBound:
+def mu_count(ctx: ModulusContext) -> MuBound:
     """Count odd i in 1..p-4 with M_i not a p-th power (regular p only)."""
     require_regular(ctx.p)
-    return MuBound.of(ctx.p, product_classes(ctx, f).mi)
+    return MuBound.of(ctx.p, product_classes(ctx).mi)
 
 
 @dataclass(frozen=True)
 class UnitProduct:
-    """Residue and power class of prod_j (1 - f^j)^(j^k)."""
+    """Residue and power class of prod_j (1 - f^j)^(j^k), f = ModulusContext.root."""
 
     value: int
     cls: PowerClass
 
 
-def unit_product(ctx: ModulusContext, k: int, f: int | None = None) -> UnitProduct:
-    """Evaluate U_k = prod_{j=1}^{p-1} (1 - f^j)^(j^k) in F_N."""
+def unit_product(ctx: ModulusContext, k: int) -> UnitProduct:
+    """Evaluate U_k = prod_{j=1}^{p-1} (1 - f^j)^(j^k) in F_N, f = ctx.root."""
     p = ctx.p
     if not 0 < k < p - 1:
         raise DomainError(f"k={k} must lie strictly between 0 and p-1")
-    if f is None:
-        f = find_order_p_element(ctx)
-    n = ctx.modulus
+    n, f = ctx.modulus, ctx.root
     acc = 1
     fj = 1
     for j in range(1, p):
         fj = fj * f % n
-        base = (1 - fj) % n
-        if base == 0:
-            raise ArithmeticError(f"reference element {f} has order below {p}")
-        acc = acc * pow(base, pow(j, k, n - 1), n) % n
-    return UnitProduct(value=acc, cls=power_class(acc, ctx, f))
+        acc = acc * pow(1 - fj, pow(j, k, n - 1), n) % n
+    return UnitProduct(value=acc, cls=power_class(acc, ctx))
 
 
 @dataclass(frozen=True)
@@ -169,20 +170,18 @@ class AlphaCount:
         return cls(alpha=sum(flags.values()), power_flags=flags)
 
 
-def alpha_count(ctx: ModulusContext, f: int | None = None) -> AlphaCount:
+def alpha_count(ctx: ModulusContext) -> AlphaCount:
     """Count positive even i < p-1 with U_(p-1-i) a p-th power in F_N^x.
 
     Empty range for p = 3, so alpha is identically zero there.
     """
-    if f is None:
-        f = find_order_p_element(ctx)
     # k = p-1-i runs over the same even numbers 2..p-3 as the twist i
-    return AlphaCount.of(ctx.p, {k: unit_product(ctx, k, f) for k in range(2, ctx.p - 2, 2)})
+    return AlphaCount.of(ctx.p, {k: unit_product(ctx, k) for k in range(2, ctx.p - 2, 2)})
 
 
 @dataclass(frozen=True)
 class InvariantRecord:
-    """Everything the product invariants say about one (N, p)."""
+    """Everything the product invariants say about one (N, p); f is ModulusContext.root."""
 
     n: int
     p: int
@@ -202,16 +201,14 @@ class InvariantRecord:
             raise AssertionError(f"M and M_1 disagree on p-th powers at N={self.n}")
 
 
-def invariant_record(n: int, p: int, f: int | None = None) -> InvariantRecord:
+def invariant_record(n: int, p: int) -> InvariantRecord:
     """Assemble the full invariant set for one target prime.
 
     Includes the O(N) products, so this is for single-N queries, not scans.
     """
     ctx = ModulusContext(n, p)
-    if f is None:
-        f = find_order_p_element(ctx)
-    pc = product_classes(ctx, f)
-    mk = {k: unit_product(ctx, k, f) for k in range(1, p - 1)}
+    pc = product_classes(ctx)
+    mk = {k: unit_product(ctx, k) for k in range(1, p - 1)}
     if is_vetted_regular(p):
         mb = MuBound.of(p, pc.mi)
         mu, cl_f_upper = mb.mu, mb.cl_f_upper
@@ -221,7 +218,7 @@ def invariant_record(n: int, p: int, f: int | None = None) -> InvariantRecord:
     return InvariantRecord(
         n=n,
         p=p,
-        f=f,
+        f=ctx.root,
         m_cls=pc.m,
         mi_classes=pc.mi,
         mk_products=mk,

@@ -3,8 +3,9 @@
 All character computations run through a ModulusContext: a prime modulus N
 below 2^62 together with an odd prime p dividing N-1 and the cofactor
 (N-1)/p.  The p-th-power residue character is chi(x) = x^((N-1)/p), valued in
-the order-p subgroup of F_N^x; fixing a reference element f of order p turns
-chi into an index in 0..p-1 that is additive under multiplication.
+the order-p subgroup of F_N^x.  Each context fixes one reference element of
+order p, ModulusContext.root, and every index is taken against it: chi
+becomes an index in 0..p-1 that is additive under multiplication.
 
 ModulusContext.__post_init__ is the one gate for the (N, p) contract; code
 downstream of a context trusts it.  ModulusContext.trusted skips the gate for
@@ -14,6 +15,7 @@ callers that hold a proof already (a sieved N, the N of a gated split).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 
 from .errors import DomainError
@@ -56,6 +58,14 @@ class ModulusContext:
         ctx.__dict__.update(modulus=n, p=p, cofactor=(n - 1) // p)
         return ctx
 
+    @cached_property
+    def root(self) -> int:
+        """The reference element of order p: the first g^((N-1)/p) != 1, g = 2, 3, 4, ...
+
+        Computed on first use, so a context that reads no character never pays for it.
+        """
+        return root_of_unity(self.modulus, self.p)
+
 
 @dataclass(frozen=True)
 class TargetClass:
@@ -85,27 +95,20 @@ def classify_target(n: int, p: int) -> TargetClass:
 
 @dataclass(frozen=True)
 class PowerClass:
-    """Discrete log of chi(x) to the reference order-p element.
+    """Discrete log of chi(x) to the context's reference element ModulusContext.root.
 
     index == 0 exactly when x is a p-th power in F_N^x; indices add mod p
-    under multiplication of arguments.  Indices are only comparable when
-    taken against the same base element.
+    under multiplication of arguments.
     """
 
     index: int
-    base: int
 
     def __bool__(self) -> bool:  # truthy == nontrivial class
         return self.index != 0
 
 
-def find_order_p_element(ctx: ModulusContext) -> int:
-    """First g^((N-1)/p) != 1 over g = 2, 3, 4, ...; deterministic per (N, p)."""
-    return root_of_unity(ctx.modulus, ctx.p)
-
-
 def root_of_unity(n: int, p: int) -> int:
-    """find_order_p_element for a prime N = 1 (mod p) that the caller vouches for.
+    """ModulusContext.root for a prime N = 1 (mod p) that the caller vouches for.
 
     No ModulusContext is built, so N is not re-validated; for prime N the
     result is a primitive p-th root of unity in F_N.
@@ -118,18 +121,18 @@ def root_of_unity(n: int, p: int) -> int:
     raise AssertionError("unreachable")
 
 
-def power_class(x: int, ctx: ModulusContext, f: int) -> PowerClass:
-    """Index of chi(x) = x^((N-1)/p) relative to f, by linear scan over f^0..f^(p-1)."""
-    n = ctx.modulus
+def power_class(x: int, ctx: ModulusContext) -> PowerClass:
+    """Index of chi(x) = x^((N-1)/p) relative to ctx.root, by linear scan over its powers."""
+    n, f = ctx.modulus, ctx.root
     if x % n == 0:
         raise DomainError("character undefined at zero")
     chi = pow(x, ctx.cofactor, n)
     cur = 1
     for idx in range(ctx.p):
         if cur == chi:
-            return PowerClass(idx, f)
+            return PowerClass(idx)
         cur = cur * f % n
-    raise DomainError(f"reference element {f} does not have order {ctx.p}")
+    raise AssertionError("unreachable: chi takes values in the powers of ctx.root")
 
 
 def factorial_mod(m: int, ctx: ModulusContext) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import eisenstein, invariants
 from .errors import DomainError
-from .modmath import ModulusContext, TargetClass, factorial_mod, find_order_p_element
+from .modmath import ModulusContext, TargetClass, factorial_mod
 
 RANK3_METHODS = ("cornacchia", "gerth", "star", "factorial")
 
@@ -143,13 +143,12 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     alpha: int | None = None
     cl_f_upper: int | None = None
     if regular:
-        f = find_order_p_element(ctx)
-        alpha = invariants.alpha_count(ctx, f).alpha
+        alpha = invariants.alpha_count(ctx).alpha
         lower, upper = rank_window(p, alpha)
         if cl_k_rank:
             upper = min(upper, coarse_upper)
         if include_cl_f:
-            cl_f_upper = invariants.mu_count(ctx, f).cl_f_upper
+            cl_f_upper = invariants.mu_count(ctx).cl_f_upper
     else:
         lower, upper = coarse_lower, coarse_upper
 

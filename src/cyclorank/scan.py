@@ -28,11 +28,9 @@ from typing import Callable
 from .eisenstein import cornacchia_4n
 from .errors import DomainError
 from .invariants import alpha_count, require_regular
-from .modmath import ModulusContext, find_order_p_element
+from .modmath import ModulusContext
 from .primes import primes_in_range, require_within_cap
 from .rank import rank3, rank3_criterion  # noqa: F401  (perfbench/: scan.rank3)
-
-ENV_THREADS = "CYCLORANK_THREADS"
 
 Tally = Counter[tuple[int, int, int]]  # (bucket, class residue, outcome) -> count
 Outcome = Callable[[int], int]  # trusted per-prime kernel: sieved N -> 3-rank or alpha
@@ -44,17 +42,9 @@ def _is_hit(kind: str, outcome: int) -> bool:
 
 
 def _worker_count(workers: int | None) -> int:
-    """Explicit workers, else CYCLORANK_THREADS, else the CPU count; at most the CPU count."""
+    """Explicit workers, else the CPU count; at most the CPU count."""
     cpus = os.cpu_count() or 1
-    if workers is None:
-        env = os.environ.get(ENV_THREADS)
-        if not env:
-            return cpus
-        try:
-            workers = int(env)
-        except ValueError:
-            raise DomainError(f"{ENV_THREADS}={env!r} is not an integer") from None
-    return min(max(1, workers), cpus)
+    return cpus if workers is None else min(max(1, workers), cpus)
 
 
 def _thresholds(limit: int) -> tuple[int, ...]:
@@ -86,8 +76,7 @@ def _rank3_outcome(n: int) -> int:
 
 
 def _alpha_outcome(p: int, n: int) -> int:
-    ctx = ModulusContext.trusted(n, p)
-    return alpha_count(ctx, find_order_p_element(ctx)).alpha
+    return alpha_count(ModulusContext.trusted(n, p)).alpha
 
 
 def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], outcome: Outcome,

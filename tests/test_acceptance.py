@@ -9,7 +9,7 @@ from pathlib import Path
 
 from cyclorank.eisenstein import represent_4n, represent_4n_bruteforce
 from cyclorank.invariants import alpha_count, m_class_direct, product_classes
-from cyclorank.modmath import ModulusContext, factorial_mod, find_order_p_element
+from cyclorank.modmath import ModulusContext, factorial_mod
 from cyclorank.primes import primes_in_class
 from cyclorank.rank import bounds, rank3, rank3_detail
 from cyclorank.scan import scan_rank3
@@ -108,9 +108,7 @@ def test_c07_m_m1_equivalence():
     for p in (5, 7):
         for n in primes_in_class(20_000, p, {1}):
             total += 1
-            ctx = ModulusContext(n, p)
-            f = find_order_p_element(ctx)
-            pc = product_classes(ctx, f)
+            pc = product_classes(ModulusContext(n, p))
             if (pc.m.index == 0) != (pc.mi[1].index == 0):
                 counterexamples += 1
     _report(7, counterexamples == 0,
@@ -120,11 +118,21 @@ def test_c07_m_m1_equivalence():
 
 def test_c08_converse_failure_instance():
     ctx = ModulusContext(337, 7)
-    f = find_order_p_element(ctx)
-    sieve_cls = product_classes(ctx, f).m
-    direct_cls = m_class_direct(ctx, f)  # independent O(N) evaluation
+    sieve_cls = product_classes(ctx).m
+    direct_cls = m_class_direct(ctx, ctx.root)  # independent O(N) evaluation
     _report(8, sieve_cls.index != 0 and sieve_cls == direct_cls,
             f"M is not a 7th power at N=337 (index {sieve_cls.index}, oracle agrees)")
+
+
+def _alpha_direct(n: int, p: int, f: int) -> int:
+    """alpha against the order-p element f: U_k in F_N for even k, then Euler's criterion."""
+    alpha = 0
+    for k in range(2, p - 2, 2):
+        u = 1
+        for j in range(1, p):
+            u = u * pow(1 - pow(f, j, n), j**k, n) % n
+        alpha += pow(u, (n - 1) // p, n) == 1
+    return alpha
 
 
 def test_c09_f_independence_of_alpha():
@@ -134,12 +142,11 @@ def test_c09_f_independence_of_alpha():
     for p in (3, 5, 7):
         for n in primes_in_class(10**4, p, {1}):
             ctx = ModulusContext(n, p)
-            f0 = find_order_p_element(ctx)
-            base_alpha = alpha_count(ctx, f0).alpha
-            elements = {pow(f0, e, n) for e in range(1, p)}
+            alpha = alpha_count(ctx).alpha  # against ctx.root
+            elements = {pow(ctx.root, e, n) for e in range(1, p)}
             assert len(elements) == p - 1
             total += 1
-            if any(alpha_count(ctx, f).alpha != base_alpha for f in elements):
+            if any(_alpha_direct(n, p, f) != alpha for f in elements):
                 failures += 1
     _report(9, failures == 0,
             f"alpha identical for every order-p element, p in {{3,5,7}}, "

@@ -16,7 +16,7 @@ from cyclorank.eisenstein import (
     star_condition,
 )
 from cyclorank.errors import DomainError
-from cyclorank.modmath import ModulusContext, factorial_mod, find_order_p_element
+from cyclorank.modmath import ModulusContext, factorial_mod
 from cyclorank.primes import is_prime, primes_in_class
 
 
@@ -157,49 +157,44 @@ def test_split_prime_properties():
 
 def test_cubic_symbol_examples():
     s = split_prime(19)
-    f = find_order_p_element(ModulusContext(19, 3))
-    assert cubic_symbol(1, s, f).index == 0
-    assert cubic_symbol(7, s, f).index == 0  # A = 7 is a cube mod 19
+    assert cubic_symbol(1, s).index == 0
+    assert cubic_symbol(7, s).index == 0  # A = 7 is a cube mod 19
     s7 = split_prime(7)
-    f7 = find_order_p_element(ModulusContext(7, 3))
-    assert cubic_symbol(s7.zeta_image, s7, f7).index != 0  # 7 != 1 (mod 9)
+    assert cubic_symbol(s7.zeta_image, s7).index != 0  # 7 != 1 (mod 9)
     # Eisenstein argument goes through the zeta image
-    assert cubic_symbol(EisensteinInt(0, 1), s7, f7).index != 0
+    assert cubic_symbol(EisensteinInt(0, 1), s7).index != 0
     with pytest.raises(DomainError):
-        cubic_symbol(0, s7, f7)
+        cubic_symbol(0, s7)
 
 
 def test_two_a_minus_b_cube_law():
     # |2a - b| is a cube mod N for every split prime up to 10^5
     for n in primes_in_class(10**5, 3, {1}):
         s = split_prime(n)
-        f = find_order_p_element(ModulusContext(n, 3))
-        assert cubic_symbol(abs(2 * s.primary.a - s.primary.b) % n, s, f).index == 0
+        assert cubic_symbol(abs(2 * s.primary.a - s.primary.b) % n, s).index == 0
 
 
 def test_zeta_symbol_law():
     # the symbol of the zeta image is trivial exactly when N = 1 (mod 9)
     for n in primes_in_class(10**5, 3, {1}):
         s = split_prime(n)
-        f = find_order_p_element(ModulusContext(n, 3))
-        assert (cubic_symbol(s.zeta_image, s, f).index == 0) == (n % 9 == 1)
+        assert (cubic_symbol(s.zeta_image, s).index == 0) == (n % 9 == 1)
 
 
 def test_integral_symbol_row_vanishes_for_class_one():
     # both computable symbol entries are 0 for every N = 1 (mod 9)
     for n in primes_in_class(10**5, 9, {1}):
         s = split_prime(n)
-        f = find_order_p_element(ModulusContext(n, 3))
-        assert cubic_symbol(s.zeta_image, s, f).index == 0
-        assert cubic_symbol(abs(2 * s.primary.a - s.primary.b) % n, s, f).index == 0
+        assert cubic_symbol(s.zeta_image, s).index == 0
+        assert cubic_symbol(abs(2 * s.primary.a - s.primary.b) % n, s).index == 0
 
 
 def test_star_condition_examples():
-    assert star_condition(61) is True
-    assert star_condition(7) is False
-    assert star_condition(31) is False
+    assert star_condition(split_prime(61)) is True
+    assert star_condition(split_prime(7)) is False
+    assert star_condition(split_prime(31)) is False
     with pytest.raises(DomainError, match="N != 1"):
-        star_condition(19)
+        star_condition(split_prime(19))
 
 
 def test_hilbert_pi_unit_criterion_examples():
@@ -215,14 +210,14 @@ def test_hilbert_criterion_is_nine_divides_b():
 
 
 def test_gerth_matrix_examples():
-    m = gerth_matrix(61)
+    m = gerth_matrix(split_prime(61))
     assert (m.width, m.entries, m.rank) == (3, (0, 0, 0), 0)
-    m = gerth_matrix(7)
+    m = gerth_matrix(split_prime(7))
     assert m.width == 3 and m.entries[:2] == (0, 0) and m.entries[2] != 0 and m.rank == 1
-    m = gerth_matrix(31)
+    m = gerth_matrix(split_prime(31))
     assert m.entries[2] != 0 and m.rank == 1
     with pytest.raises(DomainError):
-        gerth_matrix(19)
+        gerth_matrix(split_prime(19))
 
 
 def test_criterion_chain():
@@ -231,8 +226,8 @@ def test_criterion_chain():
         s = split_prime(n)
         three_divides_b = s.rep.B % 3 == 0
         assert hilbert_pi_unit_criterion(s) == three_divides_b
-        assert star_condition(n) == three_divides_b
-        assert (gerth_matrix(n).rank == 0) == three_divides_b
+        assert star_condition(s) == three_divides_b
+        assert (gerth_matrix(s).rank == 0) == three_divides_b
 
 
 def test_uniqueness_of_representation():

@@ -3,9 +3,11 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cyclorank
 from cyclorank.cli import cli_dispatch
@@ -202,6 +204,74 @@ def test_cli_internal_fault_exits_4(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: rank criteria disagree at N=61")
     assert "Traceback" not in err
+
+
+def _raise(exc):
+    def command(args):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize(
+    "exc, code, line",
+    [
+        (MemoryError(), 4, "internal error: MemoryError"),
+        (MemoryError("Unable to allocate 8 GiB"), 4, "internal error: Unable to allocate 8 GiB"),
+        (BrokenProcessPool("a worker died"), 4, "internal error: a worker died"),
+        (KeyboardInterrupt(), 130, "interrupted"),
+    ],
+    ids=["memory", "memory-message", "broken-pool", "interrupt"],
+)
+def test_cli_resource_faults_exit_with_one_line(monkeypatch, capsys, exc, code, line):
+    # in-process: the command itself is replaced, so no memory is exhausted and no pool starts
+    monkeypatch.setitem(cyclorank.cli._COMMANDS, "rep4n", _raise(exc))
+    assert cli_dispatch(["rep4n", "31"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err == line + "\n"
+
+
+def _opt(flag, values):
+    """Zero or one `flag value` pair."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _cmd(*parts):
+    return st.tuples(*parts).map(lambda ps: [tok for part in ps for tok in part])
+
+
+# Bounded so that no draw runs long or starts a process: every N and --limit is at
+# most 10^5, and scans always get --workers 1.  Junk tokens exclude --help and
+# --version, whose argparse exit is a SystemExit by design.
+_N = st.one_of(
+    st.integers(-10, 10**5), st.sampled_from([7, 11, 19, 31, 61, 211, 337, 1093, 99991])
+).map(lambda n: [str(n)])
+_P = _opt("--p", st.sampled_from(["2", "3", "4", "5", "7", "13", "37", "97", "-5", "x"]))
+_FORMAT = _opt("--format", st.sampled_from(["csv", "json", "xml"]))
+_STDOUT = _opt("--out", st.just("-"))
+_JUNK = st.sampled_from(["", "x", "-", "--", "--bogus", "1e3", "0x10", "--p", "--limit", "--n"])
+_ARGV = st.one_of(
+    _cmd(st.just(["classify"]), _N, _P),
+    _cmd(st.just(["rep4n"]), _N),
+    _cmd(st.just(["rank3"]), _N,
+         _opt("--method", st.sampled_from([*cyclorank.rank.RANK3_METHODS, "all", "nope"]))),
+    _cmd(st.just(["invariants"]), _N, _P),
+    _cmd(st.just(["bounds"]), _N, _P, _opt("--clk", st.sampled_from(["0", "1", "-1", "x"])),
+         st.sampled_from([[], ["--mu"]]), _FORMAT, _STDOUT),
+    _cmd(st.just(["scan", "--workers", "1"]), _P,
+         _opt("--limit", st.integers(-10, 10**5).map(str)),
+         _opt("--classes", st.sampled_from(["1,4,7", "4", "2,4", "4,x", ""])),
+         _opt("--shards", st.sampled_from(["-1", "0", "1", "3", "x"])), _FORMAT, _STDOUT),
+    _cmd(st.just(["validate"]),
+         _opt("--table", st.sampled_from([str(FIXTURE), "/definitely/not/there.csv"]))),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_ARGV, junk=st.lists(_JUNK, max_size=2), at=st.integers(0, 12))
+def test_cli_argv_grammar_never_raises(argv, junk, at):
+    argv = argv[:at] + junk + argv[at:]
+    code = cli_dispatch(argv)
+    assert code in {0, 1, 2, 3, 4}, (argv, code)
 
 
 # primes = 1 (mod 3) just above 10^10 and 10^18; the representation used to

@@ -9,25 +9,25 @@ from cyclorank.invariants import (
     product_classes,
     unit_product,
 )
-from cyclorank.modmath import ModulusContext, find_order_p_element, power_class
+from cyclorank.modmath import ModulusContext, power_class
 from cyclorank.primes import primes_in_class
 
 
-def _naive_m_i(ctx, f, i):
+def _naive_m_i(ctx, i):
     # honest double product: exponent of k is the exact integer sum of a^i, a < k
     n = ctx.modulus
     acc = 1
     for k in range(1, n):
         e = sum(a**i for a in range(1, k))
         acc = acc * pow(k, e, n) % n
-    return power_class(acc, ctx, f)
+    return power_class(acc, ctx)
 
 
 def test_m_class_examples():
-    ctx7 = ModulusContext(7, 3)
-    assert product_classes(ctx7, 4).m.index != 0  # M = 1*4*27 = 3 (mod 7), not a cube
-    ctx11 = ModulusContext(11, 5)
-    assert product_classes(ctx11, 4).m.index == 4
+    ctx7 = ModulusContext(7, 3)  # root 4
+    assert product_classes(ctx7).m.index != 0  # M = 1*4*27 = 3 (mod 7), not a cube
+    ctx11 = ModulusContext(11, 5)  # root 4
+    assert product_classes(ctx11).m.index == 4
     assert product_classes(ModulusContext(337, 7)).m.index != 0  # converse failure instance
 
 
@@ -35,12 +35,11 @@ def test_m_class_matches_direct_oracle():
     for p in (3, 5, 7):
         for n in primes_in_class(2000, p, {1}):
             ctx = ModulusContext(n, p)
-            f = find_order_p_element(ctx)
-            assert product_classes(ctx, f).m == m_class_direct(ctx, f)
+            assert product_classes(ctx).m == m_class_direct(ctx, ctx.root)
 
 
 def test_m_i_examples():
-    assert product_classes(ModulusContext(11, 5), 4).mi[1].index == 4
+    assert product_classes(ModulusContext(11, 5)).mi[1].index == 4
     assert product_classes(ModulusContext(7, 3)).mi == {}  # 1..p-4 is empty for p = 3
     assert set(product_classes(ModulusContext(29, 7)).mi) == {1, 3}  # odd i only
 
@@ -49,12 +48,11 @@ def test_m_i_matches_naive_double_product():
     for p in (5, 7):
         for n in primes_in_class(500, p, {1}):
             ctx = ModulusContext(n, p)
-            f = find_order_p_element(ctx)
-            for i, cls in product_classes(ctx, f).mi.items():
-                assert cls == _naive_m_i(ctx, f, i)
+            for i, cls in product_classes(ctx).mi.items():
+                assert cls == _naive_m_i(ctx, i)
 
 
-def _direct_m_i(ctx, f, i):
+def _direct_m_i(ctx, i):
     # F_N evaluation of prod_k k^(S_i(k-1)), the exponent reduced mod N-1 only
     n = ctx.modulus
     acc = 1
@@ -62,7 +60,7 @@ def _direct_m_i(ctx, f, i):
     for k in range(1, n):
         acc = acc * pow(k, s, n) % n
         s = (s + pow(k, i, n - 1)) % (n - 1)
-    return power_class(acc, ctx, f)
+    return power_class(acc, ctx)
 
 
 def test_product_classes_match_direct_evaluation():
@@ -70,15 +68,15 @@ def test_product_classes_match_direct_evaluation():
     for p in (5, 7, 11, 13):
         for n in primes_in_class(2000, p, {1}):
             ctx = ModulusContext(n, p)
-            f = find_order_p_element(ctx)
-            pc = product_classes(ctx, f)
-            assert pc.m == m_class_direct(ctx, f)
+            pc = product_classes(ctx)
+            assert pc.m == m_class_direct(ctx, ctx.root)
             assert set(pc.mi) == set(range(1, p - 3, 2))
             for i, cls in pc.mi.items():
-                assert cls == _direct_m_i(ctx, f, i), (n, p, i)
-            rec = invariant_record(n, p, f)
-            assert rec.mu == mu_count(ctx, f).mu
-            ac = alpha_count(ctx, f)  # U_k of its own, not the record's
+                assert cls == _direct_m_i(ctx, i), (n, p, i)
+            rec = invariant_record(n, p)
+            assert rec.f == ctx.root
+            assert rec.mu == mu_count(ctx).mu
+            ac = alpha_count(ctx)  # U_k of its own, not the record's
             assert (rec.alpha, rec.power_flags) == (ac.alpha, ac.power_flags)
             assert (rec.m_cls, rec.mi_classes) == (pc.m, pc.mi)
             checked += 1
@@ -99,7 +97,7 @@ def test_o_n_paths_refuse_n_above_the_cap():
     for run in (
         lambda: product_classes(ctx),
         lambda: mu_count(ctx),
-        lambda: m_class_direct(ctx),
+        lambda: m_class_direct(ctx, ctx.root),
         lambda: invariant_record(1000000000061, 5),
     ):
         with pytest.raises(DomainError, match="cap"):
@@ -117,14 +115,24 @@ def test_mu_examples():
         mu_count(ModulusContext(607, 101))  # beyond the vetted range
 
 
+def _unit_product_direct(n, p, k, f):
+    # U_k = prod_j (1 - f^j)^(j^k) in F_N for any order-p element f, exponent unreduced
+    u = 1
+    for j in range(1, p):
+        u = u * pow(1 - pow(f, j, n), j**k, n) % n
+    return u
+
+
 def test_unit_product_examples():
-    up = unit_product(ModulusContext(31, 5), 2, 2)
+    up = unit_product(ModulusContext(31, 5), 2)  # root 2
     assert (up.value, up.cls.index != 0) == (14, True)
-    up = unit_product(ModulusContext(41, 5), 2, 10)
+    up = unit_product(ModulusContext(41, 5), 2)  # root 10
     assert (up.value, up.cls.index != 0) == (29, True)
-    # alternative order-5 element at N=11 gives value 6, still not a 5th power
-    up = unit_product(ModulusContext(11, 5), 2, 3)
-    assert (up.value, up.cls.index != 0) == (6, True)
+    # the alternative order-5 element 3 at N=11 gives value 6, still not a 5th power,
+    # like the root 4 does
+    assert _unit_product_direct(11, 5, 2, 3) == 6 and pow(6, 2, 11) != 1
+    up = unit_product(ModulusContext(11, 5), 2)
+    assert up.value == _unit_product_direct(11, 5, 2, 4) and up.cls.index != 0
     with pytest.raises(DomainError):
         unit_product(ModulusContext(11, 5), 0)
     with pytest.raises(DomainError):
@@ -132,14 +140,15 @@ def test_unit_product_examples():
 
 
 def test_unit_product_triviality_is_f_independent():
+    # U_2 is evaluated here for each of the four order-5 elements; whether it is
+    # a 5th power must not depend on the element, and must match ctx.root's answer
     for n in primes_in_class(2000, 5, {1}):
         ctx = ModulusContext(n, 5)
-        f0 = find_order_p_element(ctx)
-        flags = set()
+        up = unit_product(ctx, 2)
+        assert up.value == _unit_product_direct(n, 5, 2, ctx.root)
         for e in range(1, 5):
-            f = pow(f0, e, n)
-            flags.add(unit_product(ctx, 2, f).cls.index == 0)
-        assert len(flags) == 1
+            u = _unit_product_direct(n, 5, 2, pow(ctx.root, e, n))
+            assert (pow(u, ctx.cofactor, n) == 1) == (up.cls.index == 0), (n, e)
 
 
 def test_alpha_examples():
@@ -156,15 +165,12 @@ def test_power_flags_match_euler_criterion():
     for p in (7, 11, 13):
         for n in primes_in_class(3000, p, {1}):
             ctx = ModulusContext(n, p)
-            f = find_order_p_element(ctx)
             want = {}
             for i in range(2, p - 2, 2):
-                u = 1
-                for j in range(1, p):
-                    u = u * pow(1 - pow(f, j, n), j ** (p - 1 - i), n) % n
+                u = _unit_product_direct(n, p, p - 1 - i, ctx.root)
                 want[i] = pow(u, (n - 1) // p, n) == 1
-            assert alpha_count(ctx, f).power_flags == want, (n, p)
-            assert invariant_record(n, p, f).power_flags == want, (n, p)
+            assert alpha_count(ctx).power_flags == want, (n, p)
+            assert invariant_record(n, p).power_flags == want, (n, p)
             asymmetric += want != {i: want[p - 1 - i] for i in want}
     assert asymmetric > 0
 
@@ -181,9 +187,7 @@ def test_alpha_range_law():
 def test_m_m1_equivalence_small():
     for p in (5, 7):
         for n in primes_in_class(3000, p, {1}):
-            ctx = ModulusContext(n, p)
-            f = find_order_p_element(ctx)
-            pc = product_classes(ctx, f)
+            pc = product_classes(ModulusContext(n, p))
             assert (pc.m.index == 0) == (pc.mi[1].index == 0)
 
 

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclorank.errors import DomainError
-from cyclorank.modmath import (
-    ModulusContext,
-    PowerClass,
-    factorial_mod,
-    find_order_p_element,
-    power_class,
-)
+from cyclorank.modmath import ModulusContext, PowerClass, factorial_mod, power_class
 
 
 def test_context_validation():
@@ -30,36 +24,46 @@ def test_context_validation():
         ModulusContext(2**62 + 135, 3)  # beyond the width cap (value is prime-agnostic)
 
 
-def test_find_order_p_element_examples():
-    assert find_order_p_element(ModulusContext(7, 3)) == 4
-    assert find_order_p_element(ModulusContext(11, 5)) == 4
-    assert find_order_p_element(ModulusContext(13, 3)) == 3
+def test_context_root_examples():
+    assert ModulusContext(7, 3).root == 4
+    assert ModulusContext(11, 5).root == 4
+    assert ModulusContext(13, 3).root == 3
 
 
-def test_find_order_p_element_properties():
+def test_context_root_properties():
     for n, p in ((7, 3), (13, 3), (31, 3), (11, 5), (41, 5), (29, 7), (1009, 7)):
         ctx = ModulusContext(n, p)
-        f = find_order_p_element(ctx)
-        assert f == find_order_p_element(ctx)  # deterministic
+        f = ctx.root
+        assert "root" in vars(ctx)  # computed once, then cached on the context
+        assert f == ModulusContext(n, p).root == ModulusContext.trusted(n, p).root
         assert f != 1
         assert pow(f, p, n) == 1
+        chis = (pow(g, ctx.cofactor, n) for g in range(2, n))
+        assert f == next(c for c in chis if c != 1)  # the first g^((N-1)/p) != 1
+
+
+def test_context_root_is_lazy():
+    ctx = ModulusContext(19, 3)
+    assert "root" not in vars(ctx)
+    assert ctx == ModulusContext(19, 3)
+    assert ctx.root == 7  # 2^6 = 7 (mod 19)
+    assert ctx == ModulusContext(19, 3)  # the cached root is no dataclass field
 
 
 def test_power_class_examples():
-    ctx11 = ModulusContext(11, 5)
-    assert power_class(1, ctx11, 4) == PowerClass(0, 4)
-    assert power_class(6, ctx11, 4).index == 4
+    ctx11 = ModulusContext(11, 5)  # root 4
+    assert power_class(1, ctx11) == PowerClass(0)
+    assert power_class(6, ctx11).index == 4
     ctx19 = ModulusContext(19, 3)
-    f19 = find_order_p_element(ctx19)
-    assert power_class(7, ctx19, f19).index == 0  # 7^3 = 343 = 1 (mod 19)
+    assert power_class(7, ctx19).index == 0  # 7^3 = 343 = 1 (mod 19)
 
 
 def test_power_class_rejects_zero():
     ctx = ModulusContext(7, 3)
     with pytest.raises(DomainError, match="undefined at zero"):
-        power_class(0, ctx, 4)
+        power_class(0, ctx)
     with pytest.raises(DomainError, match="undefined at zero"):
-        power_class(14, ctx, 4)
+        power_class(14, ctx)
 
 
 _CTXS = [(31, 3), (211, 5), (1009, 7), (9901, 3), (9011, 5)]
@@ -70,12 +74,11 @@ _CTXS = [(31, 3), (211, 5), (1009, 7), (9901, 3), (9011, 5)]
 def test_character_multiplicativity(data, pick):
     n, p = pick
     ctx = ModulusContext(n, p)
-    f = find_order_p_element(ctx)
     x = data.draw(st.integers(1, n - 1))
     y = data.draw(st.integers(1, n - 1))
-    ix = power_class(x, ctx, f).index
-    iy = power_class(y, ctx, f).index
-    assert power_class(x * y % n, ctx, f).index == (ix + iy) % p
+    ix = power_class(x, ctx).index
+    iy = power_class(y, ctx).index
+    assert power_class(x * y % n, ctx).index == (ix + iy) % p
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -85,9 +88,11 @@ def test_power_class_consistency_full_sweep(p):
 
     for n in primes_in_class(2000, p, {1}):
         ctx = ModulusContext(n, p)
-        f = find_order_p_element(ctx)
         for x in range(1, n):
-            assert (power_class(x, ctx, f).index == 0) == (pow(x, ctx.cofactor, n) == 1)
+            chi = pow(x, ctx.cofactor, n)
+            idx = power_class(x, ctx).index
+            assert (idx == 0) == (chi == 1)
+            assert pow(ctx.root, idx, n) == chi
 
 
 def test_factorial_mod_examples():

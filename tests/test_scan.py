@@ -82,12 +82,6 @@ def test_checkpoints_are_exact_prefixes():
     assert last.total == summary.total
 
 
-def test_scan_env_worker_override(monkeypatch):
-    monkeypatch.setenv("CYCLORANK_THREADS", "1")
-    summary = scan_rank3(2000, (4, 7))
-    assert summary == scan_rank3(2000, (4, 7), shards=1, workers=1)
-
-
 def test_scan_validation():
     with pytest.raises(DomainError):
         scan_rank3(50, (4, 7))
@@ -116,22 +110,12 @@ def test_scan_rejects_shard_counts_below_one(shards):
 
 
 def test_worker_count_env_and_clamp(monkeypatch):
-    # starts no process: the clamp is read off _worker_count, and the scan
-    # with a bad CYCLORANK_THREADS raises before any pool exists
+    # starts no process: the default comes from the machine's CPU count, and
+    # the clamp is read off _worker_count
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("CYCLORANK_THREADS", raising=False)
     assert _worker_count(None) == 2
     assert _worker_count(64) == 2
     assert _worker_count(0) == 1
-    monkeypatch.setenv("CYCLORANK_THREADS", "5000")
-    assert _worker_count(None) == 2
-    monkeypatch.setenv("CYCLORANK_THREADS", "1")
-    assert _worker_count(None) == 1
-    monkeypatch.setenv("CYCLORANK_THREADS", "abc")
-    with pytest.raises(DomainError, match="CYCLORANK_THREADS"):
-        _worker_count(None)
-    with pytest.raises(DomainError, match="CYCLORANK_THREADS"):
-        scan_rank3(1000, (4, 7), shards=1)
 
 
 def _csv_windows(summary):
