@@ -27,11 +27,31 @@ and Q_r is a prefix of the walk that gives P_r.  So N-1 modular products and
 about 2p characters give M, every M_i and mu in O(p) memory.  The walk, and
 the m_class_direct oracle, refuse N above primes.DEFAULT_SIEVE_CAP (2^30)
 with a DomainError instead of looping for hours.
+
+alpha needs only the power class of each U_k, so it too is linear in the
+character index.  The exponent j^k of (1 - f^j) matters mod p only, so with
+a_j = ind(1 - f^j),
+
+  ind(U_k) = sum_{j=1}^{p-1} (j^k mod p) * a_j  (mod p).
+
+Reflection halves the characters: 1 - f^-j = -f^-j (1 - f^j), and
+-1 = (-1)^p is a p-th power, so a_(p-j) = a_j - j*c with
+c = ind(f) = ((N-1)/p) mod p.  For even k, (p-j)^k = j^k (mod p), hence
+
+  ind(U_k) = sum_{j=1}^{(p-1)/2} (j^k mod p) * (2*a_j - j*c)  (mod p),
+
+and alpha_count evaluates (p-1)/2 characters per N (plus the root) against
+a (p-3)/2 x (p-1)/2 table of j^k mod p built once per p.  unit_product
+evaluates U_k itself in F_N, for the residues invariant_record reports;
+InvariantRecord checks every flag of the linear form against that U_k.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
 
 from .errors import DomainError
 from .modmath import ModulusContext, PowerClass, power_class
@@ -163,20 +183,37 @@ class AlphaCount:
     alpha: int
     power_flags: dict[int, bool]
 
-    @classmethod
-    def of(cls, p: int, products: dict[int, UnitProduct]) -> "AlphaCount":
-        """alpha from unit products keyed by k; reads U_k for the even k in 2..p-3."""
-        flags = {i: products[p - 1 - i].cls.index == 0 for i in range(2, p - 2, 2)}
-        return cls(alpha=sum(flags.values()), power_flags=flags)
+
+def _twist_rows(p: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(i, (j^(p-1-i) mod p for j = 1..(p-1)/2)) for every even twist i in 2..p-3."""
+    half = range(1, (p + 1) // 2)
+    return ((i, tuple(pow(j, p - 1 - i, p) for j in half)) for i in range(2, p - 2, 2))
+
+
+@cache
+def _twist_table(p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """_twist_rows(p), built once for each vetted p, which scans and bounds query per N."""
+    return tuple(_twist_rows(p))
 
 
 def alpha_count(ctx: ModulusContext) -> AlphaCount:
     """Count positive even i < p-1 with U_(p-1-i) a p-th power in F_N^x.
 
-    Empty range for p = 3, so alpha is identically zero there.
+    By the linear form in the module docstring: (p-1)/2 characters of
+    1 - f^j, no U_k.  Empty range for p = 3, so alpha is identically zero
+    there and no character is evaluated.
     """
-    # k = p-1-i runs over the same even numbers 2..p-3 as the twist i
-    return AlphaCount.of(ctx.p, {k: unit_product(ctx, k) for k in range(2, ctx.p - 2, 2)})
+    n, p, e = ctx.modulus, ctx.p, ctx.cofactor
+    if p == 3:
+        return AlphaCount(alpha=0, power_flags={})
+    # the table holds p^2/4 entries, so it is kept only for the vetted p < 100
+    table = _twist_table(p) if is_vetted_regular(p) else _twist_rows(p)
+    powers = ctx.powers
+    c = e % p
+    # b_j = 2*a_j - j*c = ind((1 - f^j)(1 - f^(p-j))), the weight of j^k in ind(U_k)
+    b = [2 * powers.index(pow(n + 1 - powers[j], e, n)) - j * c for j in range(1, (p + 1) // 2)]
+    flags = {i: sum(map(mul, row, b)) % p == 0 for i, row in table}
+    return AlphaCount(alpha=sum(flags.values()), power_flags=flags)
 
 
 @dataclass(frozen=True)
@@ -199,6 +236,10 @@ class InvariantRecord:
             raise AssertionError(f"alpha={self.alpha} out of range for p={self.p}")
         if 1 in self.mi_classes and (self.m_cls.index == 0) != (self.mi_classes[1].index == 0):
             raise AssertionError(f"M and M_1 disagree on p-th powers at N={self.n}")
+        for i, flag in self.power_flags.items():
+            k = self.p - 1 - i
+            if flag != (self.mk_products[k].cls.index == 0):
+                raise AssertionError(f"alpha's flag {i} disagrees with U_{k} at N={self.n}")
 
 
 def invariant_record(n: int, p: int) -> InvariantRecord:
@@ -214,7 +255,7 @@ def invariant_record(n: int, p: int) -> InvariantRecord:
         mu, cl_f_upper = mb.mu, mb.cl_f_upper
     else:
         mu, cl_f_upper = None, None
-    ac = AlphaCount.of(p, mk)
+    ac = alpha_count(ctx)
     return InvariantRecord(
         n=n,
         p=p,

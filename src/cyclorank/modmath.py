@@ -5,7 +5,9 @@ below 2^62 together with an odd prime p dividing N-1 and the cofactor
 (N-1)/p.  The p-th-power residue character is chi(x) = x^((N-1)/p), valued in
 the order-p subgroup of F_N^x.  Each context fixes one reference element of
 order p, ModulusContext.root, and every index is taken against it: chi
-becomes an index in 0..p-1 that is additive under multiplication.
+becomes an index in 0..p-1 that is additive under multiplication.  The
+discrete log is a linear scan over ModulusContext.powers, root^0..root^(p-1),
+built once per context.
 
 ModulusContext.__post_init__ is the one gate for the (N, p) contract; code
 downstream of a context trusts it.  ModulusContext.trusted skips the gate for
@@ -66,6 +68,15 @@ class ModulusContext:
         """
         return root_of_unity(self.modulus, self.p)
 
+    @cached_property
+    def powers(self) -> tuple[int, ...]:
+        """root^0 .. root^(p-1): the table every discrete log of a character scans."""
+        n, f = self.modulus, self.root
+        out = [1]
+        for _ in range(self.p - 1):
+            out.append(out[-1] * f % n)
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class TargetClass:
@@ -122,17 +133,16 @@ def root_of_unity(n: int, p: int) -> int:
 
 
 def power_class(x: int, ctx: ModulusContext) -> PowerClass:
-    """Index of chi(x) = x^((N-1)/p) relative to ctx.root, by linear scan over its powers."""
-    n, f = ctx.modulus, ctx.root
+    """Index of chi(x) = x^((N-1)/p) relative to ctx.root, by linear scan over ctx.powers."""
+    n = ctx.modulus
     if x % n == 0:
         raise DomainError("character undefined at zero")
     chi = pow(x, ctx.cofactor, n)
-    cur = 1
-    for idx in range(ctx.p):
-        if cur == chi:
-            return PowerClass(idx)
-        cur = cur * f % n
-    raise AssertionError("unreachable: chi takes values in the powers of ctx.root")
+    try:
+        index = ctx.powers.index(chi)
+    except ValueError:
+        raise AssertionError("unreachable: chi takes values in the powers of ctx.root") from None
+    return PowerClass(index)
 
 
 def factorial_mod(m: int, ctx: ModulusContext) -> int:

@@ -1,7 +1,12 @@
+import dataclasses
+import random
+
 import pytest
 
+from cyclorank import invariants
 from cyclorank.errors import DomainError
 from cyclorank.invariants import (
+    REGULAR_PRIMES_BELOW_100,
     alpha_count,
     invariant_record,
     m_class_direct,
@@ -10,7 +15,9 @@ from cyclorank.invariants import (
     unit_product,
 )
 from cyclorank.modmath import ModulusContext, power_class
-from cyclorank.primes import primes_in_class
+from cyclorank.primes import is_prime, primes_in_class
+
+VETTED_P = sorted(p for p in REGULAR_PRIMES_BELOW_100 if p >= 5)  # p = 3 has no even twist
 
 
 def _naive_m_i(ctx, i):
@@ -162,8 +169,8 @@ def test_alpha_examples():
 def test_power_flags_match_euler_criterion():
     # flag i says whether U_(p-1-i) is a p-th power; U is evaluated directly here
     asymmetric = 0
-    for p in (7, 11, 13):
-        for n in primes_in_class(3000, p, {1}):
+    for p in VETTED_P:
+        for n in primes_in_class(3000 if p < 50 else 1500, p, {1}):
             ctx = ModulusContext(n, p)
             want = {}
             for i in range(2, p - 2, 2):
@@ -173,6 +180,53 @@ def test_power_flags_match_euler_criterion():
             assert invariant_record(n, p).power_flags == want, (n, p)
             asymmetric += want != {i: want[p - 1 - i] for i in want}
     assert asymmetric > 0
+
+
+def _seeded_primes(p: int, rng: random.Random, square: bool, count: int):
+    # primes N < 2^62 with N = 1 (mod p), and N = 1 (mod p^2) exactly when square
+    step = p * p if square else p
+    found = []
+    while len(found) < count:
+        n = 1 + step * rng.randrange(1, (1 << rng.randrange(20, 63)) // step)
+        if (n % (p * p) == 1) == square and is_prime(n):
+            found.append(n)
+    return found
+
+
+def test_alpha_linear_form_matches_unit_products():
+    # oracle: the flags read off the class of each U_k, evaluated in F_N by unit_product;
+    # 37 (irregular) and 101 (beyond the list) take the path without the cached table
+    rng = random.Random(8)
+    for p in (*VETTED_P, 37, 101):
+        ns = [*primes_in_class(10_000, p, {1})]
+        ns += _seeded_primes(p, rng, True, 2) + _seeded_primes(p, rng, False, 2)
+        cofactor_classes = set()
+        for n in ns:
+            ctx = ModulusContext(n, p)
+            want = {i: unit_product(ctx, p - 1 - i).cls.index == 0 for i in range(2, p - 2, 2)}
+            ac = alpha_count(ctx)
+            assert (ac.power_flags, ac.alpha) == (want, sum(want.values())), (n, p)
+            cofactor_classes.add(ctx.cofactor % p == 0)  # root a p-th power or not
+        assert cofactor_classes == {True, False}, p
+
+
+def test_alpha_count_evaluates_half_the_characters(monkeypatch):
+    # (p-1)/2 full-width modpows per N, each a character (exponent (N-1)/p), none of a U_k
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(invariants, "pow", counting_pow, raising=False)
+    for n, p in ((211, 5), (1000039, 13), (2305843009213693133, 97)):
+        alpha_count(ModulusContext(n, p))  # the j^k table is built once per p
+        ctx = ModulusContext(n, p)
+        assert len(ctx.powers) == p  # the root and its powers, before counting
+        calls.clear()
+        alpha_count(ctx)
+        assert len(calls) == (p - 1) // 2
+        assert all(e == ctx.cofactor and m == n for _, e, m in calls)
 
 
 def test_alpha_range_law():
@@ -201,3 +255,11 @@ def test_invariant_record_assembly():
     assert rec.power_flags == {2: False}
     rec3 = invariant_record(7, 3)
     assert rec3.mi_classes == {} and rec3.alpha == 0 and rec3.mu == 0
+
+
+def test_invariant_record_cross_checks_alpha_against_u_k():
+    # a flag that disagrees with the printed U_k is refused, also under python -O
+    rec = invariant_record(211, 5)
+    assert rec.power_flags == {2: True} and rec.mk_products[2].cls.index == 0
+    with pytest.raises(AssertionError, match="U_2"):
+        dataclasses.replace(rec, power_flags={2: False})
