@@ -3,9 +3,10 @@
 Subcommands: classify, rep4n, rank3, invariants, bounds, scan, validate.
 Exit codes: 0 success, 1 domain/usage error, 2 I/O error, 3 validate found
 mismatches or bound violations, 4 internal error (a failed result guard,
-rank3 --method all methods that disagree, MemoryError, or a scan worker
-process that died), 130 interrupted (KeyboardInterrupt).  Every nonzero exit
-prints one line on stderr and no traceback.
+rank-3 methods that disagree in rank3 --method all, bounds --p 3 or validate,
+MemoryError, or a scan worker process that died), 130 interrupted
+(KeyboardInterrupt).  Every nonzero exit prints one line on stderr and no
+traceback.
 """
 
 from __future__ import annotations

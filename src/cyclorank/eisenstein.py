@@ -48,12 +48,6 @@ class EisensteinInt:
     def __neg__(self) -> "EisensteinInt":
         return EisensteinInt(-self.a, -self.b)
 
-    def associates(self) -> tuple["EisensteinInt", ...]:
-        """The six unit multiples +-zeta_3^v * self."""
-        z1 = self.times_zeta()
-        z2 = z1.times_zeta()
-        return (self, z1, z2, -self, -z1, -z2)
-
     def reduce_mod(self, m: int) -> tuple[int, int]:
         return (self.a % m, self.b % m)
 
@@ -169,15 +163,14 @@ def split_of(rep: QuadRep) -> SplitData:
     return SplitData(primary=EisensteinInt(a, b), rep=rep, zeta_image=t)
 
 
-def cubic_symbol(x: int | EisensteinInt, s: SplitData) -> PowerClass:
+def cubic_symbol(x: int, s: SplitData) -> PowerClass:
     """Cubic residue symbol of x modulo the primary factor, as an index to ModulusContext.root.
 
-    Computed in the residue field F_N via the Euler criterion x^((N-1)/3);
-    Eisenstein arguments are first mapped through zeta_3 -> zeta_image.
+    Computed in the residue field F_N via the Euler criterion x^((N-1)/3).  An
+    Eisenstein integer a + b*zeta_3 reduces to a + b*s.zeta_image first; the
+    symbol of zeta_3 itself is cubic_symbol(s.zeta_image, s).
     """
     n = s.rep.n
-    if isinstance(x, EisensteinInt):
-        x = (x.a + x.b * s.zeta_image) % n
     return power_class(x % n, ModulusContext.trusted(n, 3))
 
 
@@ -208,12 +201,13 @@ _STAR_CANDIDATES = _star_candidates()
 def star_condition(s: SplitData) -> bool:
     """Whether some generator of the factor in s = split_prime(N) is +-zeta_3^v * 2^w (mod 9).
 
-    Equivalent to 3 | B for N != 1 (mod 9); the candidate set is closed under
-    unit multiplication, so scanning the six associates is exhaustive.
+    Equivalent to 3 | B for N != 1 (mod 9).  The candidate set is closed under
+    the six units +-zeta_3^v, so one generator is in it exactly when all six
+    are, and the test reads the primary generator alone.
     """
     if s.rep.n % 9 == 1:
         raise DomainError("the unit-congruence test is defined for N != 1 (mod 9)")
-    return any(g.reduce_mod(9) in _STAR_CANDIDATES for g in s.primary.associates())
+    return s.primary.reduce_mod(9) in _STAR_CANDIDATES
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ T_i[s] = sum_{a=1}^{s} a^i.  Grouping k by its residue r mod p,
 and Q_r is a prefix of the walk that gives P_r.  So N-1 modular products and
 about 2p characters give M, every M_i and mu in O(p) memory.  The walk, and
 the m_class_direct oracle, refuse N above primes.DEFAULT_SIEVE_CAP (2^30)
-with a DomainError instead of looping for hours.
+with a DomainError instead of looping for hours; invariant_record refuses
+p^3 above the same cap, since its U_k cost grows as p^2.
 
 alpha needs only the power class of each U_k, so it too is linear in the
 character index.  The exponent j^k of (1 - f^j) matters mod p only, so with
@@ -163,12 +164,10 @@ def unit_product(ctx: ModulusContext, k: int) -> UnitProduct:
     p = ctx.p
     if not 0 < k < p - 1:
         raise DomainError(f"k={k} must lie strictly between 0 and p-1")
-    n, f = ctx.modulus, ctx.root
+    n, powers = ctx.modulus, ctx.powers
     acc = 1
-    fj = 1
     for j in range(1, p):
-        fj = fj * f % n
-        acc = acc * pow(1 - fj, pow(j, k, n - 1), n) % n
+        acc = acc * pow(1 - powers[j], pow(j, k, n - 1), n) % n
     return UnitProduct(value=acc, cls=power_class(acc, ctx))
 
 
@@ -246,7 +245,11 @@ def invariant_record(n: int, p: int) -> InvariantRecord:
     """Assemble the full invariant set for one target prime.
 
     Includes the O(N) products, so this is for single-N queries, not scans.
+    The p-dependent work, (p-2)(p-1) modpows for the U_k and about 2p^2
+    discrete-log comparisons, is refused once p^3 exceeds the O(N) cap
+    (p > 1021), before any of it runs.
     """
+    require_within_cap(p**3, "p^3")
     ctx = ModulusContext(n, p)
     pc = product_classes(ctx)
     mk = {k: unit_product(ctx, k) for k in range(1, p - 1)}

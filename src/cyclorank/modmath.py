@@ -114,9 +114,6 @@ class PowerClass:
 
     index: int
 
-    def __bool__(self) -> bool:  # truthy == nontrivial class
-        return self.index != 0
-
 
 def root_of_unity(n: int, p: int) -> int:
     """ModulusContext.root for a prime N = 1 (mod p) that the caller vouches for.

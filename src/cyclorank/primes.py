@@ -60,8 +60,7 @@ def require_within_cap(size: int, what: str) -> None:
 
 
 def _base_primes(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
+    """Primes up to limit >= 2."""
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for q in range(2, math.isqrt(limit) + 1):
@@ -71,10 +70,8 @@ def _base_primes(limit: int) -> np.ndarray:
 
 
 def _sieve_range(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi) given base primes up to sqrt(hi-1)."""
+    """Primes in [lo, hi), 2 <= lo < hi, given base primes up to sqrt(hi-1)."""
     mask = np.ones(hi - lo, dtype=bool)
-    if lo <= 1:
-        mask[: min(2 - lo, hi - lo)] = False
     for q in base:
         q = int(q)
         if q * q >= hi:
@@ -93,7 +90,7 @@ def primes_in_range(
     if not res:
         raise DomainError("residue set must be nonempty")
     for r in res:
-        if math.gcd(r, modulus) != 1 and modulus > 1:
+        if math.gcd(r, modulus) != 1:
             raise DomainError(f"residue {r} is not coprime to modulus {modulus}")
     lo = max(lo, 2)
     if hi <= lo:

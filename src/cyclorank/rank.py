@@ -13,7 +13,9 @@ or 2, decided by divisibility data of the representation 4N = A^2 + 27B^2:
 cornacchia, gerth and star all read the same split_prime(N), computed once per
 query, and test the same congruence, so their agreement is not an independent
 check of the representation.  Only factorial (and represent_4n_bruteforce in
-the tests) are independent of it.
+the tests) are independent of it.  Every caller (rank3, bounds at p = 3 and
+so validate) applies one agreement rule, _agreed_rank: methods that disagree
+raise AssertionError, an internal error, never a report.
 
 For general regular p only bounds are reported: the coarse envelope
 (p-1)/2 .. (p-1)(p-2) and the alpha-refined window of rank_window.
@@ -64,6 +66,14 @@ def _rank3_on_split(s: eisenstein.SplitData, methods: tuple[str, ...]) -> dict[s
     return out
 
 
+def _agreed_rank(n: int, results: dict[str, int]) -> int:
+    """The one rank every method in results gives; disagreement is an internal error."""
+    values = set(results.values())
+    if len(values) != 1:
+        raise AssertionError(f"rank criteria disagree at N={n}: {results}")
+    return values.pop()
+
+
 def rank3_detail(
     n: int, method: str = "cornacchia"
 ) -> tuple[int, eisenstein.SplitData, dict[str, int]]:
@@ -74,10 +84,7 @@ def rank3_detail(
     results = _rank3_on_split(s, RANK3_METHODS if method == "all" else (method,))
     if not results:
         raise DomainError(f"method {method!r} is not valid for N={n} (mod 9 class)")
-    values = set(results.values())
-    if len(values) != 1:
-        raise AssertionError(f"rank criteria disagree at N={n}: {results}")
-    return values.pop(), s, results
+    return _agreed_rank(n, results), s, results
 
 
 def rank3(n: int, method: str = "cornacchia") -> int:
@@ -95,7 +102,8 @@ class RankReport:
     """Per-(N, p) record of classification, exact rank or bounds, and witnesses.
 
     exact_rank3 is only ever set for p = 3; for larger p the criteria yield
-    bounds, never exact values, and the field stays None.
+    bounds, never exact values, and the field stays None.  methods_agreed is
+    True on every p = 3 report (bounds raises otherwise) and None for p >= 5.
     """
 
     n: int
@@ -119,12 +127,13 @@ class RankReport:
 
 
 def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> RankReport:
-    """Rank bounds for (N, p); exact value attached when p = 3.
+    """Rank bounds for (N, p); exact value attached when p = 3, where methods must agree.
 
     cl_k_rank = 0 asserts p regular (the guard rejects vetted-irregular and
-    unvetted p); supplying cl_k_rank >= 1 switches the upper bound to
-    p * cl_k_rank + (3/2)(p-1)^2, valid without regularity.  include_cl_f
-    additionally computes the O(N) mu-based bound on the degree-p subfield.
+    unvetted p); supplying cl_k_rank >= 1 switches the coarse upper bound to
+    p * cl_k_rank + (3/2)(p-1)^2, valid without regularity, which the alpha
+    window of a regular p never reaches.  include_cl_f additionally computes
+    the O(N) mu-based bound on the degree-p subfield.
     """
     if cl_k_rank < 0:
         raise DomainError("cl_k_rank must be non-negative")
@@ -145,8 +154,6 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     if regular:
         alpha = invariants.alpha_count(ctx).alpha
         lower, upper = rank_window(p, alpha)
-        if cl_k_rank:
-            upper = min(upper, coarse_upper)
         if include_cl_f:
             cl_f_upper = invariants.mu_count(ctx).cl_f_upper
     else:
@@ -154,14 +161,11 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
 
     rep = None
     exact = None
-    agreed = None
     if p == 3:
         # Every cheap applicable method; the O(N) factorial path stays opt-in.
         # ctx has proved N, so the split skips a second gate.
         s = eisenstein.split_of(eisenstein.cornacchia_4n(n))
-        results = _rank3_on_split(s, ("cornacchia", "gerth", "star"))
-        agreed = len(set(results.values())) == 1
-        exact = results["cornacchia"]
+        exact = _agreed_rank(n, _rank3_on_split(s, ("cornacchia", "gerth", "star")))
         rep = s.rep
     return RankReport(
         n=n,
@@ -169,7 +173,7 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
         target_class=TargetClass.of(ctx),
         rep=rep,
         exact_rank3=exact,
-        methods_agreed=agreed,
+        methods_agreed=True if p == 3 else None,
         alpha=alpha,
         lower=lower,
         upper=upper,

@@ -2,8 +2,10 @@
 
 The table format is UTF-8 CSV with LF line endings, header `N,p,rank` or
 `N,p,rank,rank_f`, integer fields only, and `#`-prefixed comment lines (used
-to record the provenance of the data).  For p = 3 rows the observed rank is
-compared against the exact criterion; for p >= 5 rows the observed rank is
+to record the provenance of the data).  Every row is read through one
+bounds(N, p) report, so a row gets the answer the CLI's bounds command gives.
+For p = 3 rows the observed rank is compared against the report's exact rank
+(its rank-3 methods must agree, or bounds raises); for p >= 5 rows it is
 checked against the [lower, upper] window, and when rank_f is supplied the
 regular-prime relation rank >= 2*rank_f + (p-7)/2 is checked as well.
 """
@@ -15,7 +17,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import DomainError, TruthTableError
-from .rank import bounds, rank3
+from .rank import bounds
 
 _HEADERS = ("N,p,rank", "N,p,rank,rank_f")
 
@@ -93,11 +95,8 @@ def parse_truth_table(path: Union[str, Path]) -> list[TruthRow]:
 def validate_rows(rows: list[TruthRow]) -> ValidationReport:
     report = ValidationReport()
     for row in rows:
-        try:  # the (N, p) contract is checked once, by the gate inside rank3/bounds
-            if row.p == 3:
-                predicted = rank3(row.n, "cornacchia")
-            else:
-                rb = bounds(row.n, row.p)
+        try:  # the (N, p) contract is checked once, by the gate inside bounds
+            rb = bounds(row.n, row.p)
         except DomainError as exc:
             report.skipped.append((row.line, str(exc)))
             continue
@@ -107,11 +106,11 @@ def validate_rows(rows: list[TruthRow]) -> ValidationReport:
         report.rows_checked += 1
         if row.p == 3:
             report.rank3_rows += 1
-            if predicted == row.rank:
+            if rb.exact_rank3 == row.rank:
                 report.matches += 1
             else:
                 report.mismatches.append(
-                    Mismatch(row.n, row.p, row.line, str(predicted), row.rank)
+                    Mismatch(row.n, row.p, row.line, str(rb.exact_rank3), row.rank)
                 )
             continue
         report.bounds_rows += 1

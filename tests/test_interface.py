@@ -198,12 +198,17 @@ def test_cli_exit_codes(capsys):
     assert out == "" and "--classes applies to p = 3 only" in err
 
 
-def test_cli_internal_fault_exits_4(monkeypatch, capsys):
+def test_cli_internal_fault_exits_4(monkeypatch, capsys, tmp_path):
+    # every p = 3 answer shares one agreement rule: disagreeing methods are an internal error
+    table = tmp_path / "one.csv"
+    table.write_text("N,p,rank\n61,3,2\n")
     monkeypatch.setattr(cyclorank.rank, "rank3_criterion", lambda rep: 3)
-    assert cli_dispatch(["rank3", "61", "--method", "all"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: rank criteria disagree at N=61")
-    assert "Traceback" not in err
+    for argv in (["rank3", "61", "--method", "all"], ["bounds", "61", "--p", "3"],
+                 ["validate", "--table", str(table)]):
+        assert cli_dispatch(argv) == 4
+        out, err = capsys.readouterr()
+        assert err.startswith("internal error: rank criteria disagree at N=61")
+        assert err.count("\n") == 1 and "Traceback" not in err and out == ""
 
 
 def _raise(exc):
@@ -305,6 +310,7 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
         ("bounds", "1000000000061", "--p", "5", "--mu"),
         ("rank3", "10000000207", "--method", "all"),  # 1 (mod 9): factorial of (N-1)/3
         ("scan", "--limit", str(2**40), "--shards", "1", "--workers", "1"),
+        ("invariants", "2063", "--p", "1031"),  # p^3 > 2^30: U_k work grows as p^2
     ],
 )
 def test_cli_refuses_o_n_work_above_the_cap(argv):
@@ -344,3 +350,6 @@ def test_cli_invariants(capsys):
     assert cli_dispatch(["invariants", "11", "--p", "5"]) == 0
     out = capsys.readouterr().out
     assert "mu=1" in out and "alpha=0" in out
+    assert cli_dispatch(["invariants", "149", "--p", "37"]) == 0  # irregular p
+    out = capsys.readouterr().out
+    assert "mu: n/a" in out and "U_35: value=" in out

@@ -106,6 +106,7 @@ def test_o_n_paths_refuse_n_above_the_cap():
         lambda: mu_count(ctx),
         lambda: m_class_direct(ctx, ctx.root),
         lambda: invariant_record(1000000000061, 5),
+        lambda: invariant_record(2063, 1031),  # 1031^3 > 2^30: the U_k cost grows as p^2
     ):
         with pytest.raises(DomainError, match="cap"):
             run()
@@ -255,6 +256,9 @@ def test_invariant_record_assembly():
     assert rec.power_flags == {2: False}
     rec3 = invariant_record(7, 3)
     assert rec3.mi_classes == {} and rec3.alpha == 0 and rec3.mu == 0
+    rec37 = invariant_record(149, 37)  # irregular p: no mu, the products still print
+    assert rec37.mu is None and rec37.cl_f_upper is None
+    assert set(rec37.mk_products) == set(range(1, 36))
 
 
 def test_invariant_record_cross_checks_alpha_against_u_k():

@@ -64,6 +64,9 @@ def test_bounds_errors():
 def test_bounds_alpha_one_instance():
     r = bounds(211, 5)
     assert (r.alpha, r.lower, r.upper) == (1, 3, 12)
+    # a known cyclotomic rank widens only the coarse envelope, never the alpha window
+    r = bounds(211, 5, cl_k_rank=1)
+    assert (r.lower, r.upper) == (3, 12) and r.coarse_upper == 5 + 3 * 4 * 4 // 2
 
 
 def test_bounds_include_cl_f():

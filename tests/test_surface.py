@@ -39,7 +39,7 @@ def test_deleted_names_are_gone():
         for no, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)
     ]
     assert hits == []
-    for attr in ("conjugate", "__add__", "__sub__", "__mul__"):
+    for attr in ("conjugate", "__add__", "__sub__", "__mul__", "associates"):
         assert not hasattr(EisensteinInt, attr)
 
 
