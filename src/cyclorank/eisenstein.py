@@ -14,16 +14,16 @@ are kept explicit and cross-checked.
 
 The representation has one algorithm for the whole contract N < 2^62: integer
 Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  N is checked once,
-by the ModulusContext gate; cornacchia_4n and split_of trust it.
+by the ModulusContext gate; its root starts Cornacchia and indexes every symbol.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .modmath import ModulusContext, PowerClass, power_class, root_of_unity
+from .modmath import ModulusContext, PowerClass, power_class
 
 _COEFF_BOUND = 1 << 63
 
@@ -79,18 +79,21 @@ class SplitData:
     `primary` is the generator n = a + b*zeta_3 with a = 1 (mod 3), 3 | b;
     `zeta_image` is the residue t with t^2 + t + 1 = 0 (mod N) and
     a + b*t = 0 (mod N), i.e. the image of zeta_3 in Z[zeta_3]/n = F_N.
+    `ctx` is the (N, 3) context it was made from; every cubic symbol reads it.
     """
 
     primary: EisensteinInt
     rep: QuadRep
     zeta_image: int
+    ctx: ModulusContext = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.rep.n
         a, b = self.primary.a, self.primary.b
         t = self.zeta_image
         if not (self.primary.norm() == n and a % 3 == 1 and b % 3 == 0
-                and (t * t + t + 1) % n == 0 and (a + b * t) % n == 0):
+                and (t * t + t + 1) % n == 0 and (a + b * t) % n == 0
+                and self.ctx.modulus == n and self.ctx.p == 3):
             raise AssertionError(f"inconsistent split data for N={n}")
 
 
@@ -98,14 +101,16 @@ def _normalize_pair(a: int, b: int, n: int) -> QuadRep:
     return QuadRep(A=a if a % 3 == 1 else -a, B=abs(b), n=n)
 
 
-def cornacchia_4n(n: int) -> QuadRep:
+def cornacchia_4n(n: int, t: int) -> QuadRep:
     """represent_4n for a prime N = 1 (mod 3) below 2^62 that the caller vouches for.
 
     Cornacchia (Cohen, Alg. 1.5.2): r = 2t + 1 is a square root of -3 for a
     cube root of unity t != 1, and Euclid on (N, r) stops at the first
     remainder x <= sqrt(N), where (N - x^2)/3 = y^2.  A failed search raises.
+    t is an argument so the rank-3 scan needs no context; t and t^2 give r
+    and N - r, which fold to one r below, so any t != 1 gives one result.
     """
-    r = (2 * root_of_unity(n, 3) + 1) % n
+    r = (2 * t + 1) % n
     if 2 * r < n:
         r = n - r
     a, x = n, r
@@ -129,8 +134,7 @@ def cornacchia_4n(n: int) -> QuadRep:
 
 def represent_4n(n: int) -> QuadRep:
     """The unique (A, B) with 4N = A^2 + 27B^2, A = 1 (mod 3), B > 0, for prime N < 2^62."""
-    ModulusContext(n, 3)
-    return cornacchia_4n(n)
+    return cornacchia_4n(n, ModulusContext(n, 3).root)
 
 
 def represent_4n_bruteforce(n: int) -> QuadRep:
@@ -151,27 +155,27 @@ def represent_4n_bruteforce(n: int) -> QuadRep:
 
 def split_prime(n: int) -> SplitData:
     """Split N = n * conj(n) and return the primary generator with its F_N data."""
-    return split_of(represent_4n(n))
+    return split_of(ModulusContext(n, 3))
 
 
-def split_of(rep: QuadRep) -> SplitData:
-    """split_prime from a representation already in hand; rep.n is not re-validated."""
-    n = rep.n
+def split_of(ctx: ModulusContext) -> SplitData:
+    """split_prime for an (N, 3) context in hand: Cornacchia on ctx.root; the split keeps ctx."""
+    n = ctx.modulus
+    rep = cornacchia_4n(n, ctx.root)
     a = (-rep.A - 3 * rep.B) // 2
     b = -3 * rep.B
     t = (-a * pow(b, -1, n)) % n
-    return SplitData(primary=EisensteinInt(a, b), rep=rep, zeta_image=t)
+    return SplitData(primary=EisensteinInt(a, b), rep=rep, zeta_image=t, ctx=ctx)
 
 
 def cubic_symbol(x: int, s: SplitData) -> PowerClass:
-    """Cubic residue symbol of x modulo the primary factor, as an index to ModulusContext.root.
+    """Cubic residue symbol of x modulo the primary factor, as an index to s.ctx.root.
 
     Computed in the residue field F_N via the Euler criterion x^((N-1)/3).  An
     Eisenstein integer a + b*zeta_3 reduces to a + b*s.zeta_image first; the
     symbol of zeta_3 itself is cubic_symbol(s.zeta_image, s).
     """
-    n = s.rep.n
-    return power_class(x % n, ModulusContext.trusted(n, 3))
+    return power_class(x % s.rep.n, s.ctx)
 
 
 def hilbert_pi_unit_criterion(s: SplitData) -> bool:

@@ -6,38 +6,45 @@ below 2^62 together with an odd prime p dividing N-1 and the cofactor
 the order-p subgroup of F_N^x.  Each context fixes one reference element of
 order p, ModulusContext.root, and every index is taken against it: chi
 becomes an index in 0..p-1 that is additive under multiplication.  The
-discrete log is a linear scan over ModulusContext.powers, root^0..root^(p-1),
-built once per context.
+discrete log is a linear scan over ModulusContext.powers, root^0..root^(p-1).
+Both are derived when a context is built, so a query builds one context and
+passes it on.  The table has p entries, so it is built only for p <= 1021
+(p^3 within DEFAULT_SIEVE_CAP), the bound every reader of it applies; a
+context for a larger p holds its root alone, and the readers refuse it.
 
 ModulusContext.__post_init__ is the one gate for the (N, p) contract; code
 downstream of a context trusts it.  ModulusContext.trusted skips the gate for
-callers that hold a proof already (a sieved N, the N of a gated split).
+callers that hold a proof already (a sieved N) and derives the same fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import count
 
 from .errors import DomainError
-from .primes import is_prime, require_within_cap
+from .primes import DEFAULT_SIEVE_CAP, is_prime, require_within_cap
 
 MODULUS_BITS = 62
 
 
 @dataclass(frozen=True)
 class ModulusContext:
-    """Prime modulus N with an odd prime p | N-1 and the cofactor (N-1)/p.
+    """Prime modulus N with an odd prime p | N-1, the cofactor (N-1)/p and the root.
 
-    Immutable; safe to share across workers.  Python integers already give
-    exact double-width products, so no extra reduction constants are stored;
-    the 2^62 width cap is kept as an interface contract.
+    root, the reference element of order p, is the first g^((N-1)/p) != 1 over
+    g = 2, 3, 4, ...; powers is root^0 .. root^(p-1), or () when p^3 exceeds
+    DEFAULT_SIEVE_CAP.  Both are set when the context is built and take no
+    part in equality.  Immutable; safe to share across workers.  Python
+    integers already give exact double-width products, so no reduction
+    constants are stored; the 2^62 cap is an interface contract.
     """
 
     modulus: int
     p: int
     cofactor: int = field(init=False)
+    root: int = field(init=False, repr=False, compare=False)
+    powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, p = self.modulus, self.p
@@ -51,31 +58,25 @@ class ModulusContext:
             raise DomainError("N must differ from p")
         if n % p != 1:
             raise DomainError(f"N must split completely: N={n} is not 1 mod p={p}")
-        object.__setattr__(self, "cofactor", (n - 1) // p)
+        self._derive()
 
     @classmethod
     def trusted(cls, n: int, p: int) -> "ModulusContext":
         """The context for an (N, p) the caller has already proved in contract; no checks run."""
         ctx = object.__new__(cls)
-        ctx.__dict__.update(modulus=n, p=p, cofactor=(n - 1) // p)
+        ctx.__dict__.update(modulus=n, p=p)
+        ctx._derive()
         return ctx
 
-    @cached_property
-    def root(self) -> int:
-        """The reference element of order p: the first g^((N-1)/p) != 1, g = 2, 3, 4, ...
-
-        Computed on first use, so a context that reads no character never pays for it.
-        """
-        return root_of_unity(self.modulus, self.p)
-
-    @cached_property
-    def powers(self) -> tuple[int, ...]:
-        """root^0 .. root^(p-1): the table every discrete log of a character scans."""
-        n, f = self.modulus, self.root
-        out = [1]
-        for _ in range(self.p - 1):
-            out.append(out[-1] * f % n)
-        return tuple(out)
+    def _derive(self) -> None:
+        n, p = self.modulus, self.p
+        root = root_of_unity(n, p)
+        powers = []
+        if p**3 <= DEFAULT_SIEVE_CAP:  # else O(p) memory for a p up to 2^61 no reader accepts
+            powers.append(1)
+            for _ in range(p - 1):
+                powers.append(powers[-1] * root % n)
+        self.__dict__.update(cofactor=(n - 1) // p, root=root, powers=tuple(powers))
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,7 @@ def power_class(x: int, ctx: ModulusContext) -> PowerClass:
     try:
         index = ctx.powers.index(chi)
     except ValueError:
+        require_within_cap(ctx.p**3, "p^3")
         raise AssertionError("unreachable: chi takes values in the powers of ctx.root") from None
     return PowerClass(index)
 

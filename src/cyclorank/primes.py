@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 
-# Witness set is deterministic for all n < 3.3 * 10^24, far beyond the 2^62 cap.
+# Deterministic for all n < 3.18 * 10^23 (Sorenson-Webster), far beyond the 2^62 cap.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 DEFAULT_SIEVE_CAP = 1 << 30
@@ -86,6 +86,8 @@ def primes_in_range(
     lo: int, hi: int, modulus: int = 1, residues: Iterable[int] = (0,)
 ) -> Iterator[int]:
     """Yield primes N in [lo, hi) with N mod modulus in residues, ascending."""
+    if modulus < 1:
+        raise DomainError(f"modulus must be at least 1, got {modulus}")
     res = sorted({r % modulus for r in residues})
     if not res:
         raise DomainError("residue set must be nonempty")

@@ -44,15 +44,8 @@ def rank3_criterion(rep: eisenstein.QuadRep) -> int:
     return 2 if rep.B % 3 == 0 else 1
 
 
-def _rank3_factorial(n: int) -> int:
-    ctx = ModulusContext.trusted(n, 3)  # n comes from a split made through the gate
-    fm = factorial_mod((n - 1) // 3, ctx)
-    return 2 if pow(fm, ctx.cofactor, n) == 1 else 1
-
-
 def _rank3_on_split(s: eisenstein.SplitData, methods: tuple[str, ...]) -> dict[str, int]:
-    n = s.rep.n
-    one_mod_9 = n % 9 == 1
+    one_mod_9 = s.rep.n % 9 == 1
     out: dict[str, int] = {}
     for method in methods:
         if method == "cornacchia":
@@ -62,7 +55,8 @@ def _rank3_on_split(s: eisenstein.SplitData, methods: tuple[str, ...]) -> dict[s
         elif method == "star" and not one_mod_9:
             out[method] = 2 if eisenstein.star_condition(s) else 1
         elif method == "factorial" and one_mod_9:
-            out[method] = _rank3_factorial(n)
+            fm = factorial_mod(s.ctx.cofactor, s.ctx)  # ((N-1)/3)!
+            out[method] = 2 if pow(fm, s.ctx.cofactor, s.ctx.modulus) == 1 else 1
     return out
 
 
@@ -163,8 +157,7 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     exact = None
     if p == 3:
         # Every cheap applicable method; the O(N) factorial path stays opt-in.
-        # ctx has proved N, so the split skips a second gate.
-        s = eisenstein.split_of(eisenstein.cornacchia_4n(n))
+        s = eisenstein.split_of(ctx)
         exact = _agreed_rank(n, _rank3_on_split(s, ("cornacchia", "gerth", "star")))
         rep = s.rep
     return RankReport(

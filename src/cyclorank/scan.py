@@ -28,7 +28,7 @@ from typing import Callable
 from .eisenstein import cornacchia_4n
 from .errors import DomainError
 from .invariants import alpha_count, require_regular
-from .modmath import ModulusContext
+from .modmath import ModulusContext, root_of_unity
 from .primes import primes_in_range, require_within_cap
 from .rank import rank3, rank3_criterion  # noqa: F401  (perfbench/: scan.rank3)
 
@@ -72,7 +72,7 @@ def _shard_edges(limit: int, shards: int) -> list[tuple[int, int]]:
 
 
 def _rank3_outcome(n: int) -> int:
-    return rank3_criterion(cornacchia_4n(n))
+    return rank3_criterion(cornacchia_4n(n, root_of_unity(n, 3)))
 
 
 def _alpha_outcome(p: int, n: int) -> int:

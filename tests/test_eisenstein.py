@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -17,7 +18,7 @@ from cyclorank.eisenstein import (
     star_condition,
 )
 from cyclorank.errors import DomainError
-from cyclorank.modmath import ModulusContext, factorial_mod
+from cyclorank.modmath import ModulusContext, factorial_mod, root_of_unity
 from cyclorank.primes import is_prime, primes_in_class
 
 
@@ -76,7 +77,7 @@ def test_cornacchia_failure_raises():
     # 25 = 1 (mod 3) has no primitive x^2 + 3y^2: the kernel must raise, not
     # assert, so the check also runs under python -O.
     with pytest.raises(DomainError, match="Cornacchia"):
-        cornacchia_4n(25)
+        cornacchia_4n(25, root_of_unity(25, 3))
 
 
 def test_represent_oracle_equivalence():
@@ -94,11 +95,15 @@ def test_wilson_jacobi_identity_small():
 
 
 def test_cornacchia_agrees_with_bruteforce():
+    # the kernel takes any cube root of unity t != 1: t and t^2 give one answer
     for n in primes_in_class(4000, 3, {1}):
-        assert cornacchia_4n(n) == represent_4n_bruteforce(n)
+        t = root_of_unity(n, 3)
+        assert cornacchia_4n(n, t) == cornacchia_4n(n, t * t % n) == represent_4n_bruteforce(n)
     for n in primes_in_class(1_000_400, 3, {1}):
         if n > 10**6:
-            assert cornacchia_4n(n) == represent_4n(n) == represent_4n_bruteforce(n)
+            t = root_of_unity(n, 3)
+            assert cornacchia_4n(n, t) == cornacchia_4n(n, t * t % n)
+            assert cornacchia_4n(n, t) == represent_4n(n) == represent_4n_bruteforce(n)
 
 
 def _random_split_primes(rng: random.Random, count: int, hi: int) -> list[int]:
@@ -156,6 +161,17 @@ def test_split_prime_properties():
         assert pow(t, 3, n) == 1 and t != 1
         # the two sign conventions differ by exactly a sign: 2a - b = -A
         assert 2 * a - b == -s.rep.A
+
+
+def test_split_data_guards_its_context():
+    # the split's context must be the (N, 3) it was made from; a raise, not an
+    # assert, so the guard also runs under python -O
+    s = split_prime(31)
+    assert s.ctx == ModulusContext(31, 3)
+    with pytest.raises(AssertionError, match="inconsistent split data"):
+        dataclasses.replace(s, ctx=ModulusContext(37, 3))  # wrong N
+    with pytest.raises(AssertionError, match="inconsistent split data"):
+        dataclasses.replace(s, ctx=ModulusContext(31, 5))  # wrong p
 
 
 def test_cubic_symbol_examples():

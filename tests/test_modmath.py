@@ -34,7 +34,7 @@ def test_context_root_properties():
     for n, p in ((7, 3), (13, 3), (31, 3), (11, 5), (41, 5), (29, 7), (1009, 7)):
         ctx = ModulusContext(n, p)
         f = ctx.root
-        assert "root" in vars(ctx)  # computed once, then cached on the context
+        assert "root" in vars(ctx)  # derived when the context is built
         assert f == ModulusContext(n, p).root == ModulusContext.trusted(n, p).root
         assert f != 1
         assert pow(f, p, n) == 1
@@ -42,12 +42,38 @@ def test_context_root_properties():
         assert f == next(c for c in chis if c != 1)  # the first g^((N-1)/p) != 1
 
 
-def test_context_root_is_lazy():
+def test_trusted_context_derives_the_same_fields():
+    cases = ((7, 3), (19, 3), (11, 5), (1009, 7), (1000000000000000003, 3),
+             (2305843009213693133, 97))
+    for n, p in cases:
+        ctx = ModulusContext(n, p)
+        assert vars(ctx) == vars(ModulusContext.trusted(n, p))
+        assert ctx.powers == tuple(pow(ctx.root, i, n) for i in range(p))
     ctx = ModulusContext(19, 3)
-    assert "root" not in vars(ctx)
-    assert ctx == ModulusContext(19, 3)
     assert ctx.root == 7  # 2^6 = 7 (mod 19)
-    assert ctx == ModulusContext(19, 3)  # the cached root is no dataclass field
+    assert ctx == ModulusContext.trusted(19, 3)
+    assert repr(ctx) == "ModulusContext(modulus=19, p=3, cofactor=6)"  # root, powers left out
+
+
+def test_context_for_a_large_p_holds_no_table():
+    from cyclorank.invariants import alpha_count, unit_product
+    from cyclorank.modmath import classify_target
+    from cyclorank.rank import bounds
+
+    assert len(ModulusContext(10211, 1021).powers) == 1021  # p^3 <= 2^30
+    assert ModulusContext(2063, 1031).powers == ()
+    # safe primes N = 2p + 1: the gate allows p up to 2^61, so a p-entry table would not fit
+    for n, p in ((200000447, 100000223), (2305843009213699919, 1152921504606849959)):
+        ctx = ModulusContext(n, p)
+        assert ctx.powers == () and ctx.root != 1 and pow(ctx.root, p, n) == 1
+        assert vars(ctx) == vars(ModulusContext.trusted(n, p))
+        assert classify_target(n, p).residue_mod_p2 == n
+        report = bounds(n, p, cl_k_rank=1)
+        assert (report.lower, report.upper) == ((p - 1) // 2, p + 3 * (p - 1) ** 2 // 2)
+        for read in (lambda: power_class(2, ctx), lambda: alpha_count(ctx),
+                     lambda: unit_product(ctx, 2)):
+            with pytest.raises(DomainError, match="p\\^3"):
+                read()
 
 
 def test_power_class_examples():

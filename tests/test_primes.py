@@ -28,6 +28,10 @@ def test_is_prime_large():
     assert is_prime(2**61 - 1)  # Mersenne
     assert not is_prime(2**61 + 1)
     assert is_prime(1_000_003)
+    # strong pseudoprimes to the first 4, 8 and 11 prime bases; all below 2^62
+    assert not is_prime(3215031751)
+    assert not is_prime(341550071728321)
+    assert not is_prime(3825123056546413051)
 
 
 def test_stream_examples():
@@ -59,6 +63,10 @@ def test_stream_errors():
         list(primes_in_class(100, 9, set()))
     with pytest.raises(DomainError, match="cap"):
         primes_in_class(2**31, 3, {1})
+    with pytest.raises(DomainError, match="modulus"):
+        list(primes_in_class(40, -3, {1}))
+    with pytest.raises(DomainError, match="modulus"):
+        list(primes_in_class(40, 0, {1}))
 
 
 def test_counting_sanity_dirichlet_densities():

@@ -1,5 +1,9 @@
+import sys
+
 import pytest
 
+from cyclorank import modmath
+from cyclorank.eisenstein import represent_4n, split_prime
 from cyclorank.errors import DomainError
 from cyclorank.primes import primes_in_class
 from cyclorank.rank import RankReport, bounds, rank3, rank3_detail
@@ -35,6 +39,31 @@ def test_rank3_methods_agree():
     for n in primes_in_class(20000, 3, {1}):
         results = rank3_detail(n, "all")[2]
         assert len(set(results.values())) == 1, (n, results)
+
+
+@pytest.mark.parametrize(
+    "n", [19, 37, 7, 13, 1000000000000000009, 1000000000000000177, 1000000000000000003]
+)
+def test_p3_query_computes_one_root(monkeypatch, n):
+    # one (N, 3) context per query: the split, the cubic symbols of gerth and
+    # the factorial criterion all read its root (N = 1, 1, 7, 4, 1, 7, 4 mod 9)
+    real = modmath.root_of_unity
+    calls = []
+
+    def counted(n, p):
+        calls.append((n, p))
+        return real(n, p)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cyclorank") and getattr(mod, "root_of_unity", None) is real:
+            monkeypatch.setattr(mod, "root_of_unity", counted)
+    queries = [lambda: bounds(n, 3), lambda: split_prime(n), lambda: represent_4n(n)]
+    if n % 9 != 1 or n < 10**6:  # the factorial criterion (N = 1 mod 9) is O(N)
+        queries.append(lambda: rank3(n, "all"))
+    for query in queries:
+        calls.clear()
+        query()
+        assert calls == [(n, 3)]
 
 
 def test_bounds_examples():
