@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .modmath import ModulusContext, PowerClass, power_class
+from .modmath import ModulusContext, PowerClass, check_contract, power_class
 
 _COEFF_BOUND = 1 << 63
 
@@ -138,8 +138,8 @@ def represent_4n(n: int) -> QuadRep:
 
 
 def represent_4n_bruteforce(n: int) -> QuadRep:
-    """Exhaustive oracle: scan every B and assert exactly one representation."""
-    ModulusContext(n, 3)
+    """Exhaustive oracle: scan every B and assert exactly one representation; no root is read."""
+    check_contract(n, 3)
     if n > 10**8:
         raise DomainError("brute-force representation is capped at 10^8")
     found = []

@@ -26,9 +26,9 @@ T_i[s] = sum_{a=1}^{s} a^i.  Grouping k by its residue r mod p,
 and Q_r is a prefix of the walk that gives P_r.  So N-1 modular products and
 about 2p characters give M, every M_i and mu in O(p) memory.  The walk, and
 the m_class_direct oracle, refuse N above primes.DEFAULT_SIEVE_CAP (2^30)
-with a DomainError instead of looping for hours; invariant_record refuses
-p^3 above the same cap, since its U_k cost grows as p^2, and so do
-alpha_count and unit_product, since a context holds no table of powers there.
+with a DomainError instead of looping for hours.  The context itself refuses
+p^3 above the same cap (p > 1021), so every reader of a character here, and
+invariant_record, whose U_k cost grows as p^2, runs only below it.
 
 alpha needs only the power class of each U_k, so it too is linear in the
 character index.  The exponent j^k of (1 - f^j) matters mod p only, so with
@@ -165,7 +165,6 @@ def unit_product(ctx: ModulusContext, k: int) -> UnitProduct:
     p = ctx.p
     if not 0 < k < p - 1:
         raise DomainError(f"k={k} must lie strictly between 0 and p-1")
-    require_within_cap(p**3, "p^3")  # ctx.powers is empty above the cap
     n, powers = ctx.modulus, ctx.powers
     acc = 1
     for j in range(1, p):
@@ -207,7 +206,6 @@ def alpha_count(ctx: ModulusContext) -> AlphaCount:
     n, p, e = ctx.modulus, ctx.p, ctx.cofactor
     if p == 3:
         return AlphaCount(alpha=0, power_flags={})
-    require_within_cap(p**3, "p^3")  # ctx.powers is empty above the cap
     # the table holds p^2/4 entries, so it is kept only for the vetted p < 100
     table = _twist_table(p) if is_vetted_regular(p) else _twist_rows(p)
     powers = ctx.powers
@@ -249,10 +247,9 @@ def invariant_record(n: int, p: int) -> InvariantRecord:
 
     Includes the O(N) products, so this is for single-N queries, not scans.
     The p-dependent work, (p-2)(p-1) modpows for the U_k and about 2p^2
-    discrete-log comparisons, is refused once p^3 exceeds the O(N) cap
-    (p > 1021), before any of it runs.
+    discrete-log comparisons, is bounded by the context, which refuses p^3
+    above the O(N) cap (p > 1021) before any of it runs.
     """
-    require_within_cap(p**3, "p^3")
     ctx = ModulusContext(n, p)
     pc = product_classes(ctx)
     mk = {k: unit_product(ctx, k) for k in range(1, p - 1)}

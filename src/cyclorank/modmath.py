@@ -8,13 +8,14 @@ order p, ModulusContext.root, and every index is taken against it: chi
 becomes an index in 0..p-1 that is additive under multiplication.  The
 discrete log is a linear scan over ModulusContext.powers, root^0..root^(p-1).
 Both are derived when a context is built, so a query builds one context and
-passes it on.  The table has p entries, so it is built only for p <= 1021
-(p^3 within DEFAULT_SIEVE_CAP), the bound every reader of it applies; a
-context for a larger p holds its root alone, and the readers refuse it.
+passes it on.  The table has p entries, so a context refuses p^3 above
+primes.DEFAULT_SIEVE_CAP (p > 1021); every context holds its whole table.
 
-ModulusContext.__post_init__ is the one gate for the (N, p) contract; code
-downstream of a context trusts it.  ModulusContext.trusted skips the gate for
-callers that hold a proof already (a sieved N) and derives the same fields.
+check_contract is the one gate for the (N, p) contract; code downstream of
+it trusts its input.  __post_init__ runs it, and code that reads only N mod p^2
+(classify_target, coarse bounds) runs it alone and builds no context.
+ModulusContext.trusted skips it for callers that hold a proof already (a
+sieved N) and derives the same fields.
 """
 
 from __future__ import annotations
@@ -23,9 +24,23 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .errors import DomainError
-from .primes import DEFAULT_SIEVE_CAP, is_prime, require_within_cap
+from .primes import is_prime, require_within_cap
 
 MODULUS_BITS = 62
+
+
+def check_contract(n: int, p: int) -> None:
+    """Raise DomainError unless p is an odd prime and N < 2^62 a prime != p with N = 1 (mod p)."""
+    if n >= 1 << MODULUS_BITS:
+        raise DomainError(f"N={n} exceeds the 2^{MODULUS_BITS} bound")
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise DomainError(f"p={p} must be an odd prime")
+    if not is_prime(n):
+        raise DomainError(f"N={n} is not prime")
+    if n == p:
+        raise DomainError("N must differ from p")
+    if n % p != 1:
+        raise DomainError(f"N must split completely: N={n} is not 1 mod p={p}")
 
 
 @dataclass(frozen=True)
@@ -33,11 +48,10 @@ class ModulusContext:
     """Prime modulus N with an odd prime p | N-1, the cofactor (N-1)/p and the root.
 
     root, the reference element of order p, is the first g^((N-1)/p) != 1 over
-    g = 2, 3, 4, ...; powers is root^0 .. root^(p-1), or () when p^3 exceeds
-    DEFAULT_SIEVE_CAP.  Both are set when the context is built and take no
-    part in equality.  Immutable; safe to share across workers.  Python
-    integers already give exact double-width products, so no reduction
-    constants are stored; the 2^62 cap is an interface contract.
+    g = 2, 3, 4, ...; powers is root^0 .. root^(p-1).  Both are set when the
+    context is built and take no part in equality.  Immutable; safe to share
+    across workers.  Python integers already give exact double-width products,
+    so no reduction constants are stored; the 2^62 cap is an interface contract.
     """
 
     modulus: int
@@ -47,17 +61,8 @@ class ModulusContext:
     powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n, p = self.modulus, self.p
-        if n >= 1 << MODULUS_BITS:
-            raise DomainError(f"N={n} exceeds the 2^{MODULUS_BITS} bound")
-        if p < 3 or p % 2 == 0 or not is_prime(p):
-            raise DomainError(f"p={p} must be an odd prime")
-        if not is_prime(n):
-            raise DomainError(f"N={n} is not prime")
-        if n == p:
-            raise DomainError("N must differ from p")
-        if n % p != 1:
-            raise DomainError(f"N must split completely: N={n} is not 1 mod p={p}")
+        check_contract(self.modulus, self.p)
+        require_within_cap(self.p**3, "p^3")  # the table of p powers, and p^2 work on it
         self._derive()
 
     @classmethod
@@ -71,11 +76,9 @@ class ModulusContext:
     def _derive(self) -> None:
         n, p = self.modulus, self.p
         root = root_of_unity(n, p)
-        powers = []
-        if p**3 <= DEFAULT_SIEVE_CAP:  # else O(p) memory for a p up to 2^61 no reader accepts
-            powers.append(1)
-            for _ in range(p - 1):
-                powers.append(powers[-1] * root % n)
+        powers = [1]
+        for _ in range(p - 1):
+            powers.append(powers[-1] * root % n)
         self.__dict__.update(cofactor=(n - 1) // p, root=root, powers=tuple(powers))
 
 
@@ -95,14 +98,15 @@ class TargetClass:
             raise AssertionError(f"inconsistent target class {self}")
 
     @classmethod
-    def of(cls, ctx: ModulusContext) -> "TargetClass":
-        r = ctx.modulus % (ctx.p * ctx.p)
-        return cls(ctx.modulus, ctx.p, r, pi_ramified=r != 1, zeta_is_norm=r == 1)
+    def of(cls, n: int, p: int) -> "TargetClass":
+        r = n % (p * p)
+        return cls(n, p, r, pi_ramified=r != 1, zeta_is_norm=r == 1)
 
 
 def classify_target(n: int, p: int) -> TargetClass:
-    """Classify prime N = 1 (mod p) by the congruence N mod p^2."""
-    return TargetClass.of(ModulusContext(n, p))
+    """Classify prime N = 1 (mod p) by the congruence N mod p^2; builds no context."""
+    check_contract(n, p)
+    return TargetClass.of(n, p)
 
 
 @dataclass(frozen=True)
@@ -135,13 +139,7 @@ def power_class(x: int, ctx: ModulusContext) -> PowerClass:
     n = ctx.modulus
     if x % n == 0:
         raise DomainError("character undefined at zero")
-    chi = pow(x, ctx.cofactor, n)
-    try:
-        index = ctx.powers.index(chi)
-    except ValueError:
-        require_within_cap(ctx.p**3, "p^3")
-        raise AssertionError("unreachable: chi takes values in the powers of ctx.root") from None
-    return PowerClass(index)
+    return PowerClass(ctx.powers.index(pow(x, ctx.cofactor, n)))
 
 
 def factorial_mod(m: int, ctx: ModulusContext) -> int:

@@ -2,7 +2,7 @@
 
 Primes are streamed by a segmented sieve so memory stays proportional to the
 segment, not the limit.  Validating a target (N, p) is not done here but by
-the ModulusContext gate in modmath, which uses is_prime.
+check_contract in modmath, which uses is_prime.
 
 DEFAULT_SIEVE_CAP (2^30) bounds every O(N) path: sieves, scans, and the
 walks over 1..N of the product invariants and the factorial criterion all

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import eisenstein, invariants
 from .errors import DomainError
-from .modmath import ModulusContext, TargetClass, factorial_mod
+from .modmath import ModulusContext, TargetClass, check_contract, factorial_mod
 
 RANK3_METHODS = ("cornacchia", "gerth", "star", "factorial")
 
@@ -127,16 +127,11 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     unvetted p); supplying cl_k_rank >= 1 switches the coarse upper bound to
     p * cl_k_rank + (3/2)(p-1)^2, valid without regularity, which the alpha
     window of a regular p never reaches.  include_cl_f additionally computes
-    the O(N) mu-based bound on the degree-p subfield.
+    the O(N) mu-based bound on the degree-p subfield, for a regular p only.  Any
+    other p reads no character, so it runs check_contract and builds no context.
     """
     if cl_k_rank < 0:
         raise DomainError("cl_k_rank must be non-negative")
-    ctx = ModulusContext(n, p)
-    regular = invariants.is_vetted_regular(p)
-    if not regular and cl_k_rank == 0:
-        raise DomainError(
-            f"p={p} fails the regularity guard; supply cl_k_rank to get coarse bounds"
-        )
     coarse_lower = (p - 1) // 2
     if cl_k_rank == 0:
         coarse_upper = (p - 1) * (p - 2)
@@ -145,25 +140,31 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
 
     alpha: int | None = None
     cl_f_upper: int | None = None
-    if regular:
+    rep = exact = None
+    if invariants.is_vetted_regular(p):
+        ctx = ModulusContext(n, p)
         alpha = invariants.alpha_count(ctx).alpha
         lower, upper = rank_window(p, alpha)
         if include_cl_f:
             cl_f_upper = invariants.mu_count(ctx).cl_f_upper
+        if p == 3:
+            # Every cheap applicable method; the O(N) factorial path stays opt-in.
+            s = eisenstein.split_of(ctx)
+            exact = _agreed_rank(n, _rank3_on_split(s, ("cornacchia", "gerth", "star")))
+            rep = s.rep
     else:
+        check_contract(n, p)
+        if cl_k_rank == 0:
+            raise DomainError(
+                f"p={p} fails the regularity guard; supply cl_k_rank to get coarse bounds"
+            )
+        if include_cl_f:
+            invariants.require_regular(p)
         lower, upper = coarse_lower, coarse_upper
-
-    rep = None
-    exact = None
-    if p == 3:
-        # Every cheap applicable method; the O(N) factorial path stays opt-in.
-        s = eisenstein.split_of(ctx)
-        exact = _agreed_rank(n, _rank3_on_split(s, ("cornacchia", "gerth", "star")))
-        rep = s.rep
     return RankReport(
         n=n,
         p=p,
-        target_class=TargetClass.of(ctx),
+        target_class=TargetClass.of(n, p),
         rep=rep,
         exact_rank3=exact,
         methods_agreed=True if p == 3 else None,

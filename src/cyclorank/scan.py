@@ -3,8 +3,8 @@
 Rank-3 and alpha scans are one pipeline.  A scan sieves the primes N up to
 its limit in chosen classes mod p^2, computes one integer outcome per prime
 (the exact 3-rank, or alpha), and counts (threshold-bucket, class, outcome).
-Work is partitioned into contiguous prime sub-ranges whose boundaries depend
-only on (limit, shards), so merging is a plain sum of integer counters and
+Work is split into at most sqrt(limit) contiguous prime sub-ranges fixed by
+(limit, shards) alone, so merging is a plain sum of integer counters and
 summaries are bit-identical for any shard or worker count.  The summary
 keeps one histogram per class; one hit predicate (rank 2, or alpha > 0)
 gives the checkpoints at 10^3, 10^4, ..., limit, using exactly the primes
@@ -19,6 +19,7 @@ sieves.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -67,6 +68,8 @@ def _bucket(n: int, thresholds: tuple[int, ...]) -> int:
 def _shard_edges(limit: int, shards: int) -> list[tuple[int, int]]:
     if shards < 1:
         raise DomainError(f"shard count must be at least 1, got {shards}")
+    # a shard narrower than sqrt(limit) costs more in its base-prime sieve than in its range
+    shards = min(shards, math.isqrt(limit))
     edges = [2 + (limit - 1) * i // shards for i in range(shards + 1)]
     return [(edges[i], edges[i + 1]) for i in range(shards) if edges[i] < edges[i + 1]]
 

@@ -196,6 +196,11 @@ def test_cli_exit_codes(capsys):
     assert cli_dispatch(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and "--classes applies to p = 3 only" in err
+    assert cli_dispatch(["bounds", "149", "--p", "37", "--clk", "1", "--mu"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "regularity guard" in err
+    argv = ["scan", "--limit", "1000", "--shards", "1000000000000", "--workers", "1"]
+    assert cli_dispatch(argv) == 0
 
 
 def test_cli_internal_fault_exits_4(monkeypatch, capsys, tmp_path):

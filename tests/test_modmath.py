@@ -55,25 +55,44 @@ def test_trusted_context_derives_the_same_fields():
     assert repr(ctx) == "ModulusContext(modulus=19, p=3, cofactor=6)"  # root, powers left out
 
 
-def test_context_for_a_large_p_holds_no_table():
-    from cyclorank.invariants import alpha_count, unit_product
+def test_context_refuses_a_large_p_and_coarse_queries_build_none(monkeypatch):
+    from cyclorank import eisenstein, modmath
     from cyclorank.modmath import classify_target
     from cyclorank.rank import bounds
 
     assert len(ModulusContext(10211, 1021).powers) == 1021  # p^3 <= 2^30
-    assert ModulusContext(2063, 1031).powers == ()
-    # safe primes N = 2p + 1: the gate allows p up to 2^61, so a p-entry table would not fit
-    for n, p in ((200000447, 100000223), (2305843009213699919, 1152921504606849959)):
-        ctx = ModulusContext(n, p)
-        assert ctx.powers == () and ctx.root != 1 and pow(ctx.root, p, n) == 1
-        assert vars(ctx) == vars(ModulusContext.trusted(n, p))
+    # safe primes N = 2p + 1: the contract allows p up to 2^61, a p-entry table does not fit
+    pairs = ((2063, 1031), (200000447, 100000223), (2305843009213699919, 1152921504606849959))
+    for n, p in pairs:
+        with pytest.raises(DomainError, match="p\\^3"):
+            ModulusContext(n, p)
+    # what reads no character checks the contract alone: no root, no context
+    calls = []
+    real_root, real_init = modmath.root_of_unity, ModulusContext.__post_init__
+
+    def counted_root(n, p):
+        calls.append("root")
+        return real_root(n, p)
+
+    def counted_init(ctx):
+        calls.append("ctx")
+        real_init(ctx)
+
+    monkeypatch.setattr(modmath, "root_of_unity", counted_root)
+    monkeypatch.setattr(ModulusContext, "__post_init__", counted_init)
+    for n, p in pairs:
         assert classify_target(n, p).residue_mod_p2 == n
         report = bounds(n, p, cl_k_rank=1)
         assert (report.lower, report.upper) == ((p - 1) // 2, p + 3 * (p - 1) ** 2 // 2)
-        for read in (lambda: power_class(2, ctx), lambda: alpha_count(ctx),
-                     lambda: unit_product(ctx, 2)):
-            with pytest.raises(DomainError, match="p\\^3"):
-                read()
+    assert bounds(149, 37, cl_k_rank=1).target_class == classify_target(149, 37)
+    assert eisenstein.represent_4n_bruteforce(61) == eisenstein.represent_4n(61)
+    assert calls == ["ctx", "root"]  # represent_4n's own context, and only that
+    calls.clear()
+    for query in (lambda: classify_target(2063, 1033), lambda: bounds(2063, 1031),
+                  lambda: eisenstein.represent_4n_bruteforce(23)):
+        with pytest.raises(DomainError):
+            query()
+    assert calls == []
 
 
 def test_power_class_examples():

@@ -88,6 +88,8 @@ def test_bounds_errors():
         bounds(11, 5, cl_k_rank=-1)
     with pytest.raises(DomainError, match="2\\^62"):
         bounds(4611686018427391417, 37, cl_k_rank=1)  # prime, 1 (mod 37), beyond 2^62
+    with pytest.raises(DomainError, match="regularity guard"):
+        bounds(149, 37, cl_k_rank=1, include_cl_f=True)  # mu presumes p regular
 
 
 def test_bounds_alpha_one_instance():
