@@ -131,6 +131,9 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     report = bounds(args.n, args.p, cl_k_rank=args.clk, include_cl_f=args.mu)
+    if args.format:  # the report is the only output, as with scan
+        emit(report, args.format, args.out)
+        return 0
     alpha = report.alpha if report.alpha is not None else "n/a"
     line = f"N={report.n} p={report.p} alpha={alpha} lower={report.lower} upper={report.upper}"
     line += f" coarse=[{report.coarse_lower},{report.coarse_upper}]"
@@ -139,8 +142,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if report.cl_f_upper is not None:
         line += f" cl_f_upper={report.cl_f_upper}"
     print(line)
-    if args.format:
-        emit(report, args.format, args.out)
     return 0
 
 

@@ -25,19 +25,13 @@ from dataclasses import dataclass, field
 from .errors import DomainError
 from .modmath import ModulusContext, PowerClass, check_contract, power_class
 
-_COEFF_BOUND = 1 << 63
-
 
 @dataclass(frozen=True)
 class EisensteinInt:
-    """a + b*zeta_3 with zeta_3^2 + zeta_3 + 1 = 0 and exact 64-bit coefficients."""
+    """a + b*zeta_3 with zeta_3^2 + zeta_3 + 1 = 0 and exact integer coefficients."""
 
     a: int
     b: int
-
-    def __post_init__(self) -> None:
-        if abs(self.a) >= _COEFF_BOUND or abs(self.b) >= _COEFF_BOUND:
-            raise OverflowError("Eisenstein coefficient exceeds 64-bit range")
 
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b

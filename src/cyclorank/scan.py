@@ -2,13 +2,15 @@
 
 Rank-3 and alpha scans are one pipeline.  A scan sieves the primes N up to
 its limit in chosen classes mod p^2, computes one integer outcome per prime
-(the exact 3-rank, or alpha), and counts (threshold-bucket, class, outcome).
-Work is split into at most sqrt(limit) contiguous prime sub-ranges fixed by
-(limit, shards) alone, so merging is a plain sum of integer counters and
-summaries are bit-identical for any shard or worker count.  The summary
-keeps one histogram per class; one hit predicate (rank 2, or alpha > 0)
-gives the checkpoints at 10^3, 10^4, ..., limit, using exactly the primes
-below each threshold, and the densities.
+(the exact 3-rank, or alpha), and counts (class, outcome).  Work is split
+into contiguous prime sub-ranges fixed by (limit, shards) alone: at most
+sqrt(limit) shards, each cut again after every checkpoint threshold
+10^3, 10^4, ..., limit, so no sub-range straddles a threshold.  The summary
+is one fold over the sub-range tallies in range order: it keeps one
+histogram per class, and one hit predicate (rank 2, or alpha > 0) gives the
+checkpoint at each threshold a sub-range ends after, using exactly the
+primes up to it, and the densities.  Summaries are bit-identical for any
+shard or worker count.
 
 Only O(sqrt(N)) per-prime work is allowed here; the O(N) paths (factorial
 criterion, double-product invariants) are confined to bounded test sweeps.
@@ -33,7 +35,7 @@ from .modmath import ModulusContext, root_of_unity
 from .primes import primes_in_range, require_within_cap
 from .rank import rank3, rank3_criterion  # noqa: F401  (perfbench/: scan.rank3)
 
-Tally = Counter[tuple[int, int, int]]  # (bucket, class residue, outcome) -> count
+Tally = Counter[tuple[int, int]]  # (class residue, outcome) -> count
 Outcome = Callable[[int], int]  # trusted per-prime kernel: sieved N -> 3-rank or alpha
 
 
@@ -58,20 +60,15 @@ def _thresholds(limit: int) -> tuple[int, ...]:
     return tuple(ts)
 
 
-def _bucket(n: int, thresholds: tuple[int, ...]) -> int:
-    for t in thresholds:
-        if n <= t:
-            return t
-    raise AssertionError(f"{n} beyond the scan limit {thresholds[-1]}")
-
-
-def _shard_edges(limit: int, shards: int) -> list[tuple[int, int]]:
+def _sub_ranges(limit: int, shards: int, thresholds: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Ordered [lo, hi) pairs covering [2, limit], cut at shard edges and after each threshold."""
     if shards < 1:
         raise DomainError(f"shard count must be at least 1, got {shards}")
     # a shard narrower than sqrt(limit) costs more in its base-prime sieve than in its range
     shards = min(shards, math.isqrt(limit))
-    edges = [2 + (limit - 1) * i // shards for i in range(shards + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(shards) if edges[i] < edges[i + 1]]
+    edges = {2 + (limit - 1) * i // shards for i in range(shards + 1)}
+    cuts = sorted(edges | {t + 1 for t in thresholds})
+    return list(zip(cuts, cuts[1:]))
 
 
 def _rank3_outcome(n: int) -> int:
@@ -82,13 +79,10 @@ def _alpha_outcome(p: int, n: int) -> int:
     return alpha_count(ModulusContext.trusted(n, p)).alpha
 
 
-def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], outcome: Outcome,
-           thresholds: tuple[int, ...]) -> Tally:
+def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], outcome: Outcome) -> Tally:
     # The caller has checked p; the sieve proves every n prime and = 1 (mod p).
     m = p * p
-    return Counter(
-        (_bucket(n, thresholds), n % m, outcome(n)) for n in primes_in_range(lo, hi, m, classes)
-    )
+    return Counter((n % m, outcome(n)) for n in primes_in_range(lo, hi, m, classes))
 
 
 @dataclass(frozen=True)
@@ -143,10 +137,14 @@ class ScanSummary:
         return self.hist if self.kind == "alpha" else None
 
     def tally(self, classes: tuple[int, ...] | None = None) -> Checkpoint:
-        """Total and hits at the limit over the given classes (default: all)."""
+        """Total and hits at the limit over the given scanned classes (default: all)."""
+        if classes is None:
+            classes = self.classes
+        if not classes or any(c not in self.hist for c in classes):
+            raise DomainError(f"classes must be a nonempty subset of {self.classes}, got {classes}")
         total = hits = 0
-        for c in classes if classes is not None else self.classes:
-            for outcome, count in self.hist.get(c, {}).items():
+        for c in classes:
+            for outcome, count in self.hist[c].items():
                 total += count
                 hits += count if _is_hit(self.kind, outcome) else 0
         return Checkpoint(self.limit, total, hits)
@@ -157,20 +155,19 @@ class ScanSummary:
 
 
 def _build_summary(kind: str, p: int, limit: int, classes: tuple[int, ...],
-                   thresholds: tuple[int, ...], counts: Tally) -> ScanSummary:
+                   thresholds: tuple[int, ...], ranges: list[tuple[int, int]],
+                   tallies: list[Tally]) -> ScanSummary:
     hist: dict[int, dict[int, int]] = {c: {} for c in classes}
-    run_total = run_hits = 0  # keys sort by bucket first, so these run cumulatively
-    reached: dict[int, tuple[int, int]] = {}
-    for (bucket, cls, outcome), c in sorted(counts.items()):
-        hist[cls][outcome] = hist[cls].get(outcome, 0) + c
-        run_total += c
-        run_hits += c if _is_hit(kind, outcome) else 0
-        reached[bucket] = (run_total, run_hits)
+    ends = {t + 1: t for t in thresholds}  # each threshold ends exactly one sub-range
+    total = hits = 0
     checkpoints = []
-    last = (0, 0)
-    for t in thresholds:  # a threshold with an empty bucket repeats the previous tally
-        last = reached.get(t, last)
-        checkpoints.append(Checkpoint(t, *last))
+    for (_, hi), tally in zip(ranges, tallies):
+        for (cls, outcome), c in tally.items():
+            hist[cls][outcome] = hist[cls].get(outcome, 0) + c
+            total += c
+            hits += c if _is_hit(kind, outcome) else 0
+        if hi in ends:
+            checkpoints.append(Checkpoint(ends[hi], total, hits))
     return ScanSummary(kind, p, limit, classes, hist, tuple(checkpoints))
 
 
@@ -181,15 +178,15 @@ def _scan(kind: str, p: int, limit: int, classes: tuple[int, ...], outcome: Outc
         raise DomainError("scan limit must be at least 100")
     require_within_cap(limit, "scan limit")
     workers_n = _worker_count(workers)
-    edges = _shard_edges(limit, shards if shards is not None else workers_n)
     thresholds = _thresholds(limit)
-    run = functools.partial(_shard, p=p, classes=classes, outcome=outcome, thresholds=thresholds)
-    if workers_n > 1 and len(edges) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers_n, len(edges))) as pool:
-            results = list(pool.map(run, *zip(*edges)))
+    ranges = _sub_ranges(limit, shards if shards is not None else workers_n, thresholds)
+    run = functools.partial(_shard, p=p, classes=classes, outcome=outcome)
+    if workers_n > 1 and len(ranges) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers_n, len(ranges))) as pool:
+            tallies = list(pool.map(run, *zip(*ranges)))
     else:
-        results = [run(lo, hi) for lo, hi in edges]
-    return _build_summary(kind, p, limit, classes, thresholds, sum(results, Counter()))
+        tallies = [run(lo, hi) for lo, hi in ranges]
+    return _build_summary(kind, p, limit, classes, thresholds, ranges, tallies)
 
 
 def scan_rank3(

@@ -1,8 +1,9 @@
 """Ingestion of external class-group truth tables for cross-validation.
 
 The table format is UTF-8 CSV with LF line endings, header `N,p,rank` or
-`N,p,rank,rank_f`, integer fields only, and `#`-prefixed comment lines (used
-to record the provenance of the data).  Every row is read through one
+`N,p,rank,rank_f`, integer fields only, every row with the header's field
+count, and `#`-prefixed comment lines (used to record the provenance of the
+data).  Every row is read through one
 bounds(N, p) report, so a row gets the answer the CLI's bounds command gives.
 For p = 3 rows the observed rank is compared against the report's exact rank
 (its rank-3 methods must agree, or bounds raises); for p >= 5 rows it is
@@ -62,7 +63,7 @@ class ValidationReport:
 def parse_truth_table(path: Union[str, Path]) -> list[TruthRow]:
     """Parse rows; malformed content raises with the offending line number."""
     rows: list[TruthRow] = []
-    header_seen = False
+    width = 0  # the header's field count, once it is read
     with open(path, "rb") as fh:  # decoded per line, so a bad byte is reported with its line
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -71,23 +72,25 @@ def parse_truth_table(path: Union[str, Path]) -> list[TruthRow]:
                 raise TruthTableError(f"line {lineno}: not valid UTF-8") from None
             if not line or line.startswith("#"):
                 continue
-            if not header_seen:
+            if not width:
                 if line not in _HEADERS:
                     raise TruthTableError(
                         f"line {lineno}: expected header one of {_HEADERS}, got {line!r}"
                     )
-                header_seen = True
+                width = line.count(",") + 1
                 continue
             parts = line.split(",")
-            if len(parts) not in (3, 4):
-                raise TruthTableError(f"line {lineno}: expected 3 or 4 fields, got {len(parts)}")
+            if len(parts) != width:
+                raise TruthTableError(
+                    f"line {lineno}: expected {width} fields as in the header, got {len(parts)}"
+                )
             try:
                 values = [int(s) for s in parts]
             except ValueError as exc:
                 raise TruthTableError(f"line {lineno}: non-integer field ({exc})") from None
             rank_f = values[3] if len(values) == 4 else None
             rows.append(TruthRow(values[0], values[1], values[2], rank_f, line=lineno))
-    if not header_seen:
+    if not width:
         raise TruthTableError("line 1: missing header")
     return rows
 

@@ -102,6 +102,13 @@ def test_ingest_parse_errors(tmp_path):
     f.write_text("7,3,1\n")
     with pytest.raises(TruthTableError, match="header"):
         ingest_truth(f)
+    # every row has the header's field count: no column is read that the header does not name
+    f.write_text("N,p,rank\n7,3,1\n61,3,2,7\n")
+    with pytest.raises(TruthTableError, match="line 3: expected 3 fields"):
+        ingest_truth(f)
+    f.write_text("# provenance\nN,p,rank,rank_f\n11,5,2,1\n11,5,2\n")
+    with pytest.raises(TruthTableError, match="line 4: expected 4 fields"):
+        ingest_truth(f)
 
 
 def test_ingest_skips_invalid_rows(tmp_path):
@@ -153,6 +160,11 @@ def test_cli_bounds(capsys):
     assert cli_dispatch(["bounds", "11", "--p", "5"]) == 0
     out = capsys.readouterr().out
     assert "alpha=0 lower=2 upper=8" in out
+    # with --format the report is the only output, so stdout parses as JSON or CSV
+    assert cli_dispatch(["bounds", "61", "--p", "3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == render(bounds(61, 3), "json")
+    assert cli_dispatch(["bounds", "11", "--p", "5", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == f"{REPORT_HEADER}\n11,5,11,,,,0,2,8\n"
 
 
 def test_cli_classify(capsys):

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from cyclorank.errors import DomainError
+from cyclorank.modmath import root_of_unity
 from cyclorank.primes import primes_in_class
 from cyclorank.rank import rank3
 from cyclorank.reporting import render
@@ -68,18 +69,46 @@ def test_scan_output_bytes_are_pinned(scan, csv_digest, json_digest):
         assert hashlib.sha256(render(summary, fmt).encode()).hexdigest() == want, fmt
 
 
+def _brute_prefix(threshold, p, classes, outcome, hit):
+    total = hits = 0
+    for n in primes_in_class(threshold, p * p, set(classes)):
+        total += 1
+        hits += hit(outcome(n))
+    return total, hits
+
+
+def _alpha_euler(n, p):
+    # alpha by Euler's criterion on each U_k in F_N, independent of the scan's linear form
+    f = root_of_unity(n, p)
+    alpha = 0
+    for k in range(2, p - 2, 2):
+        u = 1
+        for j in range(1, p):
+            u = u * pow(1 - pow(f, j, n), j**k, n) % n
+        alpha += pow(u, (n - 1) // p, n) == 1
+    return alpha
+
+
 def test_checkpoints_are_exact_prefixes():
-    summary = scan_rank3(25000, (1, 4, 7), shards=3, workers=1)
-    assert [c.threshold for c in summary.checkpoints] == [1000, 10000, 25000]
-    for cp in summary.checkpoints:
-        total = hits = 0
-        for n in primes_in_class(cp.threshold, 9, {1, 4, 7}):
-            total += 1
-            hits += rank3(n) == 2
-        assert (cp.total, cp.hits) == (total, hits)
-    last = summary.checkpoints[-1]
-    assert summary.density() == last.density
-    assert last.total == summary.total
+    # limits on, just past and between thresholds (10111 is a prime = 1 mod 15, so it
+    # counts in its own checkpoint in both scans); shard edges that do and do not meet them
+    for limit in (1000, 10000, 10001, 10111, 25000):
+        want = [t for t in (1000, 10000) if t < limit] + [limit]
+        for shards in (1, 3, 7):
+            scans = [
+                (scan_rank3(limit, (1, 4, 7), shards=shards, workers=1), rank3,
+                 lambda r: r == 2),
+                (scan_alpha(5, limit, shards=shards, workers=1), lambda n: _alpha_euler(n, 5),
+                 lambda a: a > 0),
+            ]
+            for summary, outcome, hit in scans:
+                assert [c.threshold for c in summary.checkpoints] == want
+                for cp in summary.checkpoints:
+                    brute = _brute_prefix(cp.threshold, summary.p, summary.classes, outcome, hit)
+                    assert (cp.total, cp.hits) == brute, (summary.kind, limit, shards, cp)
+                last = summary.checkpoints[-1]
+                assert summary.density() == last.density
+                assert last.total == summary.total
 
 
 def test_scan_validation():
@@ -89,6 +118,14 @@ def test_scan_validation():
         scan_rank3(1000, (2, 4))
     with pytest.raises(DomainError):
         scan_rank3(1000, ())
+    # a class that was not scanned has no density, not a density of 0
+    rank3_summary = scan_rank3(1000, (4, 7), shards=1, workers=1)
+    alpha_summary = scan_alpha(5, 1000, shards=1, workers=1)
+    for summary, classes in ((rank3_summary, (1,)), (rank3_summary, ()),
+                             (rank3_summary, (4, 1)), (alpha_summary, (2,))):
+        for query in (summary.tally, summary.density):
+            with pytest.raises(DomainError, match="subset"):
+                query(classes)
     with pytest.raises(DomainError, match="regular"):
         scan_alpha(37, 1000)
     for p in (2, 9):  # rejected by the guard, not by a per-prime check
