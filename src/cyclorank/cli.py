@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--clk", type=int, default=0, help="known p-rank of the cyclotomic field")
     sp.add_argument("--mu", action="store_true", help="include the O(N) mu-based bound")
     sp.add_argument("--format", default=None, choices=("csv", "json"))
-    sp.add_argument("--out", default="-")
+    sp.add_argument("--out", default=None, help="file for the --format report (default: stdout)")
 
     sp = sub.add_parser("scan", help="density experiment over a prime range")
     sp.add_argument("--p", type=int, default=3)
@@ -130,9 +130,11 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.out is not None and not args.format:
+        raise DomainError("--out applies only with --format")
     report = bounds(args.n, args.p, cl_k_rank=args.clk, include_cl_f=args.mu)
     if args.format:  # the report is the only output, as with scan
-        emit(report, args.format, args.out)
+        emit(report, args.format, args.out or "-")
         return 0
     alpha = report.alpha if report.alpha is not None else "n/a"
     line = f"N={report.n} p={report.p} alpha={alpha} lower={report.lower} upper={report.upper}"

@@ -42,8 +42,8 @@ c = ind(f) = ((N-1)/p) mod p.  For even k, (p-j)^k = j^k (mod p), hence
 
   ind(U_k) = sum_{j=1}^{(p-1)/2} (j^k mod p) * (2*a_j - j*c)  (mod p),
 
-and alpha_count evaluates (p-1)/2 characters per N (plus the root) against
-a (p-3)/2 x (p-1)/2 table of j^k mod p built once per p.  unit_product
+and alpha_flags evaluates (p-1)/2 characters per N, given the root's powers,
+against a (p-3)/2 x (p-1)/2 table of j^k mod p built once per p.  unit_product
 evaluates U_k itself in F_N, for the residues invariant_record reports;
 InvariantRecord checks every flag of the linear form against that U_k.
 """
@@ -196,23 +196,26 @@ def _twist_table(p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(_twist_rows(p))
 
 
-def alpha_count(ctx: ModulusContext) -> AlphaCount:
-    """Count positive even i < p-1 with U_(p-1-i) a p-th power in F_N^x.
+def alpha_flags(n: int, p: int, powers: tuple[int, ...]) -> dict[int, bool]:
+    """AlphaCount.power_flags for an (N, p) the caller vouches for; powers = root_powers(n, p).
 
     By the linear form in the module docstring: (p-1)/2 characters of
-    1 - f^j, no U_k.  Empty range for p = 3, so alpha is identically zero
-    there and no character is evaluated.
+    1 - f^j, no U_k.  Empty for p = 3, where no character is evaluated.
     """
-    n, p, e = ctx.modulus, ctx.p, ctx.cofactor
     if p == 3:
-        return AlphaCount(alpha=0, power_flags={})
+        return {}
+    e = (n - 1) // p
     # the table holds p^2/4 entries, so it is kept only for the vetted p < 100
     table = _twist_table(p) if is_vetted_regular(p) else _twist_rows(p)
-    powers = ctx.powers
     c = e % p
     # b_j = 2*a_j - j*c = ind((1 - f^j)(1 - f^(p-j))), the weight of j^k in ind(U_k)
     b = [2 * powers.index(pow(n + 1 - powers[j], e, n)) - j * c for j in range(1, (p + 1) // 2)]
-    flags = {i: sum(map(mul, row, b)) % p == 0 for i, row in table}
+    return {i: sum(map(mul, row, b)) % p == 0 for i, row in table}
+
+
+def alpha_count(ctx: ModulusContext) -> AlphaCount:
+    """Count positive even i < p-1 with U_(p-1-i) a p-th power in F_N^x (0 for p = 3)."""
+    flags = alpha_flags(ctx.modulus, ctx.p, ctx.powers)
     return AlphaCount(alpha=sum(flags.values()), power_flags=flags)
 
 

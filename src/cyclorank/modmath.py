@@ -12,10 +12,10 @@ passes it on.  The table has p entries, so a context refuses p^3 above
 primes.DEFAULT_SIEVE_CAP (p > 1021); every context holds its whole table.
 
 check_contract is the one gate for the (N, p) contract; code downstream of
-it trusts its input.  __post_init__ runs it, and code that reads only N mod p^2
-(classify_target, coarse bounds) runs it alone and builds no context.
-ModulusContext.trusted skips it for callers that hold a proof already (a
-sieved N) and derives the same fields.
+it trusts its input.  __post_init__ runs it, so every context is a checked
+one, and code that reads only N mod p^2 (classify_target, coarse bounds)
+runs it alone and builds no context.  The scans, whose sieve proves N prime,
+build none either: they hand root_of_unity or root_powers to the kernel.
 """
 
 from __future__ import annotations
@@ -61,25 +61,11 @@ class ModulusContext:
     powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_contract(self.modulus, self.p)
-        require_within_cap(self.p**3, "p^3")  # the table of p powers, and p^2 work on it
-        self._derive()
-
-    @classmethod
-    def trusted(cls, n: int, p: int) -> "ModulusContext":
-        """The context for an (N, p) the caller has already proved in contract; no checks run."""
-        ctx = object.__new__(cls)
-        ctx.__dict__.update(modulus=n, p=p)
-        ctx._derive()
-        return ctx
-
-    def _derive(self) -> None:
         n, p = self.modulus, self.p
-        root = root_of_unity(n, p)
-        powers = [1]
-        for _ in range(p - 1):
-            powers.append(powers[-1] * root % n)
-        self.__dict__.update(cofactor=(n - 1) // p, root=root, powers=tuple(powers))
+        check_contract(n, p)
+        require_within_cap(p**3, "p^3")  # the table of p powers, and p^2 work on it
+        powers = root_powers(n, p)
+        self.__dict__.update(cofactor=(n - 1) // p, root=powers[1], powers=powers)
 
 
 @dataclass(frozen=True)
@@ -132,6 +118,15 @@ def root_of_unity(n: int, p: int) -> int:
         if f != 1:
             return f
     raise AssertionError("unreachable")
+
+
+def root_powers(n: int, p: int) -> tuple[int, ...]:
+    """root^0 .. root^(p-1), root = root_of_unity(n, p), for an (N, p) the caller vouches for."""
+    root = root_of_unity(n, p)
+    powers = [1]
+    for _ in range(p - 1):
+        powers.append(powers[-1] * root % n)
+    return tuple(powers)
 
 
 def power_class(x: int, ctx: ModulusContext) -> PowerClass:

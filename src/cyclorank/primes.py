@@ -85,7 +85,7 @@ def _sieve_range(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 def primes_in_range(
     lo: int, hi: int, modulus: int = 1, residues: Iterable[int] = (0,)
 ) -> Iterator[int]:
-    """Yield primes N in [lo, hi) with N mod modulus in residues, ascending."""
+    """Primes N in [lo, hi) with N mod modulus in residues, ascending; checks run at call time."""
     if modulus < 1:
         raise DomainError(f"modulus must be at least 1, got {modulus}")
     res = sorted({r % modulus for r in residues})
@@ -94,7 +94,11 @@ def primes_in_range(
     for r in res:
         if math.gcd(r, modulus) != 1:
             raise DomainError(f"residue {r} is not coprime to modulus {modulus}")
-    lo = max(lo, 2)
+    return _segments(max(lo, 2), hi, modulus, res)
+
+
+def _segments(lo: int, hi: int, modulus: int, res: list[int]) -> Iterator[int]:
+    """Yield the primes of [lo, hi), lo >= 2, in the checked residues, segment by segment."""
     if hi <= lo:
         return
     base = _base_primes(math.isqrt(hi - 1) + 1)

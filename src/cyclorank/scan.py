@@ -30,13 +30,13 @@ from typing import Callable
 
 from .eisenstein import cornacchia_4n
 from .errors import DomainError
-from .invariants import alpha_count, require_regular
-from .modmath import ModulusContext, root_of_unity
+from .invariants import alpha_flags, require_regular
+from .modmath import root_of_unity, root_powers
 from .primes import primes_in_range, require_within_cap
 from .rank import rank3, rank3_criterion  # noqa: F401  (perfbench/: scan.rank3)
 
 Tally = Counter[tuple[int, int]]  # (class residue, outcome) -> count
-Outcome = Callable[[int], int]  # trusted per-prime kernel: sieved N -> 3-rank or alpha
+Outcome = Callable[[int], int]  # sieved N -> 3-rank or alpha, by a raw kernel; no context
 
 
 def _is_hit(kind: str, outcome: int) -> bool:
@@ -76,7 +76,7 @@ def _rank3_outcome(n: int) -> int:
 
 
 def _alpha_outcome(p: int, n: int) -> int:
-    return alpha_count(ModulusContext.trusted(n, p)).alpha
+    return sum(alpha_flags(n, p, root_powers(n, p)).values())
 
 
 def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], outcome: Outcome) -> Tally:
@@ -143,7 +143,7 @@ class ScanSummary:
         if not classes or any(c not in self.hist for c in classes):
             raise DomainError(f"classes must be a nonempty subset of {self.classes}, got {classes}")
         total = hits = 0
-        for c in classes:
+        for c in set(classes):  # a repeated class counts once
             for outcome, count in self.hist[c].items():
                 total += count
                 hits += count if _is_hit(self.kind, outcome) else 0

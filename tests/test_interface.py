@@ -191,7 +191,7 @@ def test_cli_scan_and_validate(tmp_path, capsys):
     assert "mismatches=0" in out
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path):
     assert cli_dispatch(["rank3", "23"]) == 1  # 23 = 2 (mod 3): domain error
     assert cli_dispatch(["bogus"]) == 1
     assert cli_dispatch(["rank3", "61", "--method", "nope"]) == 1
@@ -211,6 +211,11 @@ def test_cli_exit_codes(capsys):
     assert cli_dispatch(["bounds", "149", "--p", "37", "--clk", "1", "--mu"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "regularity guard" in err
+    # --out without --format would drop the report silently: refused, and nothing written
+    target = tmp_path / "b.json"
+    assert cli_dispatch(["bounds", "61", "--p", "3", "--out", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--format" in err and not target.exists()
     argv = ["scan", "--limit", "1000", "--shards", "1000000000000", "--workers", "1"]
     assert cli_dispatch(argv) == 0
 

@@ -8,13 +8,14 @@ from cyclorank.errors import DomainError
 from cyclorank.invariants import (
     REGULAR_PRIMES_BELOW_100,
     alpha_count,
+    alpha_flags,
     invariant_record,
     m_class_direct,
     mu_count,
     product_classes,
     unit_product,
 )
-from cyclorank.modmath import ModulusContext, power_class
+from cyclorank.modmath import ModulusContext, power_class, root_powers
 from cyclorank.primes import is_prime, primes_in_class
 
 VETTED_P = sorted(p for p in REGULAR_PRIMES_BELOW_100 if p >= 5)  # p = 3 has no even twist
@@ -209,6 +210,15 @@ def test_alpha_linear_form_matches_unit_products():
             assert (ac.power_flags, ac.alpha) == (want, sum(want.values())), (n, p)
             cofactor_classes.add(ctx.cofactor % p == 0)  # root a p-th power or not
         assert cofactor_classes == {True, False}, p
+
+
+def test_alpha_flags_from_root_powers_match_the_context():
+    # the scan's kernel, handed root_powers(N, p), against alpha_count on a checked context;
+    # 37 takes the path without the cached table
+    for p in (5, 7, 13, 37):
+        for n in primes_in_class(20_000, p, {1}):
+            want = alpha_count(ModulusContext(n, p)).power_flags
+            assert alpha_flags(n, p, root_powers(n, p)) == want, (n, p)
 
 
 def test_alpha_count_evaluates_half_the_characters(monkeypatch):

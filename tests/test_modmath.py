@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclorank.errors import DomainError
-from cyclorank.modmath import ModulusContext, PowerClass, factorial_mod, power_class
+from cyclorank.modmath import (
+    ModulusContext, PowerClass, factorial_mod, power_class, root_of_unity, root_powers,
+)
 
 
 def test_context_validation():
     ctx = ModulusContext(19, 3)
     assert ctx.cofactor == 6
     assert ctx.cofactor * ctx.p == ctx.modulus - 1
-    assert ModulusContext.trusted(19, 3) == ctx
+    assert ctx.powers == root_powers(19, 3)
     with pytest.raises(DomainError):
         ModulusContext(20, 3)  # composite
     with pytest.raises(DomainError):
@@ -35,23 +37,22 @@ def test_context_root_properties():
         ctx = ModulusContext(n, p)
         f = ctx.root
         assert "root" in vars(ctx)  # derived when the context is built
-        assert f == ModulusContext(n, p).root == ModulusContext.trusted(n, p).root
+        assert f == ModulusContext(n, p).root == root_powers(n, p)[1] == root_of_unity(n, p)
         assert f != 1
         assert pow(f, p, n) == 1
         chis = (pow(g, ctx.cofactor, n) for g in range(2, n))
         assert f == next(c for c in chis if c != 1)  # the first g^((N-1)/p) != 1
 
 
-def test_trusted_context_derives_the_same_fields():
+def test_root_powers_are_the_context_table():
     cases = ((7, 3), (19, 3), (11, 5), (1009, 7), (1000000000000000003, 3),
              (2305843009213693133, 97))
     for n, p in cases:
         ctx = ModulusContext(n, p)
-        assert vars(ctx) == vars(ModulusContext.trusted(n, p))
-        assert ctx.powers == tuple(pow(ctx.root, i, n) for i in range(p))
+        assert ctx.powers == root_powers(n, p) == tuple(pow(ctx.root, i, n) for i in range(p))
     ctx = ModulusContext(19, 3)
     assert ctx.root == 7  # 2^6 = 7 (mod 19)
-    assert ctx == ModulusContext.trusted(19, 3)
+    assert root_powers(19, 3) == (1, 7, 11)
     assert repr(ctx) == "ModulusContext(modulus=19, p=3, cofactor=6)"  # root, powers left out
 
 

@@ -4,9 +4,9 @@ import os
 import pytest
 
 from cyclorank.errors import DomainError
-from cyclorank.modmath import root_of_unity
+from cyclorank.modmath import ModulusContext, root_of_unity
 from cyclorank.primes import primes_in_class
-from cyclorank.rank import rank3
+from cyclorank.rank import bounds, rank3
 from cyclorank.reporting import render
 from cyclorank.scan import _worker_count, scan_alpha, scan_rank3
 
@@ -111,6 +111,24 @@ def test_checkpoints_are_exact_prefixes():
                 assert last.total == summary.total
 
 
+def test_scans_build_no_context(monkeypatch):
+    # every context is a checked one; a scan, whose sieve proves N prime, hands its
+    # kernel the root (rank 3) or root_powers (alpha) and builds none
+    builds = []
+    real_init = ModulusContext.__post_init__
+
+    def counted_init(ctx):
+        builds.append((ctx.modulus, ctx.p))
+        real_init(ctx)
+
+    monkeypatch.setattr(ModulusContext, "__post_init__", counted_init)
+    assert scan_alpha(7, 30000, workers=1).total > 0
+    assert scan_rank3(30000, workers=1).total > 0
+    assert builds == []
+    assert bounds(211, 5).alpha == 1
+    assert builds == [(211, 5)]
+
+
 def test_scan_validation():
     with pytest.raises(DomainError):
         scan_rank3(50, (4, 7))
@@ -126,6 +144,10 @@ def test_scan_validation():
         for query in (summary.tally, summary.density):
             with pytest.raises(DomainError, match="subset"):
                 query(classes)
+    # a repeated class counts once, as in scan_rank3's own classes argument
+    assert rank3_summary.tally((4, 4)) == rank3_summary.tally((4,))
+    assert rank3_summary.tally((4, 4)).total == rank3_summary.totals[4]
+    assert rank3_summary.density((4, 4, 7)) == rank3_summary.density((4, 7))
     with pytest.raises(DomainError, match="regular"):
         scan_alpha(37, 1000)
     for p in (2, 9):  # rejected by the guard, not by a per-prime check
