@@ -15,7 +15,9 @@ check_contract is the one gate for the (N, p) contract; code downstream of
 it trusts its input.  __post_init__ runs it, so every context is a checked
 one, and code that reads only N mod p^2 (classify_target, coarse bounds)
 runs it alone and builds no context.  The scans, whose sieve proves N prime,
-build none either: they hand root_of_unity or root_powers to the kernel.
+build none either: the rank-3 scan hands root_of_unity to the representation
+kernel, and the alpha scan's batch kernel, invariants.alpha_counts, finds
+the same root for a whole array of N.
 """
 
 from __future__ import annotations

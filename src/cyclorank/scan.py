@@ -1,8 +1,11 @@
 """Parallel density experiments over prime ranges with convergence reporting.
 
 Rank-3 and alpha scans are one pipeline.  A scan sieves the primes N up to
-its limit in chosen classes mod p^2, computes one integer outcome per prime
-(the exact 3-rank, or alpha), and counts (class, outcome).  Work is split
+its limit in chosen classes mod p^2, reads them in chunks of at most _CHUNK
+primes, hands each chunk as an array to the scan's array kernel, which gives
+one integer outcome per prime (the exact 3-rank, or alpha), and counts
+(class, outcome).  The alpha kernel is invariants.alpha_counts; the rank-3
+kernel still runs its scalar kernel on each N of the chunk.  Work is split
 into contiguous prime sub-ranges fixed by (limit, shards) alone: at most
 sqrt(limit) shards, each cut again after every checkpoint threshold
 10^3, 10^4, ..., limit, so no sub-range straddles a threshold.  The summary
@@ -26,17 +29,22 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
+
+import numpy as np
 
 from .eisenstein import cornacchia_4n
 from .errors import DomainError
-from .invariants import alpha_flags, require_regular
-from .modmath import root_of_unity, root_powers
+from .invariants import alpha_counts, require_regular
+from .modmath import root_of_unity
 from .primes import primes_in_range, require_within_cap
 from .rank import rank3, rank3_criterion  # noqa: F401  (perfbench/: scan.rank3)
 
 Tally = Counter[tuple[int, int]]  # (class residue, outcome) -> count
-Outcome = Callable[[int], int]  # sieved N -> 3-rank or alpha, by a raw kernel; no context
+# int64 array of sieved N -> their 3-ranks or alphas, by an array kernel; no context
+Outcome = Callable[[np.ndarray], np.ndarray]
+_CHUNK = 4096  # primes per kernel call, few enough that the kernel's arrays stay small
 
 
 def _is_hit(kind: str, outcome: int) -> bool:
@@ -75,14 +83,19 @@ def _rank3_outcome(n: int) -> int:
     return rank3_criterion(cornacchia_4n(n, root_of_unity(n, 3)))
 
 
-def _alpha_outcome(p: int, n: int) -> int:
-    return sum(alpha_flags(n, p, root_powers(n, p)).values())
+def _rank3_outcomes(ns: np.ndarray) -> np.ndarray:
+    """The rank-3 array kernel: the scalar kernel on each N of the chunk."""
+    return np.fromiter(map(_rank3_outcome, ns.tolist()), dtype=np.int64, count=ns.size)
 
 
 def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], outcome: Outcome) -> Tally:
     # The caller has checked p; the sieve proves every n prime and = 1 (mod p).
     m = p * p
-    return Counter((n % m, outcome(n)) for n in primes_in_range(lo, hi, m, classes))
+    tally: Tally = Counter()
+    primes = primes_in_range(lo, hi, m, classes)
+    while (ns := np.fromiter(islice(primes, _CHUNK), dtype=np.int64)).size:
+        tally.update(zip((ns % m).tolist(), outcome(ns).tolist()))
+    return tally
 
 
 @dataclass(frozen=True)
@@ -203,7 +216,7 @@ def scan_rank3(
     classes = tuple(sorted(set(classes)))
     if not classes or any(c not in (1, 4, 7) for c in classes):
         raise DomainError(f"classes must be a nonempty subset of (1, 4, 7), got {classes}")
-    return _scan("rank3", 3, limit, classes, _rank3_outcome, shards, workers)
+    return _scan("rank3", 3, limit, classes, _rank3_outcomes, shards, workers)
 
 
 def scan_alpha(
@@ -215,4 +228,4 @@ def scan_alpha(
     """Histogram of alpha over primes N = 1 (mod p) up to limit (regular p)."""
     require_regular(p)
     classes = tuple(range(1, p * p, p))  # every N = 1 (mod p)
-    return _scan("alpha", p, limit, classes, functools.partial(_alpha_outcome, p), shards, workers)
+    return _scan("alpha", p, limit, classes, functools.partial(alpha_counts, p=p), shards, workers)

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from cyclorank import invariants
@@ -8,6 +9,7 @@ from cyclorank.errors import DomainError
 from cyclorank.invariants import (
     REGULAR_PRIMES_BELOW_100,
     alpha_count,
+    alpha_counts,
     alpha_flags,
     invariant_record,
     m_class_direct,
@@ -16,7 +18,7 @@ from cyclorank.invariants import (
     unit_product,
 )
 from cyclorank.modmath import ModulusContext, power_class, root_powers
-from cyclorank.primes import is_prime, primes_in_class
+from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
 
 VETTED_P = sorted(p for p in REGULAR_PRIMES_BELOW_100 if p >= 5)  # p = 3 has no even twist
 
@@ -219,6 +221,36 @@ def test_alpha_flags_from_root_powers_match_the_context():
         for n in primes_in_class(20_000, p, {1}):
             want = alpha_count(ModulusContext(n, p)).power_flags
             assert alpha_flags(n, p, root_powers(n, p)) == want, (n, p)
+
+
+@pytest.mark.parametrize("p", VETTED_P)
+@pytest.mark.parametrize("lo, hi", [(2, 10**5), (DEFAULT_SIEVE_CAP - 10**5, DEFAULT_SIEVE_CAP + 1)])
+def test_alpha_counts_match_alpha_flags(p, lo, hi):
+    # the batch kernel against the scalar one on every prime N = 1 (mod p) of the range;
+    # the second range is the uint64 width edge below the 2^30 cap
+    ns = np.fromiter(primes_in_range(lo, hi, p, {1}), dtype=np.int64)
+    want = [sum(alpha_flags(n, p, root_powers(n, p)).values()) for n in ns.tolist()]
+    assert alpha_counts(ns, p).tolist() == want
+
+
+def test_alpha_counts_edge_cases():
+    # the p = 5 sample of test_alpha_counts_match_alpha_flags runs the root search's retry
+    # loop: 450 of its 2,387 primes need g > 2, and 80 of those need g > 3
+    ns = list(primes_in_class(10**5, 5, {1}))
+    assert len(ns) == 2387
+    assert sum(pow(2, (n - 1) // 5, n) == 1 for n in ns) == 450
+    assert sum(pow(2, (n - 1) // 5, n) == pow(3, (n - 1) // 5, n) == 1 for n in ns) == 80
+    p3 = np.fromiter(primes_in_class(10**4, 3, {1}), dtype=np.int64)
+    assert alpha_counts(p3, 3).tolist() == [0] * p3.size  # no even twist for p = 3
+    assert alpha_counts(np.array([], dtype=np.uint64), 7).tolist() == []
+
+
+@pytest.mark.parametrize("n", [341, 1111, 4681])
+def test_alpha_counts_refuse_a_composite_n(n):
+    # 341 = 11 * 31 and the others are composite N = 1 (mod 5): some character value is
+    # then no power of the root; the check is an explicit raise, so it holds under -O
+    with pytest.raises(AssertionError, match=f"N={n}"):
+        alpha_counts(np.array([n]), 5)
 
 
 def test_alpha_count_evaluates_half_the_characters(monkeypatch):

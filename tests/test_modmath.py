@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclorank._arrays import powmod
 from cyclorank.errors import DomainError
 from cyclorank.modmath import (
     ModulusContext, PowerClass, factorial_mod, power_class, root_of_unity, root_powers,
 )
+from cyclorank.primes import DEFAULT_SIEVE_CAP
 
 
 def test_context_validation():
@@ -156,3 +159,18 @@ def test_factorial_mod_matches_math_factorial():
     ctx = ModulusContext(199, 3)
     for m in range(0, 199, 17):
         assert factorial_mod(m, ctx) == math.factorial(m) % 199
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, DEFAULT_SIEVE_CAP), st.integers(0, DEFAULT_SIEVE_CAP),
+                          st.integers(1, DEFAULT_SIEVE_CAP)), min_size=1, max_size=20))
+def test_array_powmod_matches_pow(triples):
+    base, exp, mod = (np.array(col, dtype=np.uint64) for col in zip(*triples))
+    assert powmod(base, exp, mod).tolist() == [pow(b, e, m) for b, e, m in triples]
+
+
+def test_array_powmod_refuses_a_modulus_above_the_cap():
+    # products of residues below 2^30 fit uint64; the guard is an explicit raise, kept under -O
+    assert powmod(3, 5, DEFAULT_SIEVE_CAP).tolist() == 243
+    with pytest.raises(AssertionError, match="exceeds"):
+        powmod(np.array([2, 3]), 5, np.array([7, DEFAULT_SIEVE_CAP + 1]))
