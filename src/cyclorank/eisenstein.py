@@ -101,8 +101,9 @@ def cornacchia_4n(n: int, t: int) -> QuadRep:
     Cornacchia (Cohen, Alg. 1.5.2): r = 2t + 1 is a square root of -3 for a
     cube root of unity t != 1, and Euclid on (N, r) stops at the first
     remainder x <= sqrt(N), where (N - x^2)/3 = y^2.  A failed search raises.
-    t is an argument so the rank-3 scan needs no context; t and t^2 give r
-    and N - r, which fold to one r below, so any t != 1 gives one result.
+    t comes from a context (ModulusContext.root) or, in the rank-3 scan,
+    from modmath.powers_table; t and t^2 give r and N - r, which fold to one
+    r below, so any t != 1 gives one result.
     """
     r = (2 * t + 1) % n
     if 2 * r < n:

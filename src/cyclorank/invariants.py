@@ -42,19 +42,19 @@ c = ind(f) = ((N-1)/p) mod p.  For even k, (p-j)^k = j^k (mod p), hence
 
   ind(U_k) = sum_{j=1}^{(p-1)/2} (j^k mod p) * (2*a_j - j*c)  (mod p),
 
-and alpha_flags evaluates (p-1)/2 characters per N, given the root's powers,
-against a (p-3)/2 x (p-1)/2 table of j^k mod p built once per p.  unit_product
-evaluates U_k itself in F_N, for the residues invariant_record reports;
-InvariantRecord checks every flag of the linear form against that U_k.
+and alpha_count evaluates (p-1)/2 characters per N, read against the
+context's powers, with a (p-3)/2 x (p-1)/2 table of j^k mod p built once per
+p.  unit_product evaluates U_k itself in F_N, for the residues
+invariant_record reports; InvariantRecord checks every flag of the linear
+form against that U_k.
 
 alpha_counts is the batch form that the alpha scan runs: for an array of
-sieved N below the 2^30 cap it finds each root by one array modpow per g,
-retrying only the N still at 1, takes the root's p powers, the (p-1)/2
-characters of 1 - f^j as one 2-D modpow on the shared exponent (N-1)/p, their
-discrete logs by comparison against the powers, and every flag by one
-integer matmul with the same table.  uint64 residues are exact below the cap
-(_arrays).  alpha_flags stays the point-query kernel and the batch kernel's
-oracle.
+sieved N below the 2^30 cap it takes the roots' powers from
+modmath.powers_table, the (p-1)/2 characters of 1 - f^j as one 2-D modpow on
+the shared exponent (N-1)/p, their discrete logs by comparison against the
+powers, and every flag by one integer matmul with the same table.  uint64
+residues are exact below the cap (_arrays).  alpha_count is the point-query
+kernel and the batch kernel's oracle.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ import numpy as np
 
 from ._arrays import powmod
 from .errors import DomainError
-from .modmath import ModulusContext, PowerClass, power_class
+from .modmath import ModulusContext, PowerClass, power_class, powers_table
 from .primes import require_within_cap
 
 REGULAR_PRIMES_BELOW_100 = frozenset(
@@ -213,43 +213,18 @@ def _twists(p: int) -> Iterable[tuple[int, tuple[int, ...]]]:
     return _twist_table(p) if is_vetted_regular(p) else _twist_rows(p)
 
 
-def alpha_flags(n: int, p: int, powers: tuple[int, ...]) -> dict[int, bool]:
-    """AlphaCount.power_flags for an (N, p) the caller vouches for; powers = root_powers(n, p).
-
-    By the linear form in the module docstring: (p-1)/2 characters of
-    1 - f^j, no U_k.  Empty for p = 3, where no character is evaluated.
-    """
-    if p == 3:
-        return {}
-    e = (n - 1) // p
-    table = _twists(p)
-    c = e % p
-    # b_j = 2*a_j - j*c = ind((1 - f^j)(1 - f^(p-j))), the weight of j^k in ind(U_k)
-    b = [2 * powers.index(pow(n + 1 - powers[j], e, n)) - j * c for j in range(1, (p + 1) // 2)]
-    return {i: sum(map(mul, row, b)) % p == 0 for i, row in table}
-
-
 def alpha_counts(ns, p: int) -> np.ndarray:
     """alpha for each N of an array of sieved primes N = 1 (mod p) below the 2^30 cap.
 
-    The batch form of alpha_flags, summed: the same root, characters and
-    linear form, evaluated on arrays.  Raises AssertionError when a
+    The batch form of alpha_count: the same root, characters and linear
+    form, evaluated on arrays.  Raises AssertionError when a
     character value is no power of the root, which a composite N can cause.
     """
     n = np.asarray(ns, dtype=np.uint64)
     if p == 3:
         return np.zeros(n.shape, dtype=np.int64)
     e = (n - 1) // p
-    # the root: the first g^e != 1 over g = 2, 3, ..., as root_of_unity picks it
-    root = powmod(2, e, n)
-    g = 2
-    while (retry := np.flatnonzero(root == 1)).size:
-        g += 1
-        root[retry] = powmod(g, e[retry], n[retry])
-    powers = np.empty((p, n.size), dtype=np.uint64)
-    powers[0] = 1
-    for k in range(1, p):
-        powers[k] = powers[k - 1] * root % n
+    powers = powers_table(n, p)
     half = (p + 1) // 2
     chars = powmod(n + 1 - powers[1:half], e, n)  # chi(1 - f^j), j = 1..(p-1)/2
     logs = np.full(chars.shape, -1, dtype=np.int64)
@@ -264,8 +239,18 @@ def alpha_counts(ns, p: int) -> np.ndarray:
 
 
 def alpha_count(ctx: ModulusContext) -> AlphaCount:
-    """Count positive even i < p-1 with U_(p-1-i) a p-th power in F_N^x (0 for p = 3)."""
-    flags = alpha_flags(ctx.modulus, ctx.p, ctx.powers)
+    """Count positive even i < p-1 with U_(p-1-i) a p-th power in F_N^x (0 for p = 3).
+
+    By the linear form in the module docstring: (p-1)/2 characters of
+    1 - f^j, no U_k.
+    """
+    n, p, e, powers = ctx.modulus, ctx.p, ctx.cofactor, ctx.powers
+    if p == 3:
+        return AlphaCount(alpha=0, power_flags={})
+    c = e % p
+    # b_j = 2*a_j - j*c = ind((1 - f^j)(1 - f^(p-j))), the weight of j^k in ind(U_k)
+    b = [2 * powers.index(pow(n + 1 - powers[j], e, n)) - j * c for j in range(1, (p + 1) // 2)]
+    flags = {i: sum(map(mul, row, b)) % p == 0 for i, row in _twists(p)}
     return AlphaCount(alpha=sum(flags.values()), power_flags=flags)
 
 

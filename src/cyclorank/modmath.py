@@ -14,17 +14,24 @@ primes.DEFAULT_SIEVE_CAP (p > 1021); every context holds its whole table.
 check_contract is the one gate for the (N, p) contract; code downstream of
 it trusts its input.  __post_init__ runs it, so every context is a checked
 one, and code that reads only N mod p^2 (classify_target, coarse bounds)
-runs it alone and builds no context.  The scans, whose sieve proves N prime,
-build none either: the rank-3 scan hands root_of_unity to the representation
-kernel, and the alpha scan's batch kernel, invariants.alpha_counts, finds
-the same root for a whole array of N.
+runs it alone and builds no context.
+
+The root rule, root = the first g^((N-1)/p) != 1 over g = 2, 3, 4, ..., lives
+here alone, in two forms: ModulusContext.__post_init__ applies it to one N,
+and powers_table to an array of sieved N below the 2^30 cap, the context's
+powers column by column.  The scans, whose sieve proves N prime, build no
+context: each takes one table per chunk (the rank-3 scan its cube roots,
+invariants.alpha_counts its powers).  No scalar helper here works without
+a context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 
+import numpy as np
+
+from ._arrays import powmod
 from .errors import DomainError
 from .primes import is_prime, require_within_cap
 
@@ -66,8 +73,14 @@ class ModulusContext:
         n, p = self.modulus, self.p
         check_contract(n, p)
         require_within_cap(p**3, "p^3")  # the table of p powers, and p^2 work on it
-        powers = root_powers(n, p)
-        self.__dict__.update(cofactor=(n - 1) // p, root=powers[1], powers=powers)
+        e = (n - 1) // p
+        g = 2
+        while (root := pow(g, e, n)) == 1:
+            g += 1
+        powers = [1]
+        for _ in range(p - 1):
+            powers.append(powers[-1] * root % n)
+        self.__dict__.update(cofactor=e, root=root, powers=tuple(powers))
 
 
 @dataclass(frozen=True)
@@ -108,27 +121,25 @@ class PowerClass:
     index: int
 
 
-def root_of_unity(n: int, p: int) -> int:
-    """ModulusContext.root for a prime N = 1 (mod p) that the caller vouches for.
+def powers_table(ns, p: int) -> np.ndarray:
+    """ModulusContext(N, p).powers as column i, for each N = ns[i] of sieved primes N = 1 (mod p).
 
-    No ModulusContext is built, so N is not re-validated; for prime N the
-    result is a primitive p-th root of unity in F_N.
+    uint64, shape (p, len(ns)); every N must lie below the 2^30 cap, which the
+    first powmod enforces before any product is taken.  The root by one array
+    modpow per g, retrying only the N still at 1.
     """
+    n = np.asarray(ns, dtype=np.uint64)
     e = (n - 1) // p
-    for g in count(2):
-        f = pow(g, e, n)
-        if f != 1:
-            return f
-    raise AssertionError("unreachable")
-
-
-def root_powers(n: int, p: int) -> tuple[int, ...]:
-    """root^0 .. root^(p-1), root = root_of_unity(n, p), for an (N, p) the caller vouches for."""
-    root = root_of_unity(n, p)
-    powers = [1]
-    for _ in range(p - 1):
-        powers.append(powers[-1] * root % n)
-    return tuple(powers)
+    root = powmod(2, e, n)
+    g = 2
+    while (retry := np.flatnonzero(root == 1)).size:
+        g += 1
+        root[retry] = powmod(g, e[retry], n[retry])
+    powers = np.empty((p, n.size), dtype=np.uint64)
+    powers[0] = 1
+    for k in range(1, p):
+        powers[k] = powers[k - 1] * root % n
+    return powers
 
 
 def power_class(x: int, ctx: ModulusContext) -> PowerClass:

@@ -86,6 +86,7 @@ def primes_in_range(
     lo: int, hi: int, modulus: int = 1, residues: Iterable[int] = (0,)
 ) -> Iterator[int]:
     """Primes N in [lo, hi) with N mod modulus in residues, ascending; checks run at call time."""
+    require_within_cap(hi - 1, "sieve limit")
     if modulus < 1:
         raise DomainError(f"modulus must be at least 1, got {modulus}")
     res = sorted({r % modulus for r in residues})
@@ -116,5 +117,4 @@ def primes_in_class(limit: int, modulus: int, residues: Iterable[int]) -> Iterat
     """All primes N <= limit with N mod modulus in residues, ascending."""
     if limit < 2:
         raise DomainError("limit must be at least 2")
-    require_within_cap(limit, "limit")
     return primes_in_range(2, limit + 1, modulus, residues)

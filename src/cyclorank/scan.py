@@ -5,7 +5,8 @@ its limit in chosen classes mod p^2, reads them in chunks of at most _CHUNK
 primes, hands each chunk as an array to the scan's array kernel, which gives
 one integer outcome per prime (the exact 3-rank, or alpha), and counts
 (class, outcome).  The alpha kernel is invariants.alpha_counts; the rank-3
-kernel still runs its scalar kernel on each N of the chunk.  Work is split
+kernel takes the chunk's cube roots from one modmath.powers_table, then runs
+the representation and the criterion on each N.  Work is split
 into contiguous prime sub-ranges fixed by (limit, shards) alone: at most
 sqrt(limit) shards, each cut again after every checkpoint threshold
 10^3, 10^4, ..., limit, so no sub-range straddles a threshold.  The summary
@@ -37,7 +38,7 @@ import numpy as np
 from .eisenstein import cornacchia_4n
 from .errors import DomainError
 from .invariants import alpha_counts, require_regular
-from .modmath import root_of_unity
+from .modmath import powers_table
 from .primes import primes_in_range, require_within_cap
 from .rank import rank3, rank3_criterion  # noqa: F401  (perfbench/: scan.rank3)
 
@@ -79,13 +80,11 @@ def _sub_ranges(limit: int, shards: int, thresholds: tuple[int, ...]) -> list[tu
     return list(zip(cuts, cuts[1:]))
 
 
-def _rank3_outcome(n: int) -> int:
-    return rank3_criterion(cornacchia_4n(n, root_of_unity(n, 3)))
-
-
 def _rank3_outcomes(ns: np.ndarray) -> np.ndarray:
-    """The rank-3 array kernel: the scalar kernel on each N of the chunk."""
-    return np.fromiter(map(_rank3_outcome, ns.tolist()), dtype=np.int64, count=ns.size)
+    """The rank-3 array kernel: the chunk's cube roots at once, then each N's representation."""
+    roots = powers_table(ns, 3)[1].tolist()
+    outcomes = (rank3_criterion(cornacchia_4n(n, t)) for n, t in zip(ns.tolist(), roots))
+    return np.fromiter(outcomes, dtype=np.int64, count=ns.size)
 
 
 def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], outcome: Outcome) -> Tally:

@@ -18,7 +18,7 @@ from cyclorank.eisenstein import (
     star_condition,
 )
 from cyclorank.errors import DomainError
-from cyclorank.modmath import ModulusContext, factorial_mod, root_of_unity
+from cyclorank.modmath import ModulusContext, factorial_mod
 from cyclorank.primes import is_prime, primes_in_class
 
 
@@ -76,7 +76,7 @@ def test_cornacchia_failure_raises():
     # 25 = 1 (mod 3) has no primitive x^2 + 3y^2: the kernel must raise, not
     # assert, so the check also runs under python -O.
     with pytest.raises(DomainError, match="Cornacchia"):
-        cornacchia_4n(25, root_of_unity(25, 3))
+        cornacchia_4n(25, pow(2, 8, 25))  # no context for composite 25: g = 2 by hand
 
 
 def test_represent_oracle_equivalence():
@@ -96,11 +96,11 @@ def test_wilson_jacobi_identity_small():
 def test_cornacchia_agrees_with_bruteforce():
     # the kernel takes any cube root of unity t != 1: t and t^2 give one answer
     for n in primes_in_class(4000, 3, {1}):
-        t = root_of_unity(n, 3)
+        t = ModulusContext(n, 3).root
         assert cornacchia_4n(n, t) == cornacchia_4n(n, t * t % n) == represent_4n_bruteforce(n)
     for n in primes_in_class(1_000_400, 3, {1}):
         if n > 10**6:
-            t = root_of_unity(n, 3)
+            t = ModulusContext(n, 3).root
             assert cornacchia_4n(n, t) == cornacchia_4n(n, t * t % n)
             assert cornacchia_4n(n, t) == represent_4n(n) == represent_4n_bruteforce(n)
 

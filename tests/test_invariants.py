@@ -10,14 +10,13 @@ from cyclorank.invariants import (
     REGULAR_PRIMES_BELOW_100,
     alpha_count,
     alpha_counts,
-    alpha_flags,
     invariant_record,
     m_class_direct,
     mu_count,
     product_classes,
     unit_product,
 )
-from cyclorank.modmath import ModulusContext, power_class, root_powers
+from cyclorank.modmath import ModulusContext, power_class
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
 
 VETTED_P = sorted(p for p in REGULAR_PRIMES_BELOW_100 if p >= 5)  # p = 3 has no even twist
@@ -214,22 +213,13 @@ def test_alpha_linear_form_matches_unit_products():
         assert cofactor_classes == {True, False}, p
 
 
-def test_alpha_flags_from_root_powers_match_the_context():
-    # the scan's kernel, handed root_powers(N, p), against alpha_count on a checked context;
-    # 37 takes the path without the cached table
-    for p in (5, 7, 13, 37):
-        for n in primes_in_class(20_000, p, {1}):
-            want = alpha_count(ModulusContext(n, p)).power_flags
-            assert alpha_flags(n, p, root_powers(n, p)) == want, (n, p)
-
-
 @pytest.mark.parametrize("p", VETTED_P)
 @pytest.mark.parametrize("lo, hi", [(2, 10**5), (DEFAULT_SIEVE_CAP - 10**5, DEFAULT_SIEVE_CAP + 1)])
 def test_alpha_counts_match_alpha_flags(p, lo, hi):
-    # the batch kernel against the scalar one on every prime N = 1 (mod p) of the range;
-    # the second range is the uint64 width edge below the 2^30 cap
+    # the batch kernel against the point-query kernel on every prime N = 1 (mod p) of the
+    # range; the second range is the uint64 width edge below the 2^30 cap
     ns = np.fromiter(primes_in_range(lo, hi, p, {1}), dtype=np.int64)
-    want = [sum(alpha_flags(n, p, root_powers(n, p)).values()) for n in ns.tolist()]
+    want = [alpha_count(ModulusContext(n, p)).alpha for n in ns.tolist()]
     assert alpha_counts(ns, p).tolist() == want
 
 

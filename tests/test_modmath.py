@@ -6,17 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from cyclorank._arrays import powmod
 from cyclorank.errors import DomainError
-from cyclorank.modmath import (
-    ModulusContext, PowerClass, factorial_mod, power_class, root_of_unity, root_powers,
-)
-from cyclorank.primes import DEFAULT_SIEVE_CAP
+from cyclorank.invariants import REGULAR_PRIMES_BELOW_100
+from cyclorank.modmath import ModulusContext, PowerClass, factorial_mod, power_class, powers_table
+from cyclorank.primes import DEFAULT_SIEVE_CAP, primes_in_range
 
 
 def test_context_validation():
     ctx = ModulusContext(19, 3)
     assert ctx.cofactor == 6
     assert ctx.cofactor * ctx.p == ctx.modulus - 1
-    assert ctx.powers == root_powers(19, 3)
+    assert ctx.powers == (1, 7, 11)
     with pytest.raises(DomainError):
         ModulusContext(20, 3)  # composite
     with pytest.raises(DomainError):
@@ -40,7 +39,7 @@ def test_context_root_properties():
         ctx = ModulusContext(n, p)
         f = ctx.root
         assert "root" in vars(ctx)  # derived when the context is built
-        assert f == ModulusContext(n, p).root == root_powers(n, p)[1] == root_of_unity(n, p)
+        assert f == ModulusContext(n, p).root == ctx.powers[1]
         assert f != 1
         assert pow(f, p, n) == 1
         chis = (pow(g, ctx.cofactor, n) for g in range(2, n))
@@ -52,15 +51,15 @@ def test_root_powers_are_the_context_table():
              (2305843009213693133, 97))
     for n, p in cases:
         ctx = ModulusContext(n, p)
-        assert ctx.powers == root_powers(n, p) == tuple(pow(ctx.root, i, n) for i in range(p))
+        assert ctx.powers == tuple(pow(ctx.root, i, n) for i in range(p))
     ctx = ModulusContext(19, 3)
     assert ctx.root == 7  # 2^6 = 7 (mod 19)
-    assert root_powers(19, 3) == (1, 7, 11)
+    assert ctx.powers == (1, 7, 11)
     assert repr(ctx) == "ModulusContext(modulus=19, p=3, cofactor=6)"  # root, powers left out
 
 
 def test_context_refuses_a_large_p_and_coarse_queries_build_none(monkeypatch):
-    from cyclorank import eisenstein, modmath
+    from cyclorank import eisenstein
     from cyclorank.modmath import classify_target
     from cyclorank.rank import bounds
 
@@ -70,19 +69,14 @@ def test_context_refuses_a_large_p_and_coarse_queries_build_none(monkeypatch):
     for n, p in pairs:
         with pytest.raises(DomainError, match="p\\^3"):
             ModulusContext(n, p)
-    # what reads no character checks the contract alone: no root, no context
+    # what reads no character checks the contract alone: no context, so no root
     calls = []
-    real_root, real_init = modmath.root_of_unity, ModulusContext.__post_init__
-
-    def counted_root(n, p):
-        calls.append("root")
-        return real_root(n, p)
+    real_init = ModulusContext.__post_init__
 
     def counted_init(ctx):
         calls.append("ctx")
         real_init(ctx)
 
-    monkeypatch.setattr(modmath, "root_of_unity", counted_root)
     monkeypatch.setattr(ModulusContext, "__post_init__", counted_init)
     for n, p in pairs:
         assert classify_target(n, p).residue_mod_p2 == n
@@ -90,13 +84,38 @@ def test_context_refuses_a_large_p_and_coarse_queries_build_none(monkeypatch):
         assert (report.lower, report.upper) == ((p - 1) // 2, p + 3 * (p - 1) ** 2 // 2)
     assert bounds(149, 37, cl_k_rank=1).target_class == classify_target(149, 37)
     assert eisenstein.represent_4n_bruteforce(61) == eisenstein.represent_4n(61)
-    assert calls == ["ctx", "root"]  # represent_4n's own context, and only that
+    assert calls == ["ctx"]  # represent_4n's own context, and only that
     calls.clear()
     for query in (lambda: classify_target(2063, 1033), lambda: bounds(2063, 1031),
                   lambda: eisenstein.represent_4n_bruteforce(23)):
         with pytest.raises(DomainError):
             query()
     assert calls == []
+
+
+@pytest.mark.parametrize("p", sorted(REGULAR_PRIMES_BELOW_100))  # 3 and every vetted p
+@pytest.mark.parametrize("lo, hi", [(2, 10**5), (DEFAULT_SIEVE_CAP - 10**5, DEFAULT_SIEVE_CAP + 1)])
+def test_powers_table_is_the_context_table(p, lo, hi):
+    # the array form of the root rule against the scalar one, column by column, on every
+    # prime N = 1 (mod p) of the range; the second range is the uint64 width edge
+    ns = np.fromiter(primes_in_range(lo, hi, p, {1}), dtype=np.int64)
+    table = powers_table(ns, p)
+    assert (table.dtype, table.shape) == (np.uint64, (p, ns.size))
+    for n, column in zip(ns.tolist(), table.T.tolist()):
+        assert tuple(column) == ModulusContext(n, p).powers, (n, p)
+
+
+def test_powers_table_edge_cases():
+    # the p = 3 sample of test_powers_table_is_the_context_table, which the rank-3 scan
+    # shares, runs the retry loop: 1,559 of its 4,784 primes need g > 2, 516 need g > 3
+    ns = list(primes_in_range(2, 10**5, 3, {1}))
+    assert len(ns) == 4784
+    assert sum(pow(2, (n - 1) // 3, n) == 1 for n in ns) == 1559
+    assert sum(pow(2, (n - 1) // 3, n) == pow(3, (n - 1) // 3, n) == 1 for n in ns) == 516
+    assert powers_table(np.array([], dtype=np.int64), 5).shape == (5, 0)
+    # 2^30 + 3 is a prime = 1 (mod 3) above the cap; the guard is a raise, kept under -O
+    with pytest.raises(AssertionError, match="cap"):
+        powers_table(np.array([7, DEFAULT_SIEVE_CAP + 3]), 3)
 
 
 def test_power_class_examples():

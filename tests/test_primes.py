@@ -2,7 +2,7 @@ import pytest
 
 from cyclorank.errors import DomainError
 from cyclorank.modmath import classify_target
-from cyclorank.primes import is_prime, primes_in_class, primes_in_range
+from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
 
 
 def _trial_division(limit):
@@ -64,6 +64,10 @@ def test_stream_errors():
         primes_in_class(100, 9, set())
     with pytest.raises(DomainError, match="cap"):
         primes_in_class(2**31, 3, {1})
+    # the cap bounds every sieve, not only primes_in_class's; the cap itself is allowed
+    with pytest.raises(DomainError, match="cap"):
+        primes_in_range(2**40, 2**40 + 10**4)
+    primes_in_range(2, DEFAULT_SIEVE_CAP + 1)  # not iterated: the check alone
     with pytest.raises(DomainError, match="modulus"):
         primes_in_class(40, -3, {1})
     with pytest.raises(DomainError, match="modulus"):

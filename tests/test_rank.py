@@ -1,10 +1,8 @@
-import sys
-
 import pytest
 
-from cyclorank import modmath
 from cyclorank.eisenstein import represent_4n, split_prime
 from cyclorank.errors import DomainError
+from cyclorank.modmath import ModulusContext
 from cyclorank.primes import primes_in_class
 from cyclorank.rank import RankReport, bounds, rank3, rank3_detail
 
@@ -45,18 +43,17 @@ def test_rank3_methods_agree():
     "n", [19, 37, 7, 13, 1000000000000000009, 1000000000000000177, 1000000000000000003]
 )
 def test_p3_query_computes_one_root(monkeypatch, n):
-    # one (N, 3) context per query: the split, the cubic symbols of gerth and
-    # the factorial criterion all read its root (N = 1, 1, 7, 4, 1, 7, 4 mod 9)
-    real = modmath.root_of_unity
+    # one (N, 3) context per query, and the context computes the root: the split, the
+    # cubic symbols of gerth and the factorial criterion all read it (N = 1, 1, 7, 4, 1,
+    # 7, 4 mod 9)
+    real_init = ModulusContext.__post_init__
     calls = []
 
-    def counted(n, p):
-        calls.append((n, p))
-        return real(n, p)
+    def counted(ctx):
+        calls.append((ctx.modulus, ctx.p))
+        real_init(ctx)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("cyclorank") and getattr(mod, "root_of_unity", None) is real:
-            monkeypatch.setattr(mod, "root_of_unity", counted)
+    monkeypatch.setattr(ModulusContext, "__post_init__", counted)
     queries = [lambda: bounds(n, 3), lambda: split_prime(n), lambda: represent_4n(n)]
     if n % 9 != 1 or n < 10**6:  # the factorial criterion (N = 1 mod 9) is O(N)
         queries.append(lambda: rank3(n, "all"))

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from cyclorank.errors import DomainError
-from cyclorank.modmath import ModulusContext, root_of_unity
+from cyclorank.modmath import ModulusContext
 from cyclorank.primes import primes_in_class
 from cyclorank.rank import bounds, rank3
 from cyclorank.reporting import render
@@ -79,7 +79,7 @@ def _brute_prefix(threshold, p, classes, outcome, hit):
 
 def _alpha_euler(n, p):
     # alpha by Euler's criterion on each U_k in F_N, independent of the scan's linear form
-    f = root_of_unity(n, p)
+    f = ModulusContext(n, p).root
     alpha = 0
     for k in range(2, p - 2, 2):
         u = 1
@@ -112,8 +112,8 @@ def test_checkpoints_are_exact_prefixes():
 
 
 def test_scans_build_no_context(monkeypatch):
-    # every context is a checked one; a scan, whose sieve proves N prime, hands its
-    # kernel the root (rank 3) or root_powers (alpha) and builds none
+    # every context is a checked one; a scan, whose sieve proves N prime, takes each
+    # chunk's roots from modmath.powers_table and builds none
     builds = []
     real_init = ModulusContext.__post_init__
 

@@ -20,7 +20,7 @@ DELETED = (
     "eis_norm", "mod_pow", "is_9th_power", "_wilson_jacobi_holds", "_WILSON_ASSERT_BOUND",
     "m_class", "m_i_class", "rank3_methods", "odd_twist_count", "bounds_histogram",
     "find_order_p_element", "CYCLORANK_THREADS", "AlphaCount.of", "ModulusContext.trusted",
-    "_alpha_outcome",
+    "_alpha_outcome", "root_of_unity", "root_powers", "alpha_flags", "_rank3_outcome",
 )
 
 
