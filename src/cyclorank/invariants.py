@@ -14,20 +14,26 @@ mu counts the odd i with M_i not a p-th power; alpha counts the even i with
 U_(p-1-i) a p-th power.  Both counts presume p regular, guarded by the list
 of the regular odd primes below 100.
 
-M and every M_i come from one walk (product_classes).  The character index
-is additive, and the exponent of k in M_i is S_i(k-1) = sum_{a<k} a^i.  For
-odd i in 1..p-4, p-1 does not divide i, so sum_{a=0}^{p-1} a^i = 0 (mod p)
-and S_i(k-1) mod p depends only on (k-1) mod p: it is T_i[(k-1) mod p] with
-T_i[s] = sum_{a=1}^{s} a^i.  Grouping k by its residue r mod p,
+M and every M_i come from one walk (product_classes) over k <= (N-1)/2.
+The character index is additive, and the exponent of k in M_i is
+S_i(k-1) = sum_{a<k} a^i.  For odd i in 1..p-4, p-1 does not divide i, so
+sum_{a=0}^{p-1} a^i = 0 (mod p) and S_i(k-1) mod p depends only on
+(k-1) mod p: it is T_i[(k-1) mod p] with T_i[s] = sum_{a=1}^{s} a^i, and
+(p-a)^i = -a^i gives T_i[p-1-s] = T_i[s].  The walk groups k by its residue
+r mod p into Q_r = prod_{k<=(N-1)/2, k=r} k.
 
-  ind(M_i) = sum_r T_i[(r-1) mod p] * ind(P_r),   P_r = prod_{k<N, k=r} k,
-  ind(M)   = sum_r r * ind(Q_r),                  Q_r = prod_{k<=(N-1)/2, k=r} k,
+Reflection halves the walk: -1 = (-1)^p is a p-th power and N = 1 (mod p),
+so k -> N-k maps the k > (N-1)/2 with k = r onto the Q_(1-r) with equal
+index.  Their weight T_i[-r mod p] equals T_i[r-1] by the symmetry, so
 
-and Q_r is a prefix of the walk that gives P_r.  So N-1 modular products and
-about 2p characters give M, every M_i and mu in O(p) memory.  The walk, and
-the m_class_direct oracle, refuse N above primes.DEFAULT_SIEVE_CAP (2^30)
-with a DomainError instead of looping for hours.  The context itself refuses
-p^3 above the same cap (p > 1021), so every reader of a character here, and
+  ind(M)   = sum_r r * ind(Q_r),
+  ind(M_i) = 2 * sum_r T_i[r-1] * ind(Q_r)  (mod p),
+
+and both coefficients vanish at r = 0.  So (N-1)/2 modular products and p-1
+characters give M, every M_i and mu in O(p) memory.  The walk, and the
+m_class_direct oracle, refuse N above primes.DEFAULT_SIEVE_CAP (2^30) with a
+DomainError instead of looping for hours.  The context itself refuses p^3
+above the same cap (p > 1021), so every reader of a character here, and
 invariant_record, whose U_k cost grows as p^2, runs only below it.
 
 alpha needs only the power class of each U_k, so it too is linear in the
@@ -36,8 +42,8 @@ a_j = ind(1 - f^j),
 
   ind(U_k) = sum_{j=1}^{p-1} (j^k mod p) * a_j  (mod p).
 
-Reflection halves the characters: 1 - f^-j = -f^-j (1 - f^j), and
--1 = (-1)^p is a p-th power, so a_(p-j) = a_j - j*c with
+The same reflection halves the characters: 1 - f^-j = -f^-j (1 - f^j),
+and -1 is a p-th power, so a_(p-j) = a_j - j*c with
 c = ind(f) = ((N-1)/p) mod p.  For even k, (p-j)^k = j^k (mod p), hence
 
   ind(U_k) = sum_{j=1}^{(p-1)/2} (j^k mod p) * (2*a_j - j*c)  (mod p),
@@ -96,35 +102,28 @@ class ProductClasses:
 
 
 def product_classes(ctx: ModulusContext) -> ProductClasses:
-    """M and every M_i from one walk over k = 1..N-1, split by k mod p.
+    """M and every M_i from one walk over k <= (N-1)/2, split by k mod p.
 
-    The walk keeps two products per residue r: Q_r over k <= (N-1)/2, then
-    P_r over all k < N, so memory is O(p).  ind(M) = sum_r r ind(Q_r) and
-    ind(M_i) = sum_r T_i[r-1] ind(P_r); both coefficients vanish at r = 0.
+    The walk keeps one product Q_r per residue r, so memory is O(p), and
+    takes p-1 characters: ind(M) = sum_r r ind(Q_r) and, by the reflection
+    in the module docstring, ind(M_i) = 2 sum_r T_i[r-1] ind(Q_r).
     """
     n, p = ctx.modulus, ctx.p
     require_within_cap(n, "N")
-    half = (n - 1) // 2
-    m_index = 0
-    p_index = [0] * p
+    q_index = [0] * p
     for r in range(1, p):
-        walk = range(r, n, p)
-        cut = len(range(r, half + 1, p))
         acc = 1
-        for k in walk[:cut]:
+        for k in range(r, (n - 1) // 2 + 1, p):
             acc = acc * k % n
-        m_index += r * power_class(acc, ctx).index
-        for k in walk[cut:]:
-            acc = acc * k % n
-        p_index[r] = power_class(acc, ctx).index
+        q_index[r] = power_class(acc, ctx).index
     mi = {}
     for i in range(1, p - 3, 2):
         total = t = 0  # t = T_i[r-1] = sum_{a<r} a^i mod p
         for r in range(1, p):
-            total += t * p_index[r]
+            total += t * q_index[r]
             t += pow(r, i, p)
-        mi[i] = PowerClass(total % p)
-    return ProductClasses(PowerClass(m_index % p), mi)
+        mi[i] = PowerClass(2 * total % p)
+    return ProductClasses(PowerClass(sum(r * q for r, q in enumerate(q_index)) % p), mi)
 
 
 def m_class_direct(ctx: ModulusContext, f: int) -> PowerClass:

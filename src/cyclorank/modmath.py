@@ -19,15 +19,17 @@ runs it alone and builds no context.
 The root rule, root = the first g^((N-1)/p) != 1 over g = 2, 3, 4, ..., lives
 here alone, in two forms: ModulusContext.__post_init__ applies it to one N,
 and powers_table to an array of sieved N below the 2^30 cap, the context's
-powers column by column.  The scans, whose sieve proves N prime, build no
-context: each takes one table per chunk (the rank-3 scan its cube roots,
-invariants.alpha_counts its powers).  No scalar helper here works without
-a context.
+powers column by column.  Both try prime g only: the least such g is prime,
+since a composite g = ab gives g^((N-1)/p) = 1 whenever a and b both did.
+The scans, whose sieve proves N prime, build no context: each takes one
+table per chunk (the rank-3 scan its cube roots, invariants.alpha_counts
+its powers).  No scalar helper here works without a context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -76,7 +78,7 @@ class ModulusContext:
         e = (n - 1) // p
         g = 2
         while (root := pow(g, e, n)) == 1:
-            g += 1
+            g = next(q for q in count(g + 1) if is_prime(q))
         powers = [1]
         for _ in range(p - 1):
             powers.append(powers[-1] * root % n)
@@ -126,14 +128,14 @@ def powers_table(ns, p: int) -> np.ndarray:
 
     uint64, shape (p, len(ns)); every N must lie below the 2^30 cap, which the
     first powmod enforces before any product is taken.  The root by one array
-    modpow per g, retrying only the N still at 1.
+    modpow per prime g, retrying only the N still at 1.
     """
     n = np.asarray(ns, dtype=np.uint64)
     e = (n - 1) // p
     root = powmod(2, e, n)
     g = 2
     while (retry := np.flatnonzero(root == 1)).size:
-        g += 1
+        g = next(q for q in count(g + 1) if is_prime(q))
         root[retry] = powmod(g, e[retry], n[retry])
     powers = np.empty((p, n.size), dtype=np.uint64)
     powers[0] = 1

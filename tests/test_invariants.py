@@ -74,7 +74,7 @@ def _direct_m_i(ctx, i):
 
 def test_product_classes_match_direct_evaluation():
     checked = 0
-    for p in (5, 7, 11, 13):
+    for p in (5, 7, 11, 13, 37, 101):  # 37 and 101 are irregular: the identity holds for any p
         for n in primes_in_class(2000, p, {1}):
             ctx = ModulusContext(n, p)
             pc = product_classes(ctx)
@@ -84,7 +84,7 @@ def test_product_classes_match_direct_evaluation():
                 assert cls == _direct_m_i(ctx, i), (n, p, i)
             rec = invariant_record(n, p)
             assert rec.f == ctx.root
-            assert rec.mu == mu_count(ctx).mu
+            assert rec.mu == (mu_count(ctx).mu if p in REGULAR_PRIMES_BELOW_100 else None)
             ac = alpha_count(ctx)  # U_k of its own, not the record's
             assert (rec.alpha, rec.power_flags) == (ac.alpha, ac.power_flags)
             assert (rec.m_cls, rec.mi_classes) == (pc.m, pc.mi)
@@ -98,6 +98,15 @@ def test_invariant_record_frozen_at_1000039():
     assert rec.f == 844395
     assert rec.m_cls.index == 9
     assert {i: c.index for i, c in rec.mi_classes.items()} == {1: 7, 3: 5, 5: 6, 7: 9, 9: 3}
+    assert (rec.mu, rec.cl_f_upper, rec.alpha) == (5, 1, 0)
+
+
+def test_invariant_record_frozen_at_10000121():
+    # recorded from the walk over every k < N that the half walk replaced
+    rec = invariant_record(10000121, 13)
+    assert rec.f == 8593675
+    assert rec.m_cls.index == 8
+    assert {i: c.index for i, c in rec.mi_classes.items()} == {1: 12, 3: 3, 5: 8, 7: 7, 9: 12}
     assert (rec.mu, rec.cl_f_upper, rec.alpha) == (5, 1, 0)
 
 

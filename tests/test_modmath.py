@@ -35,7 +35,12 @@ def test_context_root_examples():
 
 
 def test_context_root_properties():
-    for n, p in ((7, 3), (13, 3), (31, 3), (11, 5), (41, 5), (29, 7), (1009, 7)):
+    # every prime N = 1 (mod 3) or (mod 5) below 2*10^4; for p = 3 it holds N where
+    # 2, 3 and 5 all give 1, so a retry over every g would try 4 and 6 there
+    cases = [(29, 7), (1009, 7)]
+    cases += [(n, p) for p in (3, 5) for n in primes_in_range(2, 2 * 10**4, p, {1})]
+    assert (643, 3) in cases and all(pow(g, 214, 643) == 1 for g in (2, 3, 5))
+    for n, p in cases:
         ctx = ModulusContext(n, p)
         f = ctx.root
         assert "root" in vars(ctx)  # derived when the context is built
@@ -97,7 +102,8 @@ def test_context_refuses_a_large_p_and_coarse_queries_build_none(monkeypatch):
 @pytest.mark.parametrize("lo, hi", [(2, 10**5), (DEFAULT_SIEVE_CAP - 10**5, DEFAULT_SIEVE_CAP + 1)])
 def test_powers_table_is_the_context_table(p, lo, hi):
     # the array form of the root rule against the scalar one, column by column, on every
-    # prime N = 1 (mod p) of the range; the second range is the uint64 width edge
+    # prime N = 1 (mod p) of the range, and so against test_context_root_properties'
+    # brute-force first g; the second range is the uint64 width edge
     ns = np.fromiter(primes_in_range(lo, hi, p, {1}), dtype=np.int64)
     table = powers_table(ns, p)
     assert (table.dtype, table.shape) == (np.uint64, (p, ns.size))
