@@ -1,9 +1,10 @@
-"""Array arithmetic mod N for the batch kernels.
+"""Array arithmetic mod N for the batch kernels and the O(N) invariants.
 
 Residues are uint64.  Every modulus lies below primes.DEFAULT_SIEVE_CAP
-(2^30), the cap on the scans, so a product of two residues stays below 2^60
-and numpy's uint64 multiplication is exact.  powmod refuses a wider modulus
-with an explicit raise, which python -O keeps.
+(2^30), the cap on the scans and on the O(N) products, so a product of two
+residues stays below 2^60 and numpy's uint64 multiplication is exact.
+powmod and class_products refuse a wider modulus with an explicit raise,
+which python -O keeps.
 """
 
 from __future__ import annotations
@@ -12,12 +13,19 @@ import numpy as np
 
 from .primes import DEFAULT_SIEVE_CAP
 
+_BLOCK_CELLS = 1 << 20  # uint64 cells per class_products block: 8 MB
+
+
+def _require_width(top: int) -> None:
+    if top > DEFAULT_SIEVE_CAP:
+        raise AssertionError(f"modulus {top} exceeds the 2^30 cap of the array kernels")
+
 
 def powmod(base, exp, mod) -> np.ndarray:
     """base^exp mod mod, elementwise over the broadcast of three non-negative integer arrays."""
     base, exp, mod = (np.asarray(a, dtype=np.uint64) for a in (base, exp, mod))
-    if mod.size and int(mod.max()) > DEFAULT_SIEVE_CAP:
-        raise AssertionError(f"modulus {int(mod.max())} exceeds the 2^30 cap of the array kernels")
+    if mod.size:
+        _require_width(int(mod.max()))
     shape = np.broadcast_shapes(base.shape, exp.shape, mod.shape)
     result = np.ones(shape, dtype=np.uint64) % mod
     base = base % mod
@@ -27,3 +35,33 @@ def powmod(base, exp, mod) -> np.ndarray:
         base = base * base % mod
         exp = exp >> 1
     return result
+
+
+def class_products(hi: int, p: int, n: int) -> np.ndarray:
+    """Entry r: the product mod n of the k in [1, hi] with k = r (mod p), for r = 0..p-1.
+
+    k runs over a (rows, p) grid, k = row*p + r, in blocks of at most
+    _BLOCK_CELLS cells; each block is reduced along its rows by a product
+    tree of pairwise products (Bernstein, "Fast multiplication and its
+    applications", 2008), and the block results are multiplied together.
+    Every product is reduced mod n, so the unreduced k need only stay below
+    2^32 (hi < 2^32) for k*k to be exact.
+    """
+    _require_width(n)
+    out = np.ones(p, dtype=np.uint64)
+    rows = hi // p + 1  # row hi // p holds k = hi
+    step = _BLOCK_CELLS // p
+    for first in range(0, rows, step):
+        last = min(rows, first + step)
+        a = np.arange(first * p, last * p, dtype=np.uint64)
+        a[max(0, hi + 1 - first * p):] = 1  # k > hi
+        if first == 0:
+            a[0] = 1  # k = 0
+        a = a.reshape(-1, p)
+        while len(a) > 1:
+            if len(a) % 2:
+                a[0] = a[0] * a[-1] % n
+                a = a[:-1]
+            a = a[0::2] * a[1::2] % n
+        out = out * a[0] % n
+    return out

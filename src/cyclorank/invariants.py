@@ -30,11 +30,15 @@ index.  Their weight T_i[-r mod p] equals T_i[r-1] by the symmetry, so
   ind(M_i) = 2 * sum_r T_i[r-1] * ind(Q_r)  (mod p),
 
 and both coefficients vanish at r = 0.  So (N-1)/2 modular products and p-1
-characters give M, every M_i and mu in O(p) memory.  The walk, and the
+characters give M, every M_i and mu.  The products are array products:
+_arrays.class_products lays k <= (N-1)/2 out as a (rows, p) uint64 grid and
+reduces each column by a product tree, in blocks of at most 2^20 cells
+(8 MB), so memory stays bounded at any N.  The walk, and the scalar
 m_class_direct oracle, refuse N above primes.DEFAULT_SIEVE_CAP (2^30) with a
-DomainError instead of looping for hours.  The context itself refuses p^3
-above the same cap (p > 1021), so every reader of a character here, and
-invariant_record, whose U_k cost grows as p^2, runs only below it.
+DomainError, which also keeps every product exact in uint64.  The context
+itself refuses p^3 above the same cap (p > 1021), so every reader of a
+character here, and invariant_record, whose U_k cost grows as p^2, runs
+only below it.
 
 alpha needs only the power class of each U_k, so it too is linear in the
 character index.  The exponent j^k of (1 - f^j) matters mod p only, so with
@@ -72,7 +76,7 @@ from operator import mul
 
 import numpy as np
 
-from ._arrays import powmod
+from ._arrays import class_products, powmod
 from .errors import DomainError
 from .modmath import ModulusContext, PowerClass, power_class, powers_table
 from .primes import require_within_cap
@@ -104,18 +108,15 @@ class ProductClasses:
 def product_classes(ctx: ModulusContext) -> ProductClasses:
     """M and every M_i from one walk over k <= (N-1)/2, split by k mod p.
 
-    The walk keeps one product Q_r per residue r, so memory is O(p), and
-    takes p-1 characters: ind(M) = sum_r r ind(Q_r) and, by the reflection
-    in the module docstring, ind(M_i) = 2 sum_r T_i[r-1] ind(Q_r).
+    The walk is one call of _arrays.class_products, which returns the
+    product Q_r for every residue r, and takes p-1 characters:
+    ind(M) = sum_r r ind(Q_r) and, by the reflection in the module
+    docstring, ind(M_i) = 2 sum_r T_i[r-1] ind(Q_r).
     """
     n, p = ctx.modulus, ctx.p
     require_within_cap(n, "N")
-    q_index = [0] * p
-    for r in range(1, p):
-        acc = 1
-        for k in range(r, (n - 1) // 2 + 1, p):
-            acc = acc * k % n
-        q_index[r] = power_class(acc, ctx).index
+    products = class_products((n - 1) // 2, p, n)  # Q_r at index r
+    q_index = [0] + [power_class(q, ctx).index for q in products[1:].tolist()]
     mi = {}
     for i in range(1, p - 3, 2):
         total = t = 0  # t = T_i[r-1] = sum_{a<r} a^i mod p

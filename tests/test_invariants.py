@@ -8,6 +8,7 @@ from cyclorank import invariants
 from cyclorank.errors import DomainError
 from cyclorank.invariants import (
     REGULAR_PRIMES_BELOW_100,
+    ProductClasses,
     alpha_count,
     alpha_counts,
     invariant_record,
@@ -16,7 +17,7 @@ from cyclorank.invariants import (
     product_classes,
     unit_product,
 )
-from cyclorank.modmath import ModulusContext, power_class
+from cyclorank.modmath import ModulusContext, PowerClass, power_class
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
 
 VETTED_P = sorted(p for p in REGULAR_PRIMES_BELOW_100 if p >= 5)  # p = 3 has no even twist
@@ -92,6 +93,35 @@ def test_product_classes_match_direct_evaluation():
     assert checked > 150
 
 
+def _half_walk(ctx):
+    # the scalar walk over k <= (N-1)/2 that the array class products replaced
+    n, p = ctx.modulus, ctx.p
+    q_index = [0] * p
+    for r in range(1, p):
+        acc = 1
+        for k in range(r, (n - 1) // 2 + 1, p):
+            acc = acc * k % n
+        q_index[r] = power_class(acc, ctx).index
+    mi = {}
+    for i in range(1, p - 3, 2):
+        total = t = 0  # t = T_i[r-1] = sum_{a<r} a^i mod p
+        for r in range(1, p):
+            total += t * q_index[r]
+            t += pow(r, i, p)
+        mi[i] = PowerClass(2 * total % p)
+    return ProductClasses(PowerClass(sum(r * q for r, q in enumerate(q_index)) % p), mi)
+
+
+def test_product_classes_match_the_half_walk():
+    checked = 0
+    for p in (3, 5, 7, 11, 13, 37, 101):
+        for n in primes_in_class(30000, p, {1}):
+            ctx = ModulusContext(n, p)
+            assert product_classes(ctx) == _half_walk(ctx), (n, p)
+            checked += 1
+    assert checked == 3660
+
+
 def test_invariant_record_frozen_at_1000039():
     # recorded from the per-k index table that product_classes replaced
     rec = invariant_record(1000039, 13)
@@ -108,6 +138,15 @@ def test_invariant_record_frozen_at_10000121():
     assert rec.m_cls.index == 8
     assert {i: c.index for i, c in rec.mi_classes.items()} == {1: 12, 3: 3, 5: 8, 7: 7, 9: 12}
     assert (rec.mu, rec.cl_f_upper, rec.alpha) == (5, 1, 0)
+
+
+def test_invariant_record_frozen_at_100000213():
+    # recorded from the half walk; the helper runs several 2^20-cell blocks here
+    rec = invariant_record(100000213, 13)
+    assert rec.f == 17502254
+    assert rec.m_cls.index == 2
+    assert {i: c.index for i, c in rec.mi_classes.items()} == {1: 3, 3: 6, 5: 0, 7: 8, 9: 7}
+    assert (rec.mu, rec.cl_f_upper, rec.alpha) == (4, 3, 0)
 
 
 def test_o_n_paths_refuse_n_above_the_cap():

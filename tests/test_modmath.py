@@ -1,14 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclorank._arrays import powmod
+from cyclorank._arrays import class_products, powmod
 from cyclorank.errors import DomainError
 from cyclorank.invariants import REGULAR_PRIMES_BELOW_100
 from cyclorank.modmath import ModulusContext, PowerClass, factorial_mod, power_class, powers_table
-from cyclorank.primes import DEFAULT_SIEVE_CAP, primes_in_range
+from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_range
 
 
 def test_context_validation():
@@ -199,3 +200,42 @@ def test_array_powmod_refuses_a_modulus_above_the_cap():
     assert powmod(3, 5, DEFAULT_SIEVE_CAP).tolist() == 243
     with pytest.raises(AssertionError, match="exceeds"):
         powmod(np.array([2, 3]), 5, np.array([7, DEFAULT_SIEVE_CAP + 1]))
+
+
+def _class_products_loop(hi, p, n):
+    out = [1 % n] * p
+    for k in range(1, hi + 1):
+        out[k % p] = out[k % p] * k % n
+    return out
+
+
+def _prime_at_or_above(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_class_products_match_a_scalar_loop():
+    rng = random.Random(17)
+    ns = [7, 101, 1021, DEFAULT_SIEVE_CAP - 35]  # 2^30 - 35 is prime
+    ns += [_prime_at_or_above(rng.randrange(2, DEFAULT_SIEVE_CAP)) for _ in range(3)]
+    ns += [_prime_at_or_above(rng.randrange(DEFAULT_SIEVE_CAP - 1000, DEFAULT_SIEVE_CAP - 100))]
+    assert all(n <= DEFAULT_SIEVE_CAP and is_prime(n) for n in ns)
+    for n in ns:
+        for p in (3, 5, 13, 97, 1021):
+            # hi >= n only for the small n: there some k are multiples of n
+            for hi in (0, 1, p - 1, p, rng.randrange(2, 20000), rng.randrange(2, 3 * min(n, 5000))):
+                assert class_products(hi, p, n).tolist() == _class_products_loop(hi, p, n), (hi, p, n)
+
+
+def test_class_products_over_several_blocks():
+    # 2^20 cells per block: p = 3 gives blocks of 349,525 rows, so four blocks, the last ragged
+    n, hi = DEFAULT_SIEVE_CAP - 35, 3 * 2**20 + 5
+    assert class_products(hi, 3, n).tolist() == _class_products_loop(hi, 3, n)
+
+
+def test_class_products_refuse_a_modulus_above_the_cap():
+    # the same explicit width raise as powmod, kept under -O
+    assert class_products(10, 3, DEFAULT_SIEVE_CAP).tolist() == [3 * 6 * 9, 1 * 4 * 7 * 10, 2 * 5 * 8]
+    with pytest.raises(AssertionError, match="exceeds"):
+        class_products(10, 3, DEFAULT_SIEVE_CAP + 1)
