@@ -33,7 +33,7 @@ from itertools import count
 
 import numpy as np
 
-from ._arrays import powmod
+from ._arrays import class_products, powmod
 from .errors import DomainError
 from .primes import is_prime, require_within_cap
 
@@ -153,12 +153,9 @@ def power_class(x: int, ctx: ModulusContext) -> PowerClass:
 
 
 def factorial_mod(m: int, ctx: ModulusContext) -> int:
-    """m! mod N by direct accumulation; requires m < N and m within the O(N) cap."""
+    """m! mod N for 0 <= m < N, the one class of class_products at p = 1; N within the O(N) cap."""
     n = ctx.modulus
     if not 0 <= m < n:
         raise DomainError(f"factorial argument {m} must lie in [0, N)")
-    require_within_cap(m, "factorial argument m")
-    acc = 1
-    for k in range(2, m + 1):
-        acc = acc * k % n
-    return acc
+    require_within_cap(n, "N")
+    return int(class_products(m, 1, n)[0])

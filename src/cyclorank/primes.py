@@ -4,9 +4,9 @@ Primes are streamed by a segmented sieve so memory stays proportional to the
 segment, not the limit.  Validating a target (N, p) is not done here but by
 check_contract in modmath, which uses is_prime.
 
-DEFAULT_SIEVE_CAP (2^30) bounds every O(N) path: sieves, scans, and the
-walks over 1..N of the product invariants and the factorial criterion all
-refuse larger sizes through require_within_cap.
+DEFAULT_SIEVE_CAP (2^30) bounds every O(N) path through require_within_cap:
+sieves and scans refuse a larger limit, and the array products of the
+invariants and of the factorial criterion a larger N itself.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def primes_in_range(
     for r in res:
         if math.gcd(r, modulus) != 1:
             raise DomainError(f"residue {r} is not coprime to modulus {modulus}")
+    if modulus >= hi:  # every N < hi is its own residue; keeps the arrays within int64
+        modulus, res = hi, [r for r in res if r < hi]
     return _segments(max(lo, 2), hi, modulus, res)
 
 

@@ -8,14 +8,14 @@ or 2, decided by divisibility data of the representation 4N = A^2 + 27B^2:
   * gerth:       2 - s from the cubic-symbol matrix (N != 1 (mod 9) only).
   * star:        rank 2 iff a generator is +-zeta_3^v 2^w (mod 9) (same range).
   * factorial:   rank 2 iff ((N-1)/3)! is a cubic residue (N = 1 (mod 9) only;
-                 O(N), kept as an independent oracle).
+                 O(N) array products, N <= 2^30; kept as an independent oracle).
 
 cornacchia, gerth and star all read the same split_prime(N), computed once per
 query, and test the same congruence, so their agreement is not an independent
-check of the representation.  Only factorial (and represent_4n_bruteforce in
-the tests) are independent of it.  Every caller (rank3, bounds at p = 3 and
-so validate) applies one agreement rule, _agreed_rank: methods that disagree
-raise AssertionError, an internal error, never a report.
+check of the representation.  factorial reads N alone and is independent of
+it, as is represent_4n_bruteforce in the tests.  Every caller (rank3, bounds
+at p = 3 and so validate) applies one agreement rule, _agreed_rank: methods
+that disagree raise AssertionError, an internal error, never a report.
 
 For general regular p only bounds are reported: the coarse envelope
 (p-1)/2 .. (p-1)(p-2) and the alpha-refined window of rank_window.

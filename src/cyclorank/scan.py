@@ -16,10 +16,10 @@ checkpoint at each threshold a sub-range ends after, using exactly the
 primes up to it, and the densities.  Summaries are bit-identical for any
 shard or worker count.
 
-Only O(sqrt(N)) per-prime work is allowed here; the O(N) paths (factorial
-criterion, double-product invariants) are confined to bounded test sweeps.
-A limit above primes.DEFAULT_SIEVE_CAP (2^30) is refused before any shard
-sieves.
+Only O(sqrt(N)) per-prime work is allowed here; the O(N) products (factorial
+criterion, product invariants) serve single-N queries and refuse N above
+primes.DEFAULT_SIEVE_CAP (2^30), the cap that refuses a larger scan limit
+before any shard sieves.
 """
 
 from __future__ import annotations

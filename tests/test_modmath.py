@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclorank._arrays import class_products, powmod
+from cyclorank.eisenstein import represent_4n
 from cyclorank.errors import DomainError
 from cyclorank.invariants import REGULAR_PRIMES_BELOW_100
 from cyclorank.modmath import ModulusContext, PowerClass, factorial_mod, power_class, powers_table
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_range
+from cyclorank.rank import rank3
 
 
 def test_context_validation():
@@ -185,6 +187,56 @@ def test_factorial_mod_matches_math_factorial():
     ctx = ModulusContext(199, 3)
     for m in range(0, 199, 17):
         assert factorial_mod(m, ctx) == math.factorial(m) % 199
+
+
+def _factorial_loop(m, n):
+    acc = 1
+    for k in range(2, m + 1):
+        acc = acc * k % n
+    return acc
+
+
+def _prime_1_mod_3_at_or_below(n):
+    while not (n % 3 == 1 and is_prime(n)):
+        n -= 1
+    return n
+
+
+def test_factorial_mod_matches_a_scalar_loop():
+    # p = 1 gives class_products one column of 2^20 rows per block
+    rng = random.Random(18)
+    top = _prime_1_mod_3_at_or_below(DEFAULT_SIEVE_CAP)
+    assert top == DEFAULT_SIEVE_CAP - 105
+    ns = [7, 13, 19, 61, 199, 9901, top]
+    ns += [_prime_1_mod_3_at_or_below(rng.randrange(10**4, DEFAULT_SIEVE_CAP)) for _ in range(4)]
+    for n in ns:
+        ctx = ModulusContext(n, 3)
+        ms = {0, 1, 2, rng.randrange(n) % 10**5}
+        if n < 10**4:
+            ms.add(n - 1)
+        for m in sorted(ms):
+            assert factorial_mod(m, ctx) == _factorial_loop(m, n), (m, n)
+    # whole blocks, a block edge and a ragged last block at the top prime
+    ctx = ModulusContext(top, 3)
+    for m in (2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5):
+        assert factorial_mod(m, ctx) == _factorial_loop(m, top), m
+
+
+def test_wilson_jacobi_identity_at_1e8():
+    # A * ((N-1)/3)!^3 = 1 (mod N), at a size where (N-1)/3 spans 32 blocks
+    n = 100000081
+    rep = represent_4n(n)
+    assert rep.A * pow(factorial_mod((n - 1) // 3, ModulusContext(n, 3)), 3, n) % n == 1
+
+
+def test_factorial_criterion_refuses_n_above_the_cap():
+    # the cap is on N itself, as for the product invariants, not on the argument m
+    with pytest.raises(DomainError, match="cap"):
+        factorial_mod(1, ModulusContext(DEFAULT_SIEVE_CAP + 3, 3))
+    n = 3221225461  # prime, 1 (mod 9), (N-1)/3 below 2^30
+    assert (n - 1) // 3 <= DEFAULT_SIEVE_CAP < n
+    with pytest.raises(DomainError, match="cap"):
+        rank3(n, "factorial")
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from cyclorank.errors import DomainError
@@ -72,6 +75,26 @@ def test_stream_errors():
         primes_in_class(40, -3, {1})
     with pytest.raises(DomainError, match="modulus"):
         primes_in_class(40, 0, {1})
+
+
+def test_stream_takes_a_modulus_above_the_limit():
+    # N < modulus is its own residue, so a modulus or residue past int64 needs no array of it
+    assert list(primes_in_class(100, 2**62, [3])) == [3]
+    assert list(primes_in_class(100, 2**63, [3])) == [3]
+    assert list(primes_in_class(100, 2**70, [3, 97, 2**64 + 1])) == [3, 97]
+    assert list(primes_in_class(100, 2**70, [2**64 + 1])) == []
+    assert list(primes_in_range(90, 100, 2**63 + 1, [2**63 + 98, 97])) == [97]
+    reference = _trial_division(3000)
+    rng = random.Random(18)
+    for _ in range(300):
+        limit = rng.randrange(2, 3000)
+        modulus = rng.choice([rng.randrange(1, 40), rng.randrange(1, 2 * limit + 2),
+                              2**rng.randrange(1, 80)])
+        residues = {rng.randrange(2**rng.randrange(1, 80)) for _ in range(rng.randrange(1, 5))}
+        residues = {r for r in residues if math.gcd(r % modulus, modulus) == 1} or {1}
+        classes = {r % modulus for r in residues}
+        want = [n for n in reference if n <= limit and n % modulus in classes]
+        assert list(primes_in_class(limit, modulus, residues)) == want, (limit, modulus, residues)
 
 
 def test_counting_sanity_dirichlet_densities():
