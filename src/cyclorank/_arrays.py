@@ -4,7 +4,8 @@ Residues are uint64.  Every modulus lies below primes.DEFAULT_SIEVE_CAP
 (2^30), the cap on the scans and on the O(N) products, so a product of two
 residues stays below 2^60 and numpy's uint64 multiplication is exact.
 powmod and class_products refuse a wider modulus with an explicit raise,
-which python -O keeps.
+which python -O keeps; so does eisenstein.cornacchia_arrays, whose int64
+arithmetic and isqrt are exact for every N below the cap.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ def powmod(base, exp, mod) -> np.ndarray:
         base = base * base % mod
         exp = exp >> 1
     return result
+
+
+def isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) of an int64 array in [0, 2^52): the float root is off by at most one."""
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
 
 
 def class_products(hi: int, p: int, n: int) -> np.ndarray:

@@ -13,8 +13,11 @@ Conflating the two conventions flips a sign (first visible at N = 61), so both
 are kept explicit and cross-checked.
 
 The representation has one algorithm for the whole contract N < 2^62: integer
-Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  N is checked once,
-by the ModulusContext gate; its root starts Cornacchia and indexes every symbol.
+Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  cornacchia_4n runs
+it on one N, which is checked once, by the ModulusContext gate; its root
+starts Cornacchia and indexes every symbol.  cornacchia_arrays runs the same
+steps on a chunk of sieved N below the 2^30 cap for the rank-3 scan, from
+the cube roots of modmath.powers_table; cornacchia_4n is its reference.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from ._arrays import _require_width, isqrt
 from .errors import DomainError
 from .modmath import ModulusContext, PowerClass, check_contract, power_class
 
@@ -101,9 +107,9 @@ def cornacchia_4n(n: int, t: int) -> QuadRep:
     Cornacchia (Cohen, Alg. 1.5.2): r = 2t + 1 is a square root of -3 for a
     cube root of unity t != 1, and Euclid on (N, r) stops at the first
     remainder x <= sqrt(N), where (N - x^2)/3 = y^2.  A failed search raises.
-    t comes from a context (ModulusContext.root) or, in the rank-3 scan,
-    from modmath.powers_table; t and t^2 give r and N - r, which fold to one
-    r below, so any t != 1 gives one result.
+    t comes from a context (ModulusContext.root), so this is the point-query
+    path; the rank-3 scan runs cornacchia_arrays.  t and t^2 give r and
+    N - r, which fold to one r below, so any t != 1 gives one result.
     """
     r = (2 * t + 1) % n
     if 2 * r < n:
@@ -125,6 +131,45 @@ def cornacchia_4n(n: int, t: int) -> QuadRep:
     else:
         a, b = x - 3 * y, (x + y) // 3
     return _normalize_pair(a, b, n)
+
+
+def cornacchia_arrays(ns, ts) -> tuple[np.ndarray, np.ndarray]:
+    """cornacchia_4n on arrays: int64 (A, B) for sieved primes N = 1 (mod 3) below the 2^30 cap.
+
+    ts[i] is a cube root of unity t != 1 mod ns[i] (the rank-3 scan takes it
+    from modmath.powers_table).  The same steps, elementwise: Euclid on every
+    pair still above isqrt(N), y, and the three-case map to (A, B), normalized
+    to A = 1 (mod 3), B > 0.  There is no fold to 2r >= N: for r > N/2, Euclid
+    on (N, r) passes (r, N - r) to (N - r, r mod (N - r)), where Euclid on
+    (N, N - r) arrives in one step, so t and t^2 stop at the same x.  A failed
+    search and each QuadRep check raise DomainError; N above the cap raises
+    AssertionError.
+    """
+    n = np.asarray(ns, dtype=np.int64)
+    if n.size:
+        _require_width(int(n.max()))
+    r = (2 * np.asarray(ts, dtype=np.int64) + 1) % n
+    bound = isqrt(n)
+    a, x = n, r
+    while (live := x > bound).any():
+        a, x = np.where(live, x, a), np.where(live, a % np.where(live, x, 1), x)
+    y2, rem = np.divmod(n - x * x, 3)
+    y = isqrt(y2)
+    if (failed := (rem != 0) | (y * y != y2)).any():
+        raise DomainError(
+            f"Cornacchia found no x^2 + 3y^2 = {n[failed][0]}: N is not a split prime")
+    by_y, by_diff = y % 3 == 0, (x - y) % 3 == 0
+    a = np.where(by_y, 2 * x, np.where(by_diff, x + 3 * y, x - 3 * y))
+    b = np.where(by_y, 2 * y, np.where(by_diff, x - y, x + y)) // 3
+    a = np.where(a % 3 == 1, a, -a)
+    b = np.abs(b)
+    for bad, what in ((a * a + 27 * b * b != 4 * n, "pair does not represent 4N"),
+                      (a % 3 != 1, "A must be 1 mod 3"),
+                      (b <= 0, "B must be positive"),
+                      ((a - b) % 2 != 0, "A and B must share parity")):
+        if bad.any():
+            raise DomainError(f"{what} at N={n[bad][0]}")
+    return a, b
 
 
 def represent_4n(n: int) -> QuadRep:

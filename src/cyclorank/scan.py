@@ -4,9 +4,10 @@ Rank-3 and alpha scans are one pipeline.  A scan sieves the primes N up to
 its limit in chosen classes mod p^2, reads them in chunks of at most _CHUNK
 primes, hands each chunk as an array to the scan's array kernel, which gives
 one integer outcome per prime (the exact 3-rank, or alpha), and counts
-(class, outcome).  The alpha kernel is invariants.alpha_counts; the rank-3
-kernel takes the chunk's cube roots from one modmath.powers_table, then runs
-the representation and the criterion on each N.  Work is split
+(class, outcome) with one np.unique over the packed key class*p + outcome.
+The alpha kernel is invariants.alpha_counts, the rank-3 kernel
+rank.rank3_arrays, which runs the cube roots, Cornacchia and the criterion
+once per chunk on arrays.  Work is split
 into contiguous prime sub-ranges fixed by (limit, shards) alone: at most
 sqrt(limit) shards, each cut again after every checkpoint threshold
 10^3, 10^4, ..., limit, so no sub-range straddles a threshold.  The summary
@@ -35,12 +36,10 @@ from typing import Callable
 
 import numpy as np
 
-from .eisenstein import cornacchia_4n
 from .errors import DomainError
 from .invariants import alpha_counts, require_regular
-from .modmath import powers_table
 from .primes import primes_in_range, require_within_cap
-from .rank import rank3, rank3_criterion  # noqa: F401  (perfbench/: scan.rank3)
+from .rank import rank3, rank3_arrays  # noqa: F401  (perfbench/: scan.rank3)
 
 Tally = Counter[tuple[int, int]]  # (class residue, outcome) -> count
 # int64 array of sieved N -> their 3-ranks or alphas, by an array kernel; no context
@@ -80,20 +79,18 @@ def _sub_ranges(limit: int, shards: int, thresholds: tuple[int, ...]) -> list[tu
     return list(zip(cuts, cuts[1:]))
 
 
-def _rank3_outcomes(ns: np.ndarray) -> np.ndarray:
-    """The rank-3 array kernel: the chunk's cube roots at once, then each N's representation."""
-    roots = powers_table(ns, 3)[1].tolist()
-    outcomes = (rank3_criterion(cornacchia_4n(n, t)) for n, t in zip(ns.tolist(), roots))
-    return np.fromiter(outcomes, dtype=np.int64, count=ns.size)
-
-
 def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], outcome: Outcome) -> Tally:
     # The caller has checked p; the sieve proves every n prime and = 1 (mod p).
     m = p * p
     tally: Tally = Counter()
     primes = primes_in_range(lo, hi, m, classes)
     while (ns := np.fromiter(islice(primes, _CHUNK), dtype=np.int64)).size:
-        tally.update(zip((ns % m).tolist(), outcome(ns).tolist()))
+        out = outcome(ns)
+        if (bad := (out < 0) | (out >= p)).any():  # the packed key needs 0 <= outcome < p
+            raise AssertionError(f"outcome {out[bad][0]} at N={ns[bad][0]} is outside [0, {p})")
+        keys, counts = np.unique(ns % m * p + out, return_counts=True)
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            tally[divmod(key, p)] += count
     return tally
 
 
@@ -215,7 +212,7 @@ def scan_rank3(
     classes = tuple(sorted(set(classes)))
     if not classes or any(c not in (1, 4, 7) for c in classes):
         raise DomainError(f"classes must be a nonempty subset of (1, 4, 7), got {classes}")
-    return _scan("rank3", 3, limit, classes, _rank3_outcomes, shards, workers)
+    return _scan("rank3", 3, limit, classes, rank3_arrays, shards, workers)
 
 
 def scan_alpha(

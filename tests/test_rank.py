@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
-from cyclorank.eisenstein import represent_4n, split_prime
+from cyclorank.eisenstein import cornacchia_arrays, represent_4n, split_prime
 from cyclorank.errors import DomainError
-from cyclorank.modmath import ModulusContext
-from cyclorank.primes import primes_in_class
-from cyclorank.rank import RankReport, bounds, rank3, rank3_detail
+from cyclorank.modmath import ModulusContext, powers_table
+from cyclorank.primes import DEFAULT_SIEVE_CAP, primes_in_class, primes_in_range
+from cyclorank.rank import RankReport, bounds, rank3, rank3_arrays, rank3_detail
 
 
 def test_rank3_examples():
@@ -37,6 +38,43 @@ def test_rank3_methods_agree():
     for n in primes_in_class(20000, 3, {1}):
         results = rank3_detail(n, "all")[2]
         assert len(set(results.values())) == 1, (n, results)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(2, 2 * 10**5), (DEFAULT_SIEVE_CAP - 2 * 10**6, DEFAULT_SIEVE_CAP + 1)]
+)
+def test_rank3_arrays_match_the_scalar_path(lo, hi):
+    # the scan's array kernel against the scalar point-query path on every prime
+    # N = 1 (mod 3) of the range: (A, B) against represent_4n, the rank against rank3;
+    # the second range is the width edge of the int64 / uint64 arithmetic
+    ns = np.fromiter(primes_in_range(lo, hi, 3, {1}), dtype=np.int64)
+    roots = powers_table(ns, 3)
+    a, b = cornacchia_arrays(ns, roots[1])
+    ranks = rank3_arrays(ns)
+    assert a.dtype == b.dtype == ranks.dtype == np.int64
+    # t and t^2 start Euclid from the two square roots of -3 and give one pair
+    a2, b2 = cornacchia_arrays(ns, roots[2])
+    assert (a2 == a).all() and (b2 == b).all()
+    for n, pair, rank in zip(ns.tolist(), zip(a.tolist(), b.tolist()), ranks.tolist()):
+        rep = represent_4n(n)
+        assert pair == (rep.A, rep.B) and rank == rank3(n), n
+
+
+def test_rank3_arrays_edge_cases():
+    # a chunk without N = 1 (mod 9) skips the ninth-power test; an empty chunk is empty
+    ns = np.fromiter(primes_in_range(2, 20000, 9, {4, 7}), dtype=np.int64)
+    assert rank3_arrays(ns).tolist() == [rank3(n) for n in ns.tolist()]
+    empty = np.array([], dtype=np.int64)
+    assert rank3_arrays(empty).shape == (0,)
+    assert [x.shape for x in cornacchia_arrays(empty, empty)] == [(0,), (0,)]
+    # composite 25 = 1 (mod 3) has no primitive x^2 + 3y^2: an explicit raise, kept under -O
+    with pytest.raises(DomainError, match="Cornacchia found no x\\^2 \\+ 3y\\^2 = 25"):
+        rank3_arrays(np.array([7, 25, 13]))
+    # 2^30 + 3 is a prime = 1 (mod 3) above the cap of the array kernels
+    with pytest.raises(AssertionError, match="cap"):
+        rank3_arrays(np.array([7, DEFAULT_SIEVE_CAP + 3]))
+    with pytest.raises(AssertionError, match="cap"):
+        cornacchia_arrays(np.array([7, DEFAULT_SIEVE_CAP + 3]), np.array([2, 2]))
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,16 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
+import cyclorank
 from cyclorank.errors import DomainError
 from cyclorank.modmath import ModulusContext
 from cyclorank.primes import primes_in_class
 from cyclorank.rank import bounds, rank3
 from cyclorank.reporting import render
-from cyclorank.scan import _worker_count, scan_alpha, scan_rank3
+from cyclorank.scan import _shard, _worker_count, scan_alpha, scan_rank3
 
 
 def test_scan_matches_single_threaded_reference():
@@ -127,6 +129,24 @@ def test_scans_build_no_context(monkeypatch):
     assert builds == []
     assert bounds(211, 5).alpha == 1
     assert builds == [(211, 5)]
+
+
+def test_rank3_scan_runs_no_scalar_kernel(monkeypatch):
+    # the scan hands each chunk to rank.rank3_arrays; the per-prime Cornacchia and
+    # criterion serve point queries only
+    def refuse(*args):
+        raise AssertionError("scalar kernel called by the scan")
+
+    monkeypatch.setattr(cyclorank.eisenstein, "cornacchia_4n", refuse)
+    monkeypatch.setattr(cyclorank.rank, "rank3_criterion", refuse)
+    assert scan_rank3(20000, (1, 4, 7), shards=3, workers=1).total == 1124
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_shard_refuses_an_outcome_outside_the_packed_key(bad):
+    # the tally packs (class, outcome) as class * p + outcome, so 0 <= outcome < p
+    with pytest.raises(AssertionError, match="outside \\[0, 3\\)"):
+        _shard(2, 1000, 3, (1, 4, 7), lambda ns: np.full(ns.size, bad))
 
 
 def test_scan_validation():
