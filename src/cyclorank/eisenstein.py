@@ -13,11 +13,17 @@ Conflating the two conventions flips a sign (first visible at N = 61), so both
 are kept explicit and cross-checked.
 
 The representation has one algorithm for the whole contract N < 2^62: integer
-Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  cornacchia_4n runs
-it on one N, which is checked once, by the ModulusContext gate; its root
-starts Cornacchia and indexes every symbol.  cornacchia_arrays runs the same
-steps on a chunk of sieved N below the 2^30 cap for the rank-3 scan, from
-the cube roots of modmath.powers_table; cornacchia_4n is its reference.
+Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  split_of runs it
+on one N, which is checked once, by the ModulusContext gate: represent_4n and
+split_prime reach it through that context, whose root starts Cornacchia and
+indexes every symbol.  cornacchia_arrays runs the same steps on a chunk of
+sieved N below the 2^30 cap for the rank-3 scan, from the cube roots of
+modmath.powers_table; split_of is its reference.
+
+Neither width folds r = 2t + 1 to 2r >= N, as no fold changes the result:
+t and t^2 give r and N - r, and for r > N/2 Euclid on (N, r) passes
+(r, N - r) to (N - r, r mod (N - r)), where Euclid on (N, N - r) arrives in
+one step, so both stop at the same x.  Any cube root of unity t != 1 serves.
 """
 
 from __future__ import annotations
@@ -101,49 +107,15 @@ def _normalize_pair(a: int, b: int, n: int) -> QuadRep:
     return QuadRep(A=a if a % 3 == 1 else -a, B=abs(b), n=n)
 
 
-def cornacchia_4n(n: int, t: int) -> QuadRep:
-    """represent_4n for a prime N = 1 (mod 3) below 2^62 that the caller vouches for.
-
-    Cornacchia (Cohen, Alg. 1.5.2): r = 2t + 1 is a square root of -3 for a
-    cube root of unity t != 1, and Euclid on (N, r) stops at the first
-    remainder x <= sqrt(N), where (N - x^2)/3 = y^2.  A failed search raises.
-    t comes from a context (ModulusContext.root), so this is the point-query
-    path; the rank-3 scan runs cornacchia_arrays.  t and t^2 give r and
-    N - r, which fold to one r below, so any t != 1 gives one result.
-    """
-    r = (2 * t + 1) % n
-    if 2 * r < n:
-        r = n - r
-    a, x = n, r
-    bound = math.isqrt(n)
-    while x > bound:
-        a, x = x, a % x
-    y2, rem = divmod(n - x * x, 3)
-    y = math.isqrt(y2)
-    if rem or y * y != y2:
-        raise DomainError(f"Cornacchia found no x^2 + 3y^2 = {n}: N is not a split prime")
-    # 4N = (2x)^2 + 12y^2 = (x + 3y)^2 + 3(x - y)^2 = (x - 3y)^2 + 3(x + y)^2;
-    # 3 does not divide x, so one of 2y, x - y, x + y is divisible by 3.
-    if y % 3 == 0:
-        a, b = 2 * x, 2 * y // 3
-    elif (x - y) % 3 == 0:
-        a, b = x + 3 * y, (x - y) // 3
-    else:
-        a, b = x - 3 * y, (x + y) // 3
-    return _normalize_pair(a, b, n)
-
-
 def cornacchia_arrays(ns, ts) -> tuple[np.ndarray, np.ndarray]:
-    """cornacchia_4n on arrays: int64 (A, B) for sieved primes N = 1 (mod 3) below the 2^30 cap.
+    """split_of's Cornacchia on arrays: int64 (A, B) for sieved primes N = 1 (mod 3) below 2^30.
 
     ts[i] is a cube root of unity t != 1 mod ns[i] (the rank-3 scan takes it
     from modmath.powers_table).  The same steps, elementwise: Euclid on every
     pair still above isqrt(N), y, and the three-case map to (A, B), normalized
-    to A = 1 (mod 3), B > 0.  There is no fold to 2r >= N: for r > N/2, Euclid
-    on (N, r) passes (r, N - r) to (N - r, r mod (N - r)), where Euclid on
-    (N, N - r) arrives in one step, so t and t^2 stop at the same x.  A failed
-    search and each QuadRep check raise DomainError; N above the cap raises
-    AssertionError.
+    to A = 1 (mod 3), B > 0; like split_of it does not fold r (module
+    docstring).  A failed search and each QuadRep check raise DomainError;
+    N above the cap raises AssertionError.
     """
     n = np.asarray(ns, dtype=np.int64)
     if n.size:
@@ -174,7 +146,7 @@ def cornacchia_arrays(ns, ts) -> tuple[np.ndarray, np.ndarray]:
 
 def represent_4n(n: int) -> QuadRep:
     """The unique (A, B) with 4N = A^2 + 27B^2, A = 1 (mod 3), B > 0, for prime N < 2^62."""
-    return cornacchia_4n(n, ModulusContext(n, 3).root)
+    return split_prime(n).rep
 
 
 def represent_4n_bruteforce(n: int) -> QuadRep:
@@ -199,9 +171,29 @@ def split_prime(n: int) -> SplitData:
 
 
 def split_of(ctx: ModulusContext) -> SplitData:
-    """split_prime for an (N, 3) context in hand: Cornacchia on ctx.root; the split keeps ctx."""
+    """split_prime for an (N, 3) context in hand, by the one scalar Cornacchia; keeps ctx.
+
+    Cohen, Alg. 1.5.2: r = 2t + 1 for t = ctx.root is a square root of -3,
+    and Euclid on (N, r) stops at the first remainder x <= sqrt(N), where
+    (N - x^2)/3 = y^2.  A failed search raises.
+    """
     n = ctx.modulus
-    rep = cornacchia_4n(n, ctx.root)
+    m, x = n, (2 * ctx.root + 1) % n
+    bound = math.isqrt(n)
+    while x > bound:
+        m, x = x, m % x
+    y2, rem = divmod(n - x * x, 3)
+    y = math.isqrt(y2)
+    if rem or y * y != y2:
+        raise DomainError(f"Cornacchia found no x^2 + 3y^2 = {n}: N is not a split prime")
+    # 4N = (2x)^2 + 12y^2 = (x + 3y)^2 + 3(x - y)^2 = (x - 3y)^2 + 3(x + y)^2;
+    # 3 does not divide x, so one of 2y, x - y, x + y is divisible by 3.
+    if y % 3 == 0:
+        rep = _normalize_pair(2 * x, 2 * y // 3, n)
+    elif (x - y) % 3 == 0:
+        rep = _normalize_pair(x + 3 * y, (x - y) // 3, n)
+    else:
+        rep = _normalize_pair(x - 3 * y, (x + y) // 3, n)
     a = (-rep.A - 3 * rep.B) // 2
     b = -3 * rep.B
     t = (-a * pow(b, -1, n)) % n

@@ -8,18 +8,18 @@ from cyclorank.eisenstein import (
     _STAR_CANDIDATES,
     EisensteinInt,
     QuadRep,
-    cornacchia_4n,
     cubic_symbol,
     gerth_matrix,
     hilbert_pi_unit_criterion,
     represent_4n,
     represent_4n_bruteforce,
+    split_of,
     split_prime,
     star_condition,
 )
 from cyclorank.errors import DomainError
 from cyclorank.modmath import ModulusContext, factorial_mod
-from cyclorank.primes import is_prime, primes_in_class
+from cyclorank.primes import is_prime, primes_in_class, primes_in_range
 
 
 def test_eis_arithmetic():
@@ -73,10 +73,13 @@ def test_represent_errors():
 
 
 def test_cornacchia_failure_raises():
-    # 25 = 1 (mod 3) has no primitive x^2 + 3y^2: the kernel must raise, not
-    # assert, so the check also runs under python -O.
+    # 25 = 1 (mod 3) has no primitive x^2 + 3y^2: split_of must raise, not assert, so
+    # the check also runs under python -O.  Composite 25 gets no checked context, so
+    # this one is set up by hand as __post_init__ would, with g = 2: root 2^8 mod 25.
+    ctx = object.__new__(ModulusContext)
+    ctx.__dict__.update(modulus=25, p=3, cofactor=8, root=6, powers=(1, 6, 11))
     with pytest.raises(DomainError, match="Cornacchia"):
-        cornacchia_4n(25, pow(2, 8, 25))  # no context for composite 25: g = 2 by hand
+        split_of(ctx)
 
 
 def test_represent_oracle_equivalence():
@@ -94,15 +97,14 @@ def test_wilson_jacobi_identity_small():
 
 
 def test_cornacchia_agrees_with_bruteforce():
-    # the kernel takes any cube root of unity t != 1: t and t^2 give one answer
-    for n in primes_in_class(4000, 3, {1}):
-        t = ModulusContext(n, 3).root
-        assert cornacchia_4n(n, t) == cornacchia_4n(n, t * t % n) == represent_4n_bruteforce(n)
-    for n in primes_in_class(1_000_400, 3, {1}):
-        if n > 10**6:
-            t = ModulusContext(n, 3).root
-            assert cornacchia_4n(n, t) == cornacchia_4n(n, t * t % n)
-            assert cornacchia_4n(n, t) == represent_4n(n) == represent_4n_bruteforce(n)
+    # Euclid starts from r = 2t + 1 for the context's root t, unfolded: both halves
+    # 2r < N and 2r > N occur, so each branch of a fold to 2r > N meets the oracle
+    halves = set()
+    for n in [*primes_in_class(4000, 3, {1}), *primes_in_range(10**6, 1_000_400, 3, {1})]:
+        r = (2 * ModulusContext(n, 3).root + 1) % n
+        halves.add(2 * r < n)
+        assert represent_4n(n) == represent_4n_bruteforce(n), n
+    assert halves == {True, False}
 
 
 def _random_split_primes(rng: random.Random, count: int, hi: int) -> list[int]:

@@ -137,7 +137,7 @@ def test_rank3_scan_runs_no_scalar_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("scalar kernel called by the scan")
 
-    monkeypatch.setattr(cyclorank.eisenstein, "cornacchia_4n", refuse)
+    monkeypatch.setattr(cyclorank.eisenstein, "split_of", refuse)
     monkeypatch.setattr(cyclorank.rank, "rank3_criterion", refuse)
     assert scan_rank3(20000, (1, 4, 7), shards=3, workers=1).total == 1124
 
