@@ -67,6 +67,7 @@ class QuadRep:
     n: int
 
     def __post_init__(self) -> None:
+        # The identity also gives A = B (mod 2): A^2 = -27B^2 = B^2 (mod 4).
         if self.A * self.A + 27 * self.B * self.B != 4 * self.n:
             raise DomainError("pair does not represent 4N")
         if self.A % 3 != 1:
@@ -74,8 +75,6 @@ class QuadRep:
         # B = 0 would force 4N to be a perfect square, impossible for prime N.
         if self.B <= 0:
             raise DomainError("B must be positive")
-        if (self.A - self.B) % 2 != 0:
-            raise DomainError("A and B must share parity")
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,8 @@ class SplitData:
 
     `primary` is the generator n = a + b*zeta_3 with a = 1 (mod 3), 3 | b;
     `zeta_image` is the residue t with t^2 + t + 1 = 0 (mod N) and
-    a + b*t = 0 (mod N), i.e. the image of zeta_3 in Z[zeta_3]/n = F_N.
+    a + b*t = 0 (mod N), i.e. the image of zeta_3 in Z[zeta_3]/n = F_N: the
+    context's root or its square.
     `ctx` is the (N, 3) context it was made from; every cubic symbol reads it.
     """
 
@@ -137,8 +137,7 @@ def cornacchia_arrays(ns, ts) -> tuple[np.ndarray, np.ndarray]:
     b = np.abs(b)
     for bad, what in ((a * a + 27 * b * b != 4 * n, "pair does not represent 4N"),
                       (a % 3 != 1, "A must be 1 mod 3"),
-                      (b <= 0, "B must be positive"),
-                      ((a - b) % 2 != 0, "A and B must share parity")):
+                      (b <= 0, "B must be positive")):
         if bad.any():
             raise DomainError(f"{what} at N={n[bad][0]}")
     return a, b
@@ -196,7 +195,8 @@ def split_of(ctx: ModulusContext) -> SplitData:
         rep = _normalize_pair(x - 3 * y, (x + y) // 3, n)
     a = (-rep.A - 3 * rep.B) // 2
     b = -3 * rep.B
-    t = (-a * pow(b, -1, n)) % n
+    # zeta_3's image is the context's root or its square, whichever kills a + b*zeta_3
+    t = ctx.powers[1] if (a + b * ctx.powers[1]) % n == 0 else ctx.powers[2]
     return SplitData(primary=EisensteinInt(a, b), rep=rep, zeta_image=t, ctx=ctx)
 
 

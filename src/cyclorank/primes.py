@@ -1,8 +1,10 @@
 """Primality and prime generation in residue classes.
 
 Primes are streamed by a segmented sieve so memory stays proportional to the
-segment, not the limit.  Validating a target (N, p) is not done here but by
-check_contract in modmath, which uses is_prime.
+segment, not the limit.  Its base primes, those up to sqrt(limit), come from
+the same segment sieve one level down, so there is one sieve.  Validating a
+target (N, p) is not done here but by check_contract in modmath, which uses
+is_prime.
 
 DEFAULT_SIEVE_CAP (2^30) bounds every O(N) path through require_within_cap:
 sieves and scans refuse a larger limit, and the array products of the
@@ -59,18 +61,8 @@ def require_within_cap(size: int, what: str) -> None:
         raise DomainError(f"{what}={size} exceeds the 2^{bits} cap on O(N) work")
 
 
-def _base_primes(limit: int) -> np.ndarray:
-    """Primes up to limit >= 2."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for q in range(2, math.isqrt(limit) + 1):
-        if mask[q]:
-            mask[q * q :: q] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 def _sieve_range(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi), 2 <= lo < hi, given base primes up to sqrt(hi-1)."""
+    """Primes in [lo, hi), 2 <= lo <= hi, given base primes up to sqrt(hi-1)."""
     mask = np.ones(hi - lo, dtype=bool)
     for q in base:
         q = int(q)
@@ -104,15 +96,18 @@ def _segments(lo: int, hi: int, modulus: int, res: list[int]) -> Iterator[int]:
     """Yield the primes of [lo, hi), lo >= 2, in the checked residues, segment by segment."""
     if hi <= lo:
         return
-    base = _base_primes(math.isqrt(hi - 1) + 1)
+    # The base primes up to sqrt(hi - 1) come from this same sieve: each level
+    # sieves [2, r] with the primes up to sqrt(r), the lowest from none.
+    roots = [math.isqrt(hi - 1)]
+    while roots[-1] > 3:
+        roots.append(math.isqrt(roots[-1]))
+    base = np.empty(0, dtype=np.int64)
+    for r in reversed(roots):
+        base = _sieve_range(2, r + 1, base)
     res_arr = np.asarray(res, dtype=np.int64)
     for seg_lo in range(lo, hi, _SEGMENT):
-        seg_hi = min(seg_lo + _SEGMENT, hi)
-        found = _sieve_range(seg_lo, seg_hi, base)
-        if modulus > 1:
-            found = found[np.isin(found % modulus, res_arr)]
-        for n in found.tolist():
-            yield n
+        found = _sieve_range(seg_lo, min(seg_lo + _SEGMENT, hi), base)
+        yield from found[np.isin(found % modulus, res_arr)].tolist()
 
 
 def primes_in_class(limit: int, modulus: int, residues: Iterable[int]) -> Iterator[int]:

@@ -21,11 +21,10 @@ from typing import IO, Iterable, Union
 
 from .rank import RankReport, rank_window
 from .scan import ScanSummary
-from .validation import ValidationReport
 
 REPORT_HEADER = "N,p,class_mod_p2,A,B,rank3,alpha,lower,upper"
 
-Emittable = Union[RankReport, Iterable[RankReport], ScanSummary, ValidationReport]
+Emittable = Union[RankReport, Iterable[RankReport], ScanSummary]
 
 
 def _opt(x: object) -> str:
@@ -85,14 +84,8 @@ def _jsonable(obj: object) -> object:
 
 
 def to_json(obj: object) -> str:
-    payload = _jsonable(list(obj) if _is_report_iter(obj) else obj)
+    payload = _jsonable(list(obj) if isinstance(obj, Iterable) else obj)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _is_report_iter(obj: object) -> bool:
-    return not isinstance(obj, (RankReport, ScanSummary, ValidationReport)) and isinstance(
-        obj, Iterable
-    )
 
 
 def render(obj: Emittable, fmt: str) -> str:
@@ -104,8 +97,6 @@ def render(obj: Emittable, fmt: str) -> str:
         return _summary_csv(obj)
     if isinstance(obj, RankReport):
         return _report_csv([obj])
-    if isinstance(obj, ValidationReport):
-        raise ValueError("validation reports serialize as JSON only")
     return _report_csv(obj)
 
 

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cyclorank.eisenstein import (
     _STAR_CANDIDATES,
@@ -162,6 +163,26 @@ def test_split_prime_properties():
         assert pow(t, 3, n) == 1 and t != 1
         # the two sign conventions differ by exactly a sign: 2a - b = -A
         assert 2 * a - b == -s.rep.A
+
+
+def test_zeta_image_is_the_context_root_or_its_square():
+    # the image of zeta_3 is read off the context's powers, never recomputed
+    rng = random.Random(2021)
+    for n in [*primes_in_class(10**4, 3, {1}), *_random_split_primes(rng, 2000, 2**62)]:
+        s = split_prime(n)
+        t = s.zeta_image
+        assert t in s.ctx.powers[1:], n
+        assert (s.primary.a + s.primary.b * t) % n == 0, n
+
+
+@given(a=st.integers(-10**6, 10**6), b=st.integers(1, 10**6), n=st.integers(2, 10**12))
+def test_quad_rep_refuses_mixed_parity_by_its_identity(a, b, n):
+    # A = B (mod 2) follows from 4N = A^2 + 27B^2, so the identity guard
+    # alone refuses every mixed-parity pair
+    if (a - b) % 2 == 0:
+        a += 1
+    with pytest.raises(DomainError, match="pair does not represent 4N"):
+        QuadRep(a, b, n)
 
 
 def test_split_data_guards_its_context():

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -49,6 +50,18 @@ def test_stream_matches_trial_division():
     for modulus, residues in ((3, {1}), (9, {4, 7}), (9, {1}), (25, {1, 6, 11, 16, 21})):
         want = [n for n in reference if n % modulus in residues]
         assert list(primes_in_class(10**5, modulus, residues)) == want
+
+
+def test_base_primes_come_from_the_segment_sieve():
+    # primes_in_class(L, 1, ...) runs the path that sieves every stream's base
+    # primes: one segment sieve, recursing on sqrt(L); 2^15 +- 1 is the base
+    # size at the 2^30 cap
+    reference = [q for q in range(2**15 + 2) if is_prime(q)]
+    for limit in (*range(2, 3000), 2**15 - 1, 2**15 + 1):
+        want = reference[: bisect.bisect_right(reference, limit)]
+        assert list(primes_in_class(limit, 1, [0])) == want, limit
+    # modulus 1 sends every prime to residue 0, so its filter drops nothing
+    assert list(primes_in_class(10**4, 1, [7])) == list(primes_in_range(2, 10**4 + 1))
 
 
 def test_stream_ranges_cover_whole_interval():
