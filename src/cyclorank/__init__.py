@@ -31,7 +31,7 @@ from .invariants import (
     alpha_count,
     invariant_record,
     mu_count,
-    unit_product,
+    unit_products,
 )
 from .modmath import (
     ModulusContext,
@@ -87,5 +87,5 @@ __all__ = [
     "scan_rank3",
     "split_prime",
     "star_condition",
-    "unit_product",
+    "unit_products",
 ]

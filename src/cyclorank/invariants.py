@@ -54,9 +54,11 @@ c = ind(f) = ((N-1)/p) mod p.  For even k, (p-j)^k = j^k (mod p), hence
 
 and alpha_count evaluates (p-1)/2 characters per N, read against the
 context's powers, with a (p-3)/2 x (p-1)/2 table of j^k mod p built once per
-p.  unit_product evaluates U_k itself in F_N, for the residues
+p.  unit_products evaluates every U_k itself in F_N, for the residues
 invariant_record reports; InvariantRecord checks every flag of the linear
-form against that U_k.
+form against that U_k.  By Fermat the exponent j^k needs no reduction mod
+N-1: with V_(j,0) = 1 - f^j and V_(j,k) = V_(j,k-1)^j, U_k = prod_j V_(j,k),
+so every modpow has an exponent below p.
 
 alpha_counts is the batch form that the alpha scan runs: for an array of
 sieved N below the 2^30 cap it takes the roots' powers from
@@ -172,16 +174,22 @@ class UnitProduct:
     cls: PowerClass
 
 
-def unit_product(ctx: ModulusContext, k: int) -> UnitProduct:
-    """Evaluate U_k = prod_{j=1}^{p-1} (1 - f^j)^(j^k) in F_N, f = ctx.root."""
-    p = ctx.p
-    if not 0 < k < p - 1:
-        raise DomainError(f"k={k} must lie strictly between 0 and p-1")
-    n, powers = ctx.modulus, ctx.powers
-    acc = 1
-    for j in range(1, p):
-        acc = acc * pow(1 - powers[j], pow(j, k, n - 1), n) % n
-    return UnitProduct(value=acc, cls=power_class(acc, ctx))
+def unit_products(ctx: ModulusContext) -> dict[int, UnitProduct]:
+    """U_k = prod_{j=1}^{p-1} (1 - f^j)^(j^k) in F_N, f = ctx.root, for every 0 < k < p-1.
+
+    By the recurrence V_(j,k) = V_(j,k-1)^j from V_(j,0) = 1 - f^j, so each
+    of the (p-2)(p-1) modpows has an exponent below p.
+    """
+    n = ctx.modulus
+    v = [n + 1 - f_j for f_j in ctx.powers[1:]]  # V_(j,0) = 1 - f^j for j = 1..p-1
+    out = {}
+    for k in range(1, ctx.p - 1):
+        v = [pow(x, j, n) for j, x in enumerate(v, 1)]  # V_(j,k) = V_(j,k-1)^j
+        acc = 1
+        for x in v:
+            acc = acc * x % n
+        out[k] = UnitProduct(value=acc, cls=power_class(acc, ctx))
+    return out
 
 
 @dataclass(frozen=True)
@@ -284,13 +292,13 @@ def invariant_record(n: int, p: int) -> InvariantRecord:
     """Assemble the full invariant set for one target prime.
 
     Includes the O(N) products, so this is for single-N queries, not scans.
-    The p-dependent work, (p-2)(p-1) modpows for the U_k and about 2p^2
-    discrete-log comparisons, is bounded by the context, which refuses p^3
-    above the O(N) cap (p > 1021) before any of it runs.
+    The p-dependent work, (p-2)(p-1) modpows with exponents below p for the
+    U_k and about 2p^2 discrete-log comparisons, is bounded by the context,
+    which refuses p^3 above the O(N) cap (p > 1021) before any of it runs.
     """
     ctx = ModulusContext(n, p)
     pc = product_classes(ctx)
-    mk = {k: unit_product(ctx, k) for k in range(1, p - 1)}
+    mk = unit_products(ctx)
     if is_vetted_regular(p):
         mb = MuBound.of(p, pc.mi)
         mu, cl_f_upper = mb.mu, mb.cl_f_upper

@@ -44,6 +44,8 @@ def check_contract(n: int, p: int) -> None:
     """Raise DomainError unless p is an odd prime and N < 2^62 a prime != p with N = 1 (mod p)."""
     if n >= 1 << MODULUS_BITS:
         raise DomainError(f"N={n} exceeds the 2^{MODULUS_BITS} bound")
+    if p >= 1 << MODULUS_BITS:  # no such p divides N - 1; is_prime proves nothing past 2^64
+        raise DomainError(f"p={p} exceeds the 2^{MODULUS_BITS} bound")
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise DomainError(f"p={p} must be an odd prime")
     if not is_prime(n):

@@ -1,5 +1,12 @@
 """Primality and prime generation in residue classes.
 
+is_prime is deterministic on [0, 2^64): trial division by the twelve primes
+up to 37, then strong-probable-prime tests to Sinclair's seven bases (2011),
+which no composite below 2^64 passes, as checked against Feitsma and
+Galway's list of the base-2 strong pseudoprimes below 2^64.  The bases prove
+nothing above that, so a larger n is a DomainError; the (N, p) contract
+stops at 2^62.
+
 Primes are streamed by a segmented sieve so memory stays proportional to the
 segment, not the limit.  Its base primes, those up to sqrt(limit), come from
 the same segment sieve one level down, so there is one sieve.  Validating a
@@ -20,18 +27,24 @@ import numpy as np
 
 from .errors import DomainError
 
-# Deterministic for all n < 3.18 * 10^23 (Sorenson-Webster), far beyond the 2^62 cap.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Sinclair's bases: deterministic for every n < 2^64 (checked against Feitsma and
+# Galway's base-2 strong pseudoprimes); unproved above.  A base that n divides is skipped;
+# 73, 193, 407521 and 299210837 divide one, all above the trial divisors.
+_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+PRIMALITY_BITS = 64
 
 DEFAULT_SIEVE_CAP = 1 << 30
 _SEGMENT = 1 << 19
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit integers."""
+    """Deterministic Miller-Rabin for n < 2^64; DomainError above, where the bases prove nothing."""
+    if n >= 1 << PRIMALITY_BITS:
+        raise DomainError(f"n={n} exceeds the 2^{PRIMALITY_BITS} bound of is_prime")
     if n < 2:
         return False
-    for q in _MR_WITNESSES:
+    for q in _SMALL_PRIMES:
         if n == q:
             return True
         if n % q == 0:
@@ -41,7 +54,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _SINCLAIR_BASES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

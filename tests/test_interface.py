@@ -200,6 +200,9 @@ def test_cli_exit_codes(capsys, tmp_path):
     for argv in (["rep4n", big], ["rank3", big], ["bounds", big, "--p", "3"]):
         assert cli_dispatch(argv) == 1
     assert "2^62" in capsys.readouterr().err
+    # a p past the contract's bound is refused by it, before a primality test past 2^64
+    assert cli_dispatch(["classify", "7", "--p", str(2**89 - 1)]) == 1
+    assert f"p={2**89 - 1} exceeds the 2^62 bound" in capsys.readouterr().err
     for shards in ("0", "-3"):
         argv = ["scan", "--limit", "1000", "--shards", shards, "--workers", "1"]
         assert cli_dispatch(argv) == 1

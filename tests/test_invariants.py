@@ -15,7 +15,7 @@ from cyclorank.invariants import (
     m_class_direct,
     mu_count,
     product_classes,
-    unit_product,
+    unit_products,
 )
 from cyclorank.modmath import ModulusContext, PowerClass, power_class
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
@@ -182,19 +182,41 @@ def _unit_product_direct(n, p, k, f):
 
 
 def test_unit_product_examples():
-    up = unit_product(ModulusContext(31, 5), 2)  # root 2
+    up = unit_products(ModulusContext(31, 5))[2]  # root 2
     assert (up.value, up.cls.index != 0) == (14, True)
-    up = unit_product(ModulusContext(41, 5), 2)  # root 10
+    up = unit_products(ModulusContext(41, 5))[2]  # root 10
     assert (up.value, up.cls.index != 0) == (29, True)
     # the alternative order-5 element 3 at N=11 gives value 6, still not a 5th power,
     # like the root 4 does
     assert _unit_product_direct(11, 5, 2, 3) == 6 and pow(6, 2, 11) != 1
-    up = unit_product(ModulusContext(11, 5), 2)
-    assert up.value == _unit_product_direct(11, 5, 2, 4) and up.cls.index != 0
-    with pytest.raises(DomainError):
-        unit_product(ModulusContext(11, 5), 0)
-    with pytest.raises(DomainError):
-        unit_product(ModulusContext(11, 5), 4)
+    ups = unit_products(ModulusContext(11, 5))
+    assert ups[2].value == _unit_product_direct(11, 5, 2, 4) and ups[2].cls.index != 0
+    assert sorted(ups) == [1, 2, 3]  # 0 < k < p-1: no U_0, no U_4
+    assert sorted(unit_products(ModulusContext(7, 3))) == [1]
+
+
+def _assert_unit_products_direct(n, p):
+    ctx = ModulusContext(n, p)
+    ups = unit_products(ctx)
+    assert sorted(ups) == list(range(1, p - 1)), (n, p)
+    for k, up in ups.items():
+        assert up.value == _unit_product_direct(n, p, k, ctx.root), (n, p, k)
+        assert up.cls == power_class(up.value, ctx), (n, p, k)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_unit_products_match_direct_small(p):
+    # the small-exponent recurrence against the unreduced exponent j^k, every N = 1 (mod p)
+    for n in primes_in_class(2 * 10**4, p, {1}):
+        _assert_unit_products_direct(n, p)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_unit_products_match_direct_seeded(p):
+    # the full width of the contract: N up to 2^62
+    rng = random.Random(22 + p)
+    for n in _seeded_primes(p, rng, True, 20) + _seeded_primes(p, rng, False, 180):
+        _assert_unit_products_direct(n, p)
 
 
 def test_unit_product_triviality_is_f_independent():
@@ -202,7 +224,7 @@ def test_unit_product_triviality_is_f_independent():
     # a 5th power must not depend on the element, and must match ctx.root's answer
     for n in primes_in_class(2000, 5, {1}):
         ctx = ModulusContext(n, 5)
-        up = unit_product(ctx, 2)
+        up = unit_products(ctx)[2]
         assert up.value == _unit_product_direct(n, 5, 2, ctx.root)
         for e in range(1, 5):
             u = _unit_product_direct(n, 5, 2, pow(ctx.root, e, n))
@@ -245,7 +267,7 @@ def _seeded_primes(p: int, rng: random.Random, square: bool, count: int):
 
 
 def test_alpha_linear_form_matches_unit_products():
-    # oracle: the flags read off the class of each U_k, evaluated in F_N by unit_product;
+    # oracle: the flags read off the class of each U_k, evaluated in F_N by unit_products;
     # 37 (irregular) and 101 (beyond the list) take the path without the cached table
     rng = random.Random(8)
     for p in (*VETTED_P, 37, 101):
@@ -254,7 +276,8 @@ def test_alpha_linear_form_matches_unit_products():
         cofactor_classes = set()
         for n in ns:
             ctx = ModulusContext(n, p)
-            want = {i: unit_product(ctx, p - 1 - i).cls.index == 0 for i in range(2, p - 2, 2)}
+            ups = unit_products(ctx)
+            want = {i: ups[p - 1 - i].cls.index == 0 for i in range(2, p - 2, 2)}
             ac = alpha_count(ctx)
             assert (ac.power_flags, ac.alpha) == (want, sum(want.values())), (n, p)
             cofactor_classes.add(ctx.cofactor % p == 0)  # root a p-th power or not

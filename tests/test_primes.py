@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclorank.errors import DomainError
-from cyclorank.modmath import classify_target
+from cyclorank.modmath import check_contract, classify_target
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
 
 
@@ -32,10 +34,88 @@ def test_is_prime_large():
     assert is_prime(2**61 - 1)  # Mersenne
     assert not is_prime(2**61 + 1)
     assert is_prime(1_000_003)
-    # strong pseudoprimes to the first 4, 8 and 11 prime bases; all below 2^62
-    assert not is_prime(3215031751)
-    assert not is_prime(341550071728321)
-    assert not is_prime(3825123056546413051)
+    assert is_prime(2**64 - 59)  # the largest prime below the bound
+    assert not is_prime(2**64 - 1)
+
+
+def _is_prime_12_witnesses(n):
+    # oracle: Miller-Rabin to the first 12 prime bases (Sorenson-Webster), deterministic
+    # below 3.18 * 10^23; it shares no base set with the library or perfbench's inputs
+    if n < 2:
+        return False
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for q in witnesses:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_matches_a_sieve_below_10_6():
+    limit = 10**6
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # the least strong pseudoprimes to the first k prime bases, k = 1..6, 8 and 11
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051,
+        4759123141,  # strong pseudoprime to the bases 2, 7 and 61
+        561, 1105, 1729, 2465, 2821, 6601, 8911,  # Carmichael numbers
+    ],
+)
+def test_is_prime_refuses_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("q", [13, 19, 73, 193, 407521, 299210837])
+def test_is_prime_skips_a_base_that_n_divides(q):
+    # each divides one of Sinclair's bases, which is then 0 mod q and skipped
+    assert is_prime(q)
+
+
+def test_is_prime_matches_the_12_witness_oracle_seeded():
+    rng = random.Random(22)
+    for _ in range(20_000):
+        n = rng.randrange(1 << rng.randrange(3, 62)) | 1  # odd, every bit length below 2^62
+        assert is_prime(n) == _is_prime_12_witnesses(n), n
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_is_prime_matches_the_12_witness_oracle(n):
+    assert is_prime(n) == _is_prime_12_witnesses(n)
+
+
+def test_is_prime_refuses_n_past_its_bound():
+    # Sinclair's bases prove nothing at or above 2^64
+    for n in (2**64, 2**64 + 13, 2**89 - 1):
+        with pytest.raises(DomainError, match="2\\^64"):
+            is_prime(n)
+    # the contract refuses such a p by its own 2^62 bound before any primality test
+    for p in (2**62 + 135, 2**89 - 1):
+        with pytest.raises(DomainError, match="p=.*2\\^62"):
+            check_contract(7, p)
 
 
 def test_stream_examples():
