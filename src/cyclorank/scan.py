@@ -4,18 +4,17 @@ Rank-3 and alpha scans are one pipeline.  A scan sieves the primes N up to
 its limit in chosen classes mod p^2, reads them in chunks of at most _CHUNK
 primes, hands each chunk as an array to the scan's array kernel, which gives
 one integer outcome per prime (the exact 3-rank, or alpha), and counts
-(class, outcome) with one np.unique over the packed key class*p + outcome.
+(checkpoint, class, outcome) with one np.bincount per chunk, a prime's
+checkpoint being the first threshold 10^3, 10^4, ..., limit at or above it.
 The alpha kernel is invariants.alpha_counts, the rank-3 kernel
 rank.rank3_arrays, which runs the cube roots, Cornacchia and the criterion
-once per chunk on arrays.  Work is split
-into contiguous prime sub-ranges fixed by (limit, shards) alone: at most
-sqrt(limit) shards, each cut again after every checkpoint threshold
-10^3, 10^4, ..., limit, so no sub-range straddles a threshold.  The summary
-is one fold over the sub-range tallies in range order: it keeps one
-histogram per class, and one hit predicate (rank 2, or alpha > 0) gives the
-checkpoint at each threshold a sub-range ends after, using exactly the
-primes up to it, and the densities.  Summaries are bit-identical for any
-shard or worker count.
+once per chunk on arrays.  Work is split into at most sqrt(limit) contiguous
+prime sub-ranges fixed by (limit, shards) alone.  The summary is the plain
+sum of their counts: summed over checkpoints it is the histogram per class,
+and its cumulative sums, read through one hit predicate (rank 2, or
+alpha > 0), give the checkpoints and the densities.  An integer sum depends
+neither on the cuts nor on their order, so summaries are bit-identical for
+any shard or worker count.
 
 Only O(sqrt(N)) per-prime work is allowed here; the O(N) products (factorial
 criterion, product invariants) serve single-N queries and refuse N above
@@ -28,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -41,7 +39,6 @@ from .invariants import alpha_counts, require_regular
 from .primes import primes_in_range, require_within_cap
 from .rank import rank3, rank3_arrays  # noqa: F401  (perfbench/: scan.rank3)
 
-Tally = Counter[tuple[int, int]]  # (class residue, outcome) -> count
 # int64 array of sieved N -> their 3-ranks or alphas, by an array kernel; no context
 Outcome = Callable[[np.ndarray], np.ndarray]
 _CHUNK = 4096  # primes per kernel call, few enough that the kernel's arrays stay small
@@ -68,29 +65,30 @@ def _thresholds(limit: int) -> tuple[int, ...]:
     return tuple(ts)
 
 
-def _sub_ranges(limit: int, shards: int, thresholds: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Ordered [lo, hi) pairs covering [2, limit], cut at shard edges and after each threshold."""
+def _sub_ranges(limit: int, shards: int) -> list[tuple[int, int]]:
+    """Ordered [lo, hi) pairs covering [2, limit], cut at the shard edges only."""
     if shards < 1:
         raise DomainError(f"shard count must be at least 1, got {shards}")
     # a shard narrower than sqrt(limit) costs more in its base-prime sieve than in its range
     shards = min(shards, math.isqrt(limit))
-    edges = {2 + (limit - 1) * i // shards for i in range(shards + 1)}
-    cuts = sorted(edges | {t + 1 for t in thresholds})
-    return list(zip(cuts, cuts[1:]))
+    edges = [2 + (limit - 1) * i // shards for i in range(shards + 1)]
+    return list(zip(edges, edges[1:]))
 
 
-def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], outcome: Outcome) -> Tally:
+def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], thresholds: tuple[int, ...],
+           outcome: Outcome) -> np.ndarray:
+    """Counts of the primes in [lo, hi) by (checkpoint, class index, outcome), shape (T, p, p)."""
     # The caller has checked p; the sieve proves every n prime and = 1 (mod p).
     m = p * p
-    tally: Tally = Counter()
+    tally = np.zeros((len(thresholds), p, p), dtype=np.int64)
     primes = primes_in_range(lo, hi, m, classes)
     while (ns := np.fromiter(islice(primes, _CHUNK), dtype=np.int64)).size:
         out = outcome(ns)
         if (bad := (out < 0) | (out >= p)).any():  # the packed key needs 0 <= outcome < p
             raise AssertionError(f"outcome {out[bad][0]} at N={ns[bad][0]} is outside [0, {p})")
-        keys, counts = np.unique(ns % m * p + out, return_counts=True)
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            tally[divmod(key, p)] += count
+        # checkpoint: the first threshold >= N (the last is the limit); class index (N mod p^2) // p
+        key = np.searchsorted(thresholds, ns) * m + ns % m // p * p + out
+        tally += np.bincount(key, minlength=tally.size).reshape(tally.shape)
     return tally
 
 
@@ -164,20 +162,15 @@ class ScanSummary:
 
 
 def _build_summary(kind: str, p: int, limit: int, classes: tuple[int, ...],
-                   thresholds: tuple[int, ...], ranges: list[tuple[int, int]],
-                   tallies: list[Tally]) -> ScanSummary:
-    hist: dict[int, dict[int, int]] = {c: {} for c in classes}
-    ends = {t + 1: t for t in thresholds}  # each threshold ends exactly one sub-range
-    total = hits = 0
-    checkpoints = []
-    for (_, hi), tally in zip(ranges, tallies):
-        for (cls, outcome), c in tally.items():
-            hist[cls][outcome] = hist[cls].get(outcome, 0) + c
-            total += c
-            hits += c if _is_hit(kind, outcome) else 0
-        if hi in ends:
-            checkpoints.append(Checkpoint(ends[hi], total, hits))
-    return ScanSummary(kind, p, limit, classes, hist, tuple(checkpoints))
+                   thresholds: tuple[int, ...], tally: np.ndarray) -> ScanSummary:
+    # tally: the shards' (checkpoint, class index, outcome) counts, summed
+    by_class = tally.sum(axis=0).tolist()
+    hist = {c: {o: n for o, n in enumerate(by_class[c // p]) if n} for c in classes}
+    hit = np.array([_is_hit(kind, o) for o in range(p)])
+    by_outcome = tally.sum(axis=1).cumsum(axis=0)  # primes up to each threshold, by outcome
+    checkpoints = tuple(Checkpoint(t, int(row.sum()), int(row[hit].sum()))
+                        for t, row in zip(thresholds, by_outcome))
+    return ScanSummary(kind, p, limit, classes, hist, checkpoints)
 
 
 def _scan(kind: str, p: int, limit: int, classes: tuple[int, ...], outcome: Outcome,
@@ -188,14 +181,15 @@ def _scan(kind: str, p: int, limit: int, classes: tuple[int, ...], outcome: Outc
     require_within_cap(limit, "scan limit")
     workers_n = _worker_count(workers)
     thresholds = _thresholds(limit)
-    ranges = _sub_ranges(limit, shards if shards is not None else workers_n, thresholds)
-    run = functools.partial(_shard, p=p, classes=classes, outcome=outcome)
+    ranges = _sub_ranges(limit, shards if shards is not None else workers_n)
+    run = functools.partial(_shard, p=p, classes=classes, thresholds=thresholds, outcome=outcome)
+    # summed as they arrive: up to sqrt(limit) arrays of up to 8 p^2 counts are never all held
     if workers_n > 1 and len(ranges) > 1:
         with ProcessPoolExecutor(max_workers=min(workers_n, len(ranges))) as pool:
-            tallies = list(pool.map(run, *zip(*ranges)))
+            tally = sum(pool.map(run, *zip(*ranges)))
     else:
-        tallies = [run(lo, hi) for lo, hi in ranges]
-    return _build_summary(kind, p, limit, classes, thresholds, ranges, tallies)
+        tally = sum(run(lo, hi) for lo, hi in ranges)
+    return _build_summary(kind, p, limit, classes, thresholds, tally)
 
 
 def scan_rank3(

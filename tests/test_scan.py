@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -27,12 +28,18 @@ def test_scan_matches_single_threaded_reference():
 
 
 def test_shard_invariance_bit_identical():
-    base = scan_rank3(20000, (1, 4, 7), shards=1, workers=1)
-    for shards in (2, 5, 16, 10**18):  # any count: it is clamped to sqrt(limit)
-        other = scan_rank3(20000, (1, 4, 7), shards=shards, workers=1)
-        assert other == base
-        assert render(other, "csv") == render(base, "csv")
-        assert render(other, "json") == render(base, "json")
+    scans = [
+        (lambda shards: scan_rank3(20000, (1, 4, 7), shards=shards, workers=1), (2, 5, 16, 10**18)),
+        # p = 97: the largest vetted p, so the largest (checkpoint, class, outcome) tally
+        (lambda shards: scan_alpha(97, 10**6, shards=shards, workers=1), (3, 10**18)),
+    ]
+    for scan, shard_counts in scans:
+        base = scan(1)
+        for shards in shard_counts:  # any count: it is clamped to sqrt(limit)
+            other = scan(shards)
+            assert other == base
+            assert render(other, "csv") == render(base, "csv")
+            assert render(other, "json") == render(base, "json")
 
 
 def test_worker_pool_matches_serial():
@@ -42,10 +49,12 @@ def test_worker_pool_matches_serial():
 
 
 def test_alpha_worker_pool_matches_serial():
-    serial = scan_alpha(7, 30000, shards=1, workers=1)
-    pooled = scan_alpha(7, 30000, shards=4, workers=2)
-    assert pooled == serial
-    assert render(pooled, "json") == render(serial, "json")
+    for p, limit in ((7, 30000), (97, 10**6)):
+        serial = scan_alpha(p, limit, shards=1, workers=1)
+        pooled = scan_alpha(p, limit, shards=4, workers=2)
+        assert pooled == serial
+        assert render(pooled, "csv") == render(serial, "csv")
+        assert render(pooled, "json") == render(serial, "json")
 
 
 # sha256 of the published CSV and JSON of three scans: any change to these
@@ -144,9 +153,26 @@ def test_rank3_scan_runs_no_scalar_kernel(monkeypatch):
 
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_shard_refuses_an_outcome_outside_the_packed_key(bad):
-    # the tally packs (class, outcome) as class * p + outcome, so 0 <= outcome < p
+    # the tally packs (checkpoint, class, outcome) into one bincount key, so 0 <= outcome < p
     with pytest.raises(AssertionError, match="outside \\[0, 3\\)"):
-        _shard(2, 1000, 3, (1, 4, 7), lambda ns: np.full(ns.size, bad))
+        _shard(2, 1000, 3, (1, 4, 7), (1000,), lambda ns: np.full(ns.size, bad))
+
+
+def test_scan_sieves_the_shard_edges_only(monkeypatch):
+    # the checkpoint is part of the tally key, so no sub-range is cut at a threshold
+    sieved = []
+    real = cyclorank.scan.primes_in_range
+
+    def counted(lo, hi, *args):
+        sieved.append((lo, hi))
+        return real(lo, hi, *args)
+
+    monkeypatch.setattr(cyclorank.scan, "primes_in_range", counted)
+    scan_rank3(25000, (1, 4, 7), shards=3, workers=1)
+    assert sieved == [(2, 8335), (8335, 16668), (16668, 25001)]
+    sieved.clear()
+    scan_rank3(25000, (1, 4, 7), shards=10**18, workers=1)
+    assert len(sieved) == math.isqrt(25000) == 158
 
 
 def test_scan_validation():
