@@ -7,9 +7,14 @@ Galway's list of the base-2 strong pseudoprimes below 2^64.  The bases prove
 nothing above that, so a larger n is a DomainError; the (N, p) contract
 stops at 2^62.
 
-Primes are streamed by a segmented sieve so memory stays proportional to the
-segment, not the limit.  Its base primes, those up to sqrt(limit), come from
-the same segment sieve one level down, so there is one sieve.  Validating a
+Primes are streamed by a segmented sieve of one arithmetic progression
+c (mod s), where s = lcm(2, g) and g is the largest step that every requested
+residue shares.  So a scan's classes mod p^2, all = 1 (mod p), sieve only
+N = 1 (mod 2p), and residues that share no step sieve the odd numbers; 2 is
+yielded apart.  A segment is _SEGMENT cells of that progression, s * _SEGMENT
+integers, so memory stays proportional to the segment, not the limit.  The
+base primes, the odd ones up to sqrt(limit), come from the same sieve one
+level down on the odd progression, so there is one sieve.  Validating a
 target (N, p) is not done here but by check_contract in modmath, which uses
 is_prime.
 
@@ -77,17 +82,19 @@ def require_within_cap(size: int, what: str) -> None:
         raise DomainError(f"{what}={size} exceeds the 2^{bits} cap on O(N) work")
 
 
-def _sieve_range(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi), 2 <= lo <= hi, given base primes up to sqrt(hi-1)."""
-    mask = np.ones(hi - lo, dtype=bool)
+def _sieve_range(lo: int, hi: int, c: int, s: int, base: list[int]) -> np.ndarray:
+    """Primes N = c (mod s) in [lo, hi), 2 <= lo, s even, gcd(c, s) = 1, given the odd
+    primes up to sqrt(hi - 1).  Cell m of the mask stands for N = c + s*m."""
+    m_lo = -((c - lo) // s)  # the first cell at or above lo
+    mask = np.ones(-((c - hi) // s) - m_lo, dtype=bool)
     for q in base:
-        q = int(q)
         if q * q >= hi:
             break
-        start = max(q * q, ((lo + q - 1) // q) * q)
-        if start < hi:
-            mask[start - lo :: q] = False
-    return lo + np.flatnonzero(mask)
+        if s % q:  # q | s divides no cell
+            m = -((c - max(lo, q * q)) // s)  # the first cell at or above max(lo, q^2) ...
+            m += -(c + s * m) * pow(s, -1, q) % q  # ... then the first one that q divides
+            mask[m - m_lo :: q] = False
+    return c + s * (m_lo + np.flatnonzero(mask))
 
 
 def primes_in_range(
@@ -110,19 +117,28 @@ def primes_in_range(
 
 def _segments(lo: int, hi: int, modulus: int, res: list[int]) -> Iterator[int]:
     """Yield the primes of [lo, hi), lo >= 2, in the checked residues, segment by segment."""
-    if hi <= lo:
+    if hi <= lo or not res:  # the clamp of a modulus past hi may leave no residue
         return
-    # The base primes up to sqrt(hi - 1) come from this same sieve: each level
-    # sieves [2, r] with the primes up to sqrt(r), the lowest from none.
+    if lo == 2 and 2 % modulus in res:  # the one even prime, outside every sieved progression
+        yield 2
+    # g: the step every residue shares; c: their class mod g, lifted to the odd class mod s
+    g = math.gcd(modulus, *(r - res[0] for r in res))
+    c = res[0] % g
+    if math.gcd(c, g) != 1:  # a residue past a clamped modulus may share its factor
+        g = c = 1
+    s = math.lcm(2, g)
+    c = c if c % 2 else c + g
+    # The odd base primes up to sqrt(hi - 1) come from this same sieve: each level
+    # sieves the odd N in [3, r] with the odd primes up to sqrt(r), the lowest from none.
     roots = [math.isqrt(hi - 1)]
     while roots[-1] > 3:
         roots.append(math.isqrt(roots[-1]))
-    base = np.empty(0, dtype=np.int64)
+    base: list[int] = []
     for r in reversed(roots):
-        base = _sieve_range(2, r + 1, base)
+        base = _sieve_range(3, r + 1, 1, 2, base).tolist()
     res_arr = np.asarray(res, dtype=np.int64)
-    for seg_lo in range(lo, hi, _SEGMENT):
-        found = _sieve_range(seg_lo, min(seg_lo + _SEGMENT, hi), base)
+    for seg_lo in range(lo, hi, s * _SEGMENT):  # _SEGMENT cells a segment
+        found = _sieve_range(seg_lo, min(seg_lo + s * _SEGMENT, hi), c, s, base)
         yield from found[np.isin(found % modulus, res_arr)].tolist()
 
 

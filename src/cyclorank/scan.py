@@ -1,20 +1,22 @@
 """Parallel density experiments over prime ranges with convergence reporting.
 
 Rank-3 and alpha scans are one pipeline.  A scan sieves the primes N up to
-its limit in chosen classes mod p^2, reads them in chunks of at most _CHUNK
-primes, hands each chunk as an array to the scan's array kernel, which gives
-one integer outcome per prime (the exact 3-rank, or alpha), and counts
-(checkpoint, class, outcome) with one np.bincount per chunk, a prime's
-checkpoint being the first threshold 10^3, 10^4, ..., limit at or above it.
-The alpha kernel is invariants.alpha_counts, the rank-3 kernel
-rank.rank3_arrays, which runs the cube roots, Cornacchia and the criterion
-once per chunk on arrays.  Work is split into at most sqrt(limit) contiguous
-prime sub-ranges fixed by (limit, shards) alone.  The summary is the plain
-sum of their counts: summed over checkpoints it is the histogram per class,
-and its cumulative sums, read through one hit predicate (rank 2, or
-alpha > 0), give the checkpoints and the densities.  An integer sum depends
-neither on the cuts nor on their order, so summaries are bit-identical for
-any shard or worker count.
+its limit in chosen classes mod p^2.  Every class is 1 (mod p), so the sieve
+marks only cells N = 1 (mod 2p) (fewer when the classes share a longer
+step), _SEGMENT cells (primes.py) at a time.  The scan reads the primes in
+chunks of at most _CHUNK, hands each chunk as an array to the scan's array
+kernel, which gives one integer outcome per prime (the exact 3-rank, or
+alpha), and counts (checkpoint, class, outcome) with one np.bincount per
+chunk, a prime's checkpoint being the first threshold 10^3, 10^4, ...,
+limit at or above it.  The alpha kernel is invariants.alpha_counts, the
+rank-3 kernel rank.rank3_arrays, which runs the cube roots, Cornacchia and
+the criterion once per chunk on arrays.  Work is split into at most
+sqrt(limit) contiguous prime sub-ranges fixed by (limit, shards) alone.  The
+summary is the plain sum of their counts: summed over checkpoints it is the
+histogram per class, and its cumulative sums, read through one hit predicate
+(rank 2, or alpha > 0), give the checkpoints and the densities.  An integer
+sum depends neither on the cuts nor on their order, so summaries are
+bit-identical for any shard or worker count.
 
 Only O(sqrt(N)) per-prime work is allowed here; the O(N) products (factorial
 criterion, product invariants) serve single-N queries and refuse N above

@@ -2,6 +2,7 @@ import bisect
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,71 @@ def test_stream_ranges_cover_whole_interval():
     for lo in range(2, 5000, 777):
         pieces.extend(primes_in_range(lo, min(lo + 777, 5000), 3, {1}))
     assert pieces == whole
+
+
+@pytest.mark.parametrize("modulus, residues", [(9, {1, 4, 7}), (2 * 97, {1})])
+def test_stream_pieces_cut_the_progression_anywhere(modulus, residues):
+    # pieces of odd width 777 start at odd and even lo in turn, so their edges fall
+    # between the cells of the sieved progression (1 mod 6 at modulus 9, 1 mod 194)
+    whole = list(primes_in_range(2, 50_000, modulus, residues))
+    pieces = []
+    for lo in range(2, 50_000, 777):
+        pieces.extend(primes_in_range(lo, min(lo + 777, 50_000), modulus, residues))
+    assert pieces == whole and len(whole) > 50
+
+
+def test_stream_edge_cells_two_and_one():
+    # 2 lies outside every sieved (odd) progression and 1 is no prime
+    for modulus in range(1, 13):
+        for classes in ({r} for r in range(modulus) if math.gcd(r, modulus) == 1):
+            for lo in range(-1, 5):
+                for hi in range(lo, 8):
+                    want = [n for n in (2, 3, 5, 7) if lo <= n < hi and n % modulus in classes]
+                    assert list(primes_in_range(lo, hi, modulus, classes)) == want
+    assert 1 not in primes_in_range(0, 100, 2, {1})
+    assert list(primes_in_class(2, 3, {2})) == [2]
+    assert list(primes_in_class(2, 3, {1})) == []
+
+
+def _eratosthenes(lo, hi):
+    """Every prime in [lo, hi] by a plain sieve of all integers, base primes by their own."""
+    root = math.isqrt(hi)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for q in range(2, math.isqrt(root) + 1):
+        if small[q]:
+            small[q * q :: q] = False
+    mask = np.ones(hi - lo + 1, dtype=bool)
+    mask[: max(0, 2 - lo)] = False
+    for q in np.flatnonzero(small).tolist():
+        mask[max(q * q, -(-lo // q) * q) - lo :: q] = False
+    return lo + np.flatnonzero(mask)
+
+
+def _scan_class_sets():
+    # a scan's classes mod p^2 (each also alone), then residues with no common
+    # progression, even moduli, and modulus 1
+    yield 9, {1, 4, 7}
+    yield 9, {4, 7}
+    for p in (5, 13, 97):
+        ones = {1 + k * p for k in range(p)}
+        yield p * p, ones
+        yield from ((p * p, {r}) for r in sorted(ones))
+    yield 3, {1, 2}
+    yield 35, {1, 2, 4}
+    yield 2, {1}
+    yield 8, {1, 5}
+    yield 194, {1}
+    yield 1, {0}
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 10**7), (2**30 - 10**7, 2**30)])
+def test_progression_sieve_matches_eratosthenes(lo, hi):
+    reference = _eratosthenes(lo, hi)
+    for modulus, classes in _scan_class_sets():
+        want = reference[np.isin(reference % modulus, list(classes))]
+        got = np.fromiter(primes_in_range(lo, hi + 1, modulus, classes), dtype=np.int64)
+        assert np.array_equal(got, want), (modulus, sorted(classes)[:3])
 
 
 def test_stream_errors():
