@@ -111,20 +111,23 @@ def cornacchia_arrays(ns, ts) -> tuple[np.ndarray, np.ndarray]:
     """split_of's Cornacchia on arrays: int64 (A, B) for sieved primes N = 1 (mod 3) below 2^30.
 
     ts[i] is a cube root of unity t != 1 mod ns[i] (the rank-3 scan takes it
-    from modmath.powers_table).  The same steps, elementwise: Euclid on every
-    pair still above isqrt(N), y, and the three-case map to (A, B), normalized
-    to A = 1 (mod 3), B > 0; like split_of it does not fold r (module
-    docstring).  A failed search and each QuadRep check raise DomainError;
+    from modmath.powers_table).  The same steps, elementwise: Euclid, stepping
+    only the pairs still above isqrt(N), y, and the three-case map to (A, B),
+    normalized to A = 1 (mod 3), B > 0; like split_of it does not fold r
+    (module docstring).  A failed search and each QuadRep check raise DomainError;
     N above the cap raises AssertionError.
     """
     n = np.asarray(ns, dtype=np.int64)
     if n.size:
         _require_width(int(n.max()))
-    r = (2 * np.asarray(ts, dtype=np.int64) + 1) % n
     bound = isqrt(n)
-    a, x = n, r
-    while (live := x > bound).any():
-        a, x = np.where(live, x, a), np.where(live, a % np.where(live, x, 1), x)
+    m, x = n.copy(), (2 * np.asarray(ts, dtype=np.int64) + 1) % n
+    live = np.flatnonzero(x > bound)
+    while live.size:  # one Euclid step on the pairs still above isqrt(N) only
+        x_live = x[live]
+        x_new = m[live] % x_live
+        m[live], x[live] = x_live, x_new
+        live = live[x_new > bound[live]]
     y2, rem = np.divmod(n - x * x, 3)
     y = isqrt(y2)
     if (failed := (rem != 0) | (y * y != y2)).any():

@@ -13,6 +13,8 @@ residue shares.  So a scan's classes mod p^2, all = 1 (mod p), sieve only
 N = 1 (mod 2p), and residues that share no step sieve the odd numbers; 2 is
 yielded apart.  A segment is _SEGMENT cells of that progression, s * _SEGMENT
 integers, so memory stays proportional to the segment, not the limit.  The
+cells a base prime q strikes are one class mod q, found once per stream;
+each segment takes every q's first struck cell from it in one array step.  The
 base primes, the odd ones up to sqrt(limit), come from the same sieve one
 level down on the odd progression, so there is one sieve.  Validating a
 target (N, p) is not done here but by check_contract in modmath, which uses
@@ -82,18 +84,25 @@ def require_within_cap(size: int, what: str) -> None:
         raise DomainError(f"{what}={size} exceeds the 2^{bits} cap on O(N) work")
 
 
-def _sieve_range(lo: int, hi: int, c: int, s: int, base: list[int]) -> np.ndarray:
-    """Primes N = c (mod s) in [lo, hi), 2 <= lo, s even, gcd(c, s) = 1, given the odd
-    primes up to sqrt(hi - 1).  Cell m of the mask stands for N = c + s*m."""
+def _strikes(c: int, s: int, base: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The base primes q that divide no cell of c (mod s), as int64, with the class of
+    the cells that q divides: q | c + s*m exactly when m = -c/s (mod q)."""
+    qs = [q for q in base if s % q]  # q | s divides no cell, as gcd(c, s) = 1
+    return (np.array(qs, dtype=np.int64),
+            np.array([-c * pow(s, -1, q) % q for q in qs], dtype=np.int64))
+
+
+def _sieve_range(lo: int, hi: int, c: int, s: int, qs: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Primes N = c (mod s) in [lo, hi), 2 <= lo, s even, gcd(c, s) = 1, given _strikes(c, s, ...)
+    of the odd primes up to sqrt(hi - 1).  Cell m of the mask stands for N = c + s*m."""
     m_lo = -((c - lo) // s)  # the first cell at or above lo
     mask = np.ones(-((c - hi) // s) - m_lo, dtype=bool)
-    for q in base:
-        if q * q >= hi:
-            break
-        if s % q:  # q | s divides no cell
-            m = -((c - max(lo, q * q)) // s)  # the first cell at or above max(lo, q^2) ...
-            m += -(c + s * m) * pow(s, -1, q) % q  # ... then the first one that q divides
-            mask[m - m_lo :: q] = False
+    k = np.searchsorted(qs, math.isqrt(hi - 1), side="right")
+    qs = qs[:k]
+    m = -((c - np.maximum(lo, qs * qs)) // s)  # the first cell at or above max(lo, q^2) ...
+    starts = m + (offs[:k] - m) % qs - m_lo  # ... then the first one that q divides
+    for q, start in zip(qs.tolist(), starts.tolist()):
+        mask[start::q] = False
     return c + s * (m_lo + np.flatnonzero(mask))
 
 
@@ -135,10 +144,11 @@ def _segments(lo: int, hi: int, modulus: int, res: list[int]) -> Iterator[int]:
         roots.append(math.isqrt(roots[-1]))
     base: list[int] = []
     for r in reversed(roots):
-        base = _sieve_range(3, r + 1, 1, 2, base).tolist()
+        base = _sieve_range(3, r + 1, 1, 2, *_strikes(1, 2, base)).tolist()
+    strikes = _strikes(c, s, base)  # once per stream, not once per segment
     res_arr = np.asarray(res, dtype=np.int64)
     for seg_lo in range(lo, hi, s * _SEGMENT):  # _SEGMENT cells a segment
-        found = _sieve_range(seg_lo, min(seg_lo + s * _SEGMENT, hi), c, s, base)
+        found = _sieve_range(seg_lo, min(seg_lo + s * _SEGMENT, hi), c, s, *strikes)
         yield from found[np.isin(found % modulus, res_arr)].tolist()
 
 

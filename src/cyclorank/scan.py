@@ -4,8 +4,10 @@ Rank-3 and alpha scans are one pipeline.  A scan sieves the primes N up to
 its limit in chosen classes mod p^2.  Every class is 1 (mod p), so the sieve
 marks only cells N = 1 (mod 2p) (fewer when the classes share a longer
 step), _SEGMENT cells (primes.py) at a time.  The scan reads the primes in
-chunks of at most _CHUNK, hands each chunk as an array to the scan's array
-kernel, which gives one integer outcome per prime (the exact 3-rank, or
+chunks sized by a cell budget, not a prime count: _CHUNK_CELLS // p primes,
+so the widest kernel array, the (p, chunk) uint64 powers table, holds at most
+_CHUNK_CELLS cells (2 MB).  It hands each chunk as an array to the scan's
+array kernel, which gives one integer outcome per prime (the exact 3-rank, or
 alpha), and counts (checkpoint, class, outcome) with one np.bincount per
 chunk, a prime's checkpoint being the first threshold 10^3, 10^4, ...,
 limit at or above it.  The alpha kernel is invariants.alpha_counts, the
@@ -43,7 +45,9 @@ from .rank import rank3, rank3_arrays  # noqa: F401  (perfbench/: scan.rank3)
 
 # int64 array of sieved N -> their 3-ranks or alphas, by an array kernel; no context
 Outcome = Callable[[np.ndarray], np.ndarray]
-_CHUNK = 4096  # primes per kernel call, few enough that the kernel's arrays stay small
+# cells of the widest kernel array, the (p, chunk) uint64 powers table: 87,381 primes a
+# chunk at p = 3 and 2,702 at p = 97, so a kernel's fixed numpy cost is paid rarely
+_CHUNK_CELLS = 1 << 18
 
 
 def _is_hit(kind: str, outcome: int) -> bool:
@@ -84,7 +88,7 @@ def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], thresholds: tuple
     m = p * p
     tally = np.zeros((len(thresholds), p, p), dtype=np.int64)
     primes = primes_in_range(lo, hi, m, classes)
-    while (ns := np.fromiter(islice(primes, _CHUNK), dtype=np.int64)).size:
+    while (ns := np.fromiter(islice(primes, _CHUNK_CELLS // p), dtype=np.int64)).size:
         out = outcome(ns)
         if (bad := (out < 0) | (out >= p)).any():  # the packed key needs 0 <= outcome < p
             raise AssertionError(f"outcome {out[bad][0]} at N={ns[bad][0]} is outside [0, {p})")

@@ -57,6 +57,35 @@ def test_alpha_worker_pool_matches_serial():
         assert render(pooled, "json") == render(serial, "json")
 
 
+def test_kernel_batch_cuts_do_not_change_a_scan(monkeypatch):
+    # at the default cell budget each shard of these scans is one kernel batch; a budget
+    # of one prime, then of a few (a budget that p does not divide), cuts every shard
+    scans = {3: lambda shards: scan_rank3(20000, (1, 4, 7), shards=shards, workers=1),
+             5: lambda shards: scan_alpha(5, 20000, shards=shards, workers=1),
+             13: lambda shards: scan_alpha(13, 20000, shards=shards, workers=1)}
+    default = {(p, shards): scan(shards) for p, scan in scans.items() for shards in (1, 3)}
+    sizes = []
+
+    def counted(kernel):
+        def run(ns, **kw):
+            sizes.append(ns.size)
+            return kernel(ns, **kw)
+        return run
+
+    monkeypatch.setattr(cyclorank.scan, "rank3_arrays", counted(cyclorank.scan.rank3_arrays))
+    monkeypatch.setattr(cyclorank.scan, "alpha_counts", counted(cyclorank.scan.alpha_counts))
+    for p, scan in scans.items():
+        for per_call in (1, 5):
+            monkeypatch.setattr(cyclorank.scan, "_CHUNK_CELLS", per_call * p + p - 1)
+            for shards in (1, 3):
+                sizes.clear()
+                summary = scan(shards)
+                assert summary == default[p, shards]
+                for fmt in ("csv", "json"):
+                    assert render(summary, fmt) == render(default[p, shards], fmt)
+                assert max(sizes) == per_call and sum(sizes) == summary.total, (p, shards)
+
+
 # sha256 of the published CSV and JSON of three scans: any change to these
 # digests is a change of the output format.
 @pytest.mark.parametrize(
