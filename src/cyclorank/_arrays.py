@@ -4,8 +4,8 @@ Residues are uint64.  Every modulus lies below primes.DEFAULT_SIEVE_CAP
 (2^30), the cap on the scans and on the O(N) products, so a product of two
 residues stays below 2^60 and numpy's uint64 multiplication is exact.
 powmod and class_products refuse a wider modulus with an explicit raise,
-which python -O keeps; so does eisenstein.cornacchia_arrays, whose int64
-arithmetic and isqrt are exact for every N below the cap.
+which python -O keeps; so does eisenstein.represent_4n_arrays, whose int64
+lattice points (A^2 + 27B^2 = 4N <= 2^32) and isqrt are exact below the cap.
 """
 
 from __future__ import annotations

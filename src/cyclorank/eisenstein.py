@@ -12,18 +12,21 @@ Two normalizations coexist on purpose:
 Conflating the two conventions flips a sign (first visible at N = 61), so both
 are kept explicit and cross-checked.
 
-The representation has one algorithm for the whole contract N < 2^62: integer
+A point query has one algorithm for the whole contract N < 2^62: integer
 Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  split_of runs it
 on one N, which is checked once, by the ModulusContext gate: represent_4n and
 split_prime reach it through that context, whose root starts Cornacchia and
-indexes every symbol.  cornacchia_arrays runs the same steps on a chunk of
-sieved N below the 2^30 cap for the rank-3 scan, from the cube roots of
-modmath.powers_table; split_of is its reference.
+indexes every symbol.  split_of does not fold r = 2t + 1 to 2r >= N, as no
+fold changes the result: t and t^2 give r and N - r, and for r > N/2 Euclid
+on (N, r) passes (r, N - r) to (N - r, r mod (N - r)), where Euclid on
+(N, N - r) arrives in one step, so both stop at the same x.  Any cube root of
+unity t != 1 serves.
 
-Neither width folds r = 2t + 1 to 2r >= N, as no fold changes the result:
-t and t^2 give r and N - r, and for r > N/2 Euclid on (N, r) passes
-(r, N - r) to (N - r, r mod (N - r)), where Euclid on (N, N - r) arrives in
-one step, so both stop at the same x.  Any cube root of unity t != 1 serves.
+The rank-3 scan reads no root: represent_4n_arrays finds (A, B) for a chunk
+of sieved N below the 2^30 cap by enumerating the lattice points with
+A^2 + 27B^2 = 4N over the chunk's range and looking each N up.  It shares no
+step with Cornacchia, so each is the other's oracle.  Its points satisfy
+A^2 + 27B^2 <= 4 * 2^30 = 2^32, exact in int64.
 """
 
 from __future__ import annotations
@@ -107,43 +110,84 @@ def _normalize_pair(a: int, b: int, n: int) -> QuadRep:
     return QuadRep(A=a if a % 3 == 1 else -a, B=abs(b), n=n)
 
 
-def cornacchia_arrays(ns, ts) -> tuple[np.ndarray, np.ndarray]:
-    """split_of's Cornacchia on arrays: int64 (A, B) for sieved primes N = 1 (mod 3) below 2^30.
+# Integers of N one lattice call covers: a scan's chunk at the 2^30 cap (87,381 primes over
+# about 3.6M integers) is one window, and a lone N costs O(sqrt(N)) points, not O(N).
+_WINDOW = 1 << 22
+# Each B has two progressions of A, in four groups of one signed step each: odd B has
+# |A| = 1 and 5 (mod 6), stepping +6 and -6; B = 2b gives A = 2a with N = a^2 + 27b^2, odd
+# iff a and b differ in parity, so |A| = 10 or 4 (mod 12) stepping +12 and 2 or 8 (mod 12)
+# stepping -12, for b even or odd.  Every point has A = 1 (mod 3) and an odd N = 1 (mod 6).
+_SIGNED_STEPS = np.array([6, -6, 12, -12], dtype=np.int8)
 
-    ts[i] is a cube root of unity t != 1 mod ns[i] (the rank-3 scan takes it
-    from modmath.powers_table).  The same steps, elementwise: Euclid, stepping
-    only the pairs still above isqrt(N), y, and the three-case map to (A, B),
-    normalized to A = 1 (mod 3), B > 0; like split_of it does not fold r
-    (module docstring).  A failed search and each QuadRep check raise DomainError;
-    N above the cap raises AssertionError.
+
+def represent_4n_arrays(ns) -> tuple[np.ndarray, np.ndarray]:
+    """represent_4n on arrays: int64 (A, B) for strictly ascending sieved primes N = 1 (mod 3).
+
+    No root and no Cornacchia: each window of at most _WINDOW integers
+    enumerates the lattice points with 4*lo <= A^2 + 27B^2 <= 4*hi (lo, hi its
+    first and last N) and looks each N = (A^2 + 27B^2)/4 up among the given
+    ones: the quadratic-form enumeration of Atkin and Bernstein ("Prime
+    sieves using binary quadratic forms", Math. Comp. 73, 2004), here finding
+    the representation, not testing primality.  A prime has exactly one
+    point; an N with none or several (25, 91) and an input out of order raise
+    DomainError, an N above the 2^30 cap AssertionError, also under -O.  The
+    check is no primality test: 49 = 7^2 has one point too.
     """
     n = np.asarray(ns, dtype=np.int64)
+    if (n[1:] <= n[:-1]).any():
+        raise DomainError("the N must be strictly ascending")
+    a, b = np.empty_like(n), np.empty_like(n)
     if n.size:
-        _require_width(int(n.max()))
-    bound = isqrt(n)
-    m, x = n.copy(), (2 * np.asarray(ts, dtype=np.int64) + 1) % n
-    live = np.flatnonzero(x > bound)
-    while live.size:  # one Euclid step on the pairs still above isqrt(N) only
-        x_live = x[live]
-        x_new = m[live] % x_live
-        m[live], x[live] = x_live, x_new
-        live = live[x_new > bound[live]]
-    y2, rem = np.divmod(n - x * x, 3)
-    y = isqrt(y2)
-    if (failed := (rem != 0) | (y * y != y2)).any():
-        raise DomainError(
-            f"Cornacchia found no x^2 + 3y^2 = {n[failed][0]}: N is not a split prime")
-    by_y, by_diff = y % 3 == 0, (x - y) % 3 == 0
-    a = np.where(by_y, 2 * x, np.where(by_diff, x + 3 * y, x - 3 * y))
-    b = np.where(by_y, 2 * y, np.where(by_diff, x - y, x + y)) // 3
-    a = np.where(a % 3 == 1, a, -a)
-    b = np.abs(b)
-    for bad, what in ((a * a + 27 * b * b != 4 * n, "pair does not represent 4N"),
-                      (a % 3 != 1, "A must be 1 mod 3"),
-                      (b <= 0, "B must be positive")):
-        if bad.any():
-            raise DomainError(f"{what} at N={n[bad][0]}")
+        _require_width(int(n[-1]))
+    first = 0
+    while first < n.size:
+        last = int(np.searchsorted(n, n[first] + _WINDOW))
+        a[first:last], b[first:last] = _lattice_window(n[first:last])
+        first = last
     return a, b
+
+
+def _lattice_window(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """represent_4n_arrays on one window: n ascending, nonempty, hi - lo < _WINDOW."""
+    lo, hi = int(n[0]), int(n[-1])
+    bs = np.arange(1, math.isqrt(max(0, 4 * hi) // 27) + 1, dtype=np.int64)
+    odd, even = bs[0::2], bs[1::2]
+    shift = 6 * (even % 4 == 0)  # b even
+    groups = np.cumsum([odd.size, odd.size, even.size, even.size])
+    b = np.concatenate((odd, odd, even, even))
+    signed = np.repeat(_SIGNED_STEPS, np.diff(groups, prepend=0))
+    step = np.abs(signed)
+    residue = np.concatenate((np.ones_like(odd), np.full_like(odd, 5), 4 + shift, 8 - shift))
+    # the first |A| of each progression at or above ceil(sqrt(4lo - 27B^2)), clamped at 0
+    q = 27 * b * b
+    gap = np.maximum(0, 4 * lo - q)
+    x0 = isqrt(gap)
+    x0 += x0 * x0 < gap
+    x0 += (residue - x0) % step
+    cnt = np.maximum(0, (isqrt(4 * hi - q) - x0) // step + 1)
+    edges = np.concatenate(([0], np.cumsum(cnt)))  # progression k: points edges[k] .. edges[k+1]-1
+    # point i of progression k: A = sign*x0 + signed*(i - edges[k]), one signed step per group
+    a = np.arange(edges[-1], dtype=np.int64)
+    a *= np.repeat(_SIGNED_STEPS, np.diff(edges[groups], prepend=0))
+    a += np.repeat(np.sign(signed) * x0 - signed * edges[:-1], cnt)
+    # an int32 table over the N = 1 (mod 6) of [lo, hi]: the last point at each N, -1 at none
+    base = lo - (lo - 1) % 6
+    cell = a * a  # in place: the point arrays are the kernel's widest
+    cell += np.repeat(q - 4 * base, cnt)
+    cell //= 24  # (N - base) / 6
+    point_at = np.full((hi - base) // 6 + 1, -1, dtype=np.int32)
+    point_at[cell] = np.arange(cell.size, dtype=np.int32)
+    at = (n - base) // 6
+    point = np.where(n % 6 == 1, point_at[at], -1)  # every point has N = 1 (mod 6)
+    # once every N is hit, each is hit exactly once iff as many points as N hit them
+    ours = np.zeros(point_at.size, dtype=bool)
+    ours[at] = True
+    if (point < 0).any() or np.count_nonzero(ours[cell]) != n.size:
+        times = np.where(n % 6 == 1, np.bincount(cell, minlength=point_at.size)[at], 0)
+        bad = np.flatnonzero(times != 1)[0]
+        raise DomainError(f"N={n[bad]} has {times[bad]} representations 4N = A^2 + 27B^2 with "
+                          "3 !| A, B > 0: it is not a prime = 1 (mod 3)")
+    return a[point], np.repeat(b.astype(np.int32), cnt)[point]  # B < 2^13; the caller stores int64
 
 
 def represent_4n(n: int) -> QuadRep:

@@ -62,11 +62,11 @@ so every modpow has an exponent below p.
 
 alpha_counts is the batch form that the alpha scan runs: for an array of
 sieved N below the 2^30 cap it takes the roots' powers from
-modmath.powers_table, the (p-1)/2 characters of 1 - f^j as one 2-D modpow on
-the shared exponent (N-1)/p, their discrete logs by comparison against the
-powers, and every flag by one integer matmul with the same table.  uint64
-residues are exact below the cap (_arrays).  alpha_count is the point-query
-kernel and the batch kernel's oracle.
+modmath.powers_table, the (p-1)/2 characters of 1 - f^j as one 2-D
+modmath.power_residues on the shared exponent (N-1)/p, their discrete logs
+by comparison against the powers, and every flag by one integer matmul with
+the same table.  uint64 residues are exact below the cap (_arrays).
+alpha_count is the point-query kernel and the batch kernel's oracle.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ from operator import mul
 
 import numpy as np
 
-from ._arrays import class_products, powmod
+from ._arrays import class_products
 from .errors import DomainError
-from .modmath import ModulusContext, PowerClass, power_class, powers_table
+from .modmath import ModulusContext, PowerClass, power_class, power_residues, powers_table
 from .primes import require_within_cap
 
 REGULAR_PRIMES_BELOW_100 = frozenset(
@@ -231,17 +231,16 @@ def alpha_counts(ns, p: int) -> np.ndarray:
     n = np.asarray(ns, dtype=np.uint64)
     if p == 3:
         return np.zeros(n.shape, dtype=np.int64)
-    e = (n - 1) // p
     powers = powers_table(n, p)
     half = (p + 1) // 2
-    chars = powmod(n + 1 - powers[1:half], e, n)  # chi(1 - f^j), j = 1..(p-1)/2
+    chars = power_residues(n + 1 - powers[1:half], n, p)  # chi(1 - f^j), j = 1..(p-1)/2
     logs = np.full(chars.shape, -1, dtype=np.int64)
     for k in range(p):
         logs[chars == powers[k]] = k
     if (unmatched := (logs < 0).any(axis=0)).any():
         raise AssertionError(f"N={n[unmatched][0]}: a character value is no power of the root")
     j = np.arange(1, half, dtype=np.int64)[:, None]
-    b = 2 * logs - j * (e % p).astype(np.int64)
+    b = 2 * logs - j * ((n - 1) // p % p).astype(np.int64)  # c = ind(f) = ((N-1)/p) mod p
     table = np.array([row for _, row in _twists(p)], dtype=np.int64)
     return (table @ b % p == 0).sum(axis=0)
 

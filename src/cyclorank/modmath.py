@@ -21,9 +21,12 @@ here alone, in two forms: ModulusContext.__post_init__ applies it to one N,
 and powers_table to an array of sieved N below the 2^30 cap, the context's
 powers column by column.  Both try prime g only: the least such g is prime,
 since a composite g = ab gives g^((N-1)/p) = 1 whenever a and b both did.
-The scans, whose sieve proves N prime, build no context: each takes one
-table per chunk (the rank-3 scan its cube roots, invariants.alpha_counts
-its powers).  No scalar helper here works without a context.
+The scans, whose sieve proves N prime, build no context:
+invariants.alpha_counts takes one table per chunk, and the rank-3 scan
+reads no root.  power_residues, x^((N-1)/k) on arrays, is the one array form
+of the character: the root rule, alpha_counts' characters and the rank-3
+scan's ninth powers (k = 9) run through it.  No scalar helper here works
+without a context.
 """
 
 from __future__ import annotations
@@ -125,6 +128,17 @@ class PowerClass:
     index: int
 
 
+def power_residues(xs, ns, k: int) -> np.ndarray:
+    """x^((N-1)/k) mod N, elementwise over xs >= 0 and sieved N = 1 (mod k) below the 2^30 cap.
+
+    The one array form of the residue character: powers_table's root rule,
+    invariants.alpha_counts' characters and the rank-3 scan's ninth powers
+    read it.  uint64; the cap is enforced by _arrays.powmod, also under -O.
+    """
+    n = np.asarray(ns, dtype=np.uint64)
+    return powmod(xs, (n - 1) // k, n)
+
+
 def powers_table(ns, p: int) -> np.ndarray:
     """ModulusContext(N, p).powers as column i, for each N = ns[i] of sieved primes N = 1 (mod p).
 
@@ -133,12 +147,11 @@ def powers_table(ns, p: int) -> np.ndarray:
     modpow per prime g, retrying only the N still at 1.
     """
     n = np.asarray(ns, dtype=np.uint64)
-    e = (n - 1) // p
-    root = powmod(2, e, n)
+    root = power_residues(2, n, p)
     g = 2
     while (retry := np.flatnonzero(root == 1)).size:
         g = next(q for q in count(g + 1) if is_prime(q))
-        root[retry] = powmod(g, e[retry], n[retry])
+        root[retry] = power_residues(g, n[retry], p)
     powers = np.empty((p, n.size), dtype=np.uint64)
     powers[0] = 1
     for k in range(1, p):

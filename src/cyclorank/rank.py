@@ -16,8 +16,10 @@ check of the representation.  factorial reads N alone and is independent of
 it, as is represent_4n_bruteforce in the tests.  Every caller (rank3, bounds
 at p = 3 and so validate) applies one agreement rule, _agreed_rank: methods
 that disagree raise AssertionError, an internal error, never a report.
-rank3_arrays is the cornacchia method on arrays, the rank-3 scan's kernel;
-the scalar rank3_criterion on represent_4n is its reference.
+rank3_arrays is the cornacchia method's criterion on arrays, the rank-3 scan's
+kernel; its (A, B) come from the lattice enumeration represent_4n_arrays,
+which shares no step with Cornacchia, and the scalar rank3_criterion on
+represent_4n is its reference.
 
 For general regular p only bounds are reported: the coarse envelope
 (p-1)/2 .. (p-1)(p-2) and the alpha-refined window of rank_window.
@@ -30,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eisenstein, invariants
-from ._arrays import powmod
 from .errors import DomainError
-from .modmath import ModulusContext, TargetClass, check_contract, factorial_mod, powers_table
+from .modmath import ModulusContext, TargetClass, check_contract, factorial_mod, power_residues
 
 RANK3_METHODS = ("cornacchia", "gerth", "star", "factorial")
 
@@ -50,19 +51,20 @@ def rank3_criterion(rep: eisenstein.QuadRep) -> int:
 
 
 def rank3_arrays(ns) -> np.ndarray:
-    """rank3_criterion for each N of an array of sieved primes N = 1 (mod 3) below the 2^30 cap.
+    """rank3_criterion for each N of a strictly ascending array of sieved primes N = 1 (mod 3).
 
-    The rank-3 scan's kernel: the cube roots from one modmath.powers_table,
-    (A, B) from eisenstein.cornacchia_arrays, then 3 | B, or for the N = 1
-    (mod 9) alone one array powmod of A mod N to the (N-1)/9 (A may be
-    negative, and powmod reads uint64).  Their checks raise, also under -O.
+    The rank-3 scan's kernel: (A, B) from eisenstein.represent_4n_arrays's
+    lattice, then 3 | B, or for the N = 1 (mod 9) alone A's ninth-power
+    residue from modmath.power_residues (A may be negative, and the residues
+    are uint64).  Every N must lie below the 2^30 cap; the checks raise, also
+    under -O.
     """
     n = np.asarray(ns, dtype=np.int64)
-    a, b = eisenstein.cornacchia_arrays(n, powers_table(n, 3)[1])
+    a, b = eisenstein.represent_4n_arrays(n)
     ranks = np.where(b % 3 == 0, 2, 1)
-    if (nine := np.flatnonzero(n % 9 == 1)).size:
-        m = n[nine]
-        ranks[nine] = np.where(powmod(a[nine] % m, (m - 1) // 9, m) == 1, 2, 1)
+    nine = np.flatnonzero(n % 9 == 1)
+    m = n[nine]
+    ranks[nine] = np.where(power_residues(a[nine] % m, m, 9) == 1, 2, 1)
     return ranks
 
 

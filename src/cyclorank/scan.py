@@ -4,21 +4,22 @@ Rank-3 and alpha scans are one pipeline.  A scan sieves the primes N up to
 its limit in chosen classes mod p^2.  Every class is 1 (mod p), so the sieve
 marks only cells N = 1 (mod 2p) (fewer when the classes share a longer
 step), _SEGMENT cells (primes.py) at a time.  The scan reads the primes in
-chunks sized by a cell budget, not a prime count: _CHUNK_CELLS // p primes,
-so the widest kernel array, the (p, chunk) uint64 powers table, holds at most
-_CHUNK_CELLS cells (2 MB).  It hands each chunk as an array to the scan's
-array kernel, which gives one integer outcome per prime (the exact 3-rank, or
-alpha), and counts (checkpoint, class, outcome) with one np.bincount per
-chunk, a prime's checkpoint being the first threshold 10^3, 10^4, ...,
-limit at or above it.  The alpha kernel is invariants.alpha_counts, the
-rank-3 kernel rank.rank3_arrays, which runs the cube roots, Cornacchia and
-the criterion once per chunk on arrays.  Work is split into at most
-sqrt(limit) contiguous prime sub-ranges fixed by (limit, shards) alone.  The
-summary is the plain sum of their counts: summed over checkpoints it is the
-histogram per class, and its cumulative sums, read through one hit predicate
-(rank 2, or alpha > 0), give the checkpoints and the densities.  An integer
-sum depends neither on the cuts nor on their order, so summaries are
-bit-identical for any shard or worker count.
+chunks sized by a cell budget, not a prime count: _CHUNK_CELLS // p primes.
+It hands each chunk as an array to the scan's array kernel, which gives one
+integer outcome per prime (the exact 3-rank, or alpha), and counts
+(checkpoint, class, outcome) with one np.bincount per chunk, a prime's
+checkpoint being the first threshold 10^3, 10^4, ..., limit at or above it.
+The alpha kernel is invariants.alpha_counts, whose widest array, the
+(p, chunk) uint64 powers table, holds at most _CHUNK_CELLS cells (2 MB).  The
+rank-3 kernel is rank.rank3_arrays, which enumerates the chunk's lattice
+points (eisenstein.represent_4n_arrays) and runs the criterion once per chunk
+on arrays; its widest arrays hold the points, about 4 to 6 per prime.  Work
+is split into at most sqrt(limit) contiguous prime sub-ranges fixed by
+(limit, shards) alone.  The summary is the plain sum of their counts: summed
+over checkpoints it is the histogram per class, and its cumulative sums, read
+through one hit predicate (rank 2, or alpha > 0), give the checkpoints and
+the densities.  An integer sum depends neither on the cuts nor on their
+order, so summaries are bit-identical for any shard or worker count.
 
 Only O(sqrt(N)) per-prime work is allowed here; the O(N) products (factorial
 criterion, product invariants) serve single-N queries and refuse N above
@@ -45,8 +46,10 @@ from .rank import rank3, rank3_arrays  # noqa: F401  (perfbench/: scan.rank3)
 
 # int64 array of sieved N -> their 3-ranks or alphas, by an array kernel; no context
 Outcome = Callable[[np.ndarray], np.ndarray]
-# cells of the widest kernel array, the (p, chunk) uint64 powers table: 87,381 primes a
-# chunk at p = 3 and 2,702 at p = 97, so a kernel's fixed numpy cost is paid rarely
+# primes a kernel call reads, times p: 87,381 at p = 3 and 2,702 at p = 97, so a kernel's
+# fixed numpy cost is paid rarely.  The alpha kernel's (p, chunk) uint64 powers table then
+# holds _CHUNK_CELLS cells (2 MB); the rank-3 kernel's widest arrays, its lattice points,
+# about 4-6 per prime, up to 550k int64 (4.4 MB) at the 2^30 cap
 _CHUNK_CELLS = 1 << 18
 
 

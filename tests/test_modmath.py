@@ -9,7 +9,9 @@ from cyclorank._arrays import class_products, powmod
 from cyclorank.eisenstein import represent_4n
 from cyclorank.errors import DomainError
 from cyclorank.invariants import REGULAR_PRIMES_BELOW_100
-from cyclorank.modmath import ModulusContext, PowerClass, factorial_mod, power_class, powers_table
+from cyclorank.modmath import (
+    ModulusContext, PowerClass, factorial_mod, power_class, power_residues, powers_table,
+)
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_range
 from cyclorank.rank import rank3
 
@@ -115,8 +117,7 @@ def test_powers_table_is_the_context_table(p, lo, hi):
 
 
 def test_powers_table_edge_cases():
-    # the p = 3 sample of test_powers_table_is_the_context_table, which the rank-3 scan
-    # shares, runs the retry loop: 1,559 of its 4,784 primes need g > 2, 516 need g > 3
+    # the p = 3 sample of test_powers_table_is_the_context_table runs the retry loop: 1,559 of its 4,784 primes need g > 2, 516 need g > 3
     ns = list(primes_in_range(2, 10**5, 3, {1}))
     assert len(ns) == 4784
     assert sum(pow(2, (n - 1) // 3, n) == 1 for n in ns) == 1559
@@ -125,6 +126,19 @@ def test_powers_table_edge_cases():
     # 2^30 + 3 is a prime = 1 (mod 3) above the cap; the guard is a raise, kept under -O
     with pytest.raises(AssertionError, match="cap"):
         powers_table(np.array([7, DEFAULT_SIEVE_CAP + 3]), 3)
+
+
+def test_power_residues_are_euler_characters():
+    # x^((N-1)/k) mod N elementwise, a 2-D xs broadcast against one row of N
+    ns = np.fromiter(primes_in_range(2, 5000, 9, {1}), dtype=np.int64)
+    xs = np.stack([np.full(ns.size, 2), ns - 1, ns // 2])
+    got = power_residues(xs, ns, 9)
+    assert (got.dtype, got.shape) == (np.uint64, xs.shape)
+    for row, x_row in zip(got.tolist(), xs.tolist()):
+        assert row == [pow(x, (n - 1) // 9, n) for x, n in zip(x_row, ns.tolist())]
+    assert power_residues(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3).size == 0
+    with pytest.raises(AssertionError, match="cap"):
+        power_residues(2, np.array([7, DEFAULT_SIEVE_CAP + 3]), 3)
 
 
 def test_power_class_examples():

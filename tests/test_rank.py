@@ -1,10 +1,15 @@
+import random
+import time
+
 import numpy as np
 import pytest
 
-from cyclorank.eisenstein import cornacchia_arrays, represent_4n, split_prime
+import cyclorank.eisenstein
+from cyclorank.eisenstein import represent_4n, represent_4n_arrays, split_prime
 from cyclorank.errors import DomainError
-from cyclorank.modmath import ModulusContext, powers_table
-from cyclorank.primes import DEFAULT_SIEVE_CAP, primes_in_class, primes_in_range
+from cyclorank.invariants import alpha_count
+from cyclorank.modmath import ModulusContext
+from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
 from cyclorank.rank import RankReport, bounds, rank3, rank3_arrays, rank3_detail
 
 
@@ -44,37 +49,73 @@ def test_rank3_methods_agree():
     "lo, hi", [(2, 2 * 10**5), (DEFAULT_SIEVE_CAP - 2 * 10**6, DEFAULT_SIEVE_CAP + 1)]
 )
 def test_rank3_arrays_match_the_scalar_path(lo, hi):
-    # the scan's array kernel against the scalar point-query path on every prime
-    # N = 1 (mod 3) of the range: (A, B) against represent_4n, the rank against rank3;
-    # the second range is the width edge of the int64 / uint64 arithmetic
+    # the scan's lattice kernel against the point-query path, which shares no step with
+    # it (Cornacchia from a cube root of unity), on every prime N = 1 (mod 3) of the
+    # range: (A, B) against represent_4n, the rank against rank3, each class mod 9 on
+    # its own; the second range is the width edge of the int64 / uint64 arithmetic
     ns = np.fromiter(primes_in_range(lo, hi, 3, {1}), dtype=np.int64)
-    roots = powers_table(ns, 3)
-    a, b = cornacchia_arrays(ns, roots[1])
-    ranks = rank3_arrays(ns)
-    assert a.dtype == b.dtype == ranks.dtype == np.int64
-    # t and t^2 start Euclid from the two square roots of -3 and give one pair
-    a2, b2 = cornacchia_arrays(ns, roots[2])
-    assert (a2 == a).all() and (b2 == b).all()
-    for n, pair, rank in zip(ns.tolist(), zip(a.tolist(), b.tolist()), ranks.tolist()):
-        rep = represent_4n(n)
-        assert pair == (rep.A, rep.B) and rank == rank3(n), n
+    for c in (1, 4, 7):
+        cls = ns[ns % 9 == c]
+        a, b = represent_4n_arrays(cls)
+        ranks = rank3_arrays(cls)
+        assert a.dtype == b.dtype == ranks.dtype == np.int64 and cls.size > 1000
+        for n, pair, rank in zip(cls.tolist(), zip(a.tolist(), b.tolist()), ranks.tolist()):
+            want, split, _ = rank3_detail(n)  # rank3(n), from the split represent_4n reads
+            assert pair == (split.rep.A, split.rep.B) and rank == want, n
+        if c == 1:
+            assert {2, 1} == set(ranks.tolist())  # the ninth-power test decides both ways
+    # one call over the three classes gives each class's answers
+    whole = rank3_arrays(ns)
+    for c in (1, 4, 7):
+        assert (whole[ns % 9 == c] == rank3_arrays(ns[ns % 9 == c])).all()
 
 
-def test_rank3_arrays_edge_cases():
+def test_rank3_arrays_edge_cases(monkeypatch):
     # a chunk without N = 1 (mod 9) skips the ninth-power test; an empty chunk is empty
     ns = np.fromiter(primes_in_range(2, 20000, 9, {4, 7}), dtype=np.int64)
     assert rank3_arrays(ns).tolist() == [rank3(n) for n in ns.tolist()]
     empty = np.array([], dtype=np.int64)
     assert rank3_arrays(empty).shape == (0,)
-    assert [x.shape for x in cornacchia_arrays(empty, empty)] == [(0,), (0,)]
-    # composite 25 = 1 (mod 3) has no primitive x^2 + 3y^2: an explicit raise, kept under -O
-    with pytest.raises(DomainError, match="Cornacchia found no x\\^2 \\+ 3y\\^2 = 25"):
-        rank3_arrays(np.array([7, 25, 13]))
+    assert [x.shape for x in represent_4n_arrays(empty)] == [(0,), (0,)]
+    # every N must be hit by exactly one lattice point: composite 25 = 1 (mod 3) has no
+    # representation, 91 = 7 * 13 two, and even 28 = 1 (mod 3) lies on no progression
+    # (4 * 28 = 2^2 + 27 * 2^2); each an explicit raise, kept under -O
+    for bad, times in ((25, 0), (91, 2), (28, 0)):
+        with pytest.raises(DomainError, match=f"N={bad} has {times} representations"):
+            rank3_arrays(np.array([7, 13, bad]))
+    # the kernel reads the sieve's order: ascending, no repeats
+    for bad in ([7, 25, 13], [13, 7], [7, 7]):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            rank3_arrays(np.array(bad))
     # 2^30 + 3 is a prime = 1 (mod 3) above the cap of the array kernels
     with pytest.raises(AssertionError, match="cap"):
         rank3_arrays(np.array([7, DEFAULT_SIEVE_CAP + 3]))
     with pytest.raises(AssertionError, match="cap"):
-        cornacchia_arrays(np.array([7, DEFAULT_SIEVE_CAP + 3]), np.array([2, 2]))
+        represent_4n_arrays(np.array([7, DEFAULT_SIEVE_CAP + 3]))
+    # windows of 1,000 integers cut this chunk into 200, and give the same pairs
+    ns = np.fromiter(primes_in_range(2, 2 * 10**5, 3, {1}), dtype=np.int64)
+    whole = represent_4n_arrays(ns)
+    monkeypatch.setattr(cyclorank.eisenstein, "_WINDOW", 1000)
+    cut = represent_4n_arrays(ns)
+    assert all((x == y).all() for x, y in zip(whole, cut))
+
+
+def test_rank3_arrays_cost_follows_the_primes_not_their_span():
+    # a lattice over [lo, hi] costs time in proportion to hi - lo: 7 and the largest
+    # prime = 1 (mod 3) below 2^30 span 2^30 integers, so the kernel cuts them into
+    # windows, and a lone N costs O(sqrt(N)) points; so do primes spread below the cap
+    rng = random.Random(26)
+    spread = {7, 1073741719}
+    while len(spread) < 12:
+        n = rng.randrange(7, DEFAULT_SIEVE_CAP) | 1
+        while not (n % 3 == 1 and is_prime(n)):
+            n += 2
+        spread.add(n)
+    for ns in ([7, 1073741719], sorted(spread)):
+        t0 = time.perf_counter()
+        ranks = rank3_arrays(np.array(ns, dtype=np.int64))
+        assert time.perf_counter() - t0 < 1.0
+        assert ranks.tolist() == [rank3(n) for n in ns]
 
 
 @pytest.mark.parametrize(
@@ -125,6 +166,33 @@ def test_bounds_errors():
         bounds(4611686018427391417, 37, cl_k_rank=1)  # prime, 1 (mod 37), beyond 2^62
     with pytest.raises(DomainError, match="regularity guard"):
         bounds(149, 37, cl_k_rank=1, include_cl_f=True)  # mu presumes p regular
+
+
+def _euler_alpha(n: int, p: int) -> tuple[bool, ...]:
+    # each flag: U_k = prod_j (1 - f^j)^(j^k) is a p-th power by Euler's criterion, for
+    # the twists k = p-1-i, i = 2, 4, ..., p-3, with f the first g^((N-1)/p) != 1
+    e = (n - 1) // p
+    f = next(x for x in (pow(g, e, n) for g in range(2, n)) if x != 1)
+    flags = []
+    for i in range(2, p - 2, 2):
+        u = 1
+        for j in range(1, p):
+            u = u * pow(1 - pow(f, j, n), j ** (p - 1 - i), n) % n
+        flags.append(pow(u, e, n) == 1)
+    return tuple(flags)
+
+
+def test_first_prime_with_alpha_four_at_p11():
+    # 313,968,931 is the first N with alpha = 4 = (p-3)/2 at p = 11 (scan_alpha(11, N - 1)
+    # counts none): every real cyclotomic unit is an 11th power at N
+    n = 313968931
+    r = bounds(n, 11)
+    assert (r.alpha, r.lower, r.upper) == (4, 9, 90)
+    flags = alpha_count(ModulusContext(n, 11)).power_flags
+    assert sorted(flags) == [2, 4, 6, 8] and all(flags.values())
+    assert _euler_alpha(n, 11) == (True,) * 4
+    assert _euler_alpha(211, 5) == (True,)  # the reference says no to something too
+    assert _euler_alpha(11, 5) == (False,)
 
 
 def test_bounds_alpha_one_instance():

@@ -109,6 +109,17 @@ def test_scan_output_bytes_are_pinned(scan, csv_digest, json_digest):
         assert hashlib.sha256(render(summary, fmt).encode()).hexdigest() == want, fmt
 
 
+def test_rank3_scan_bytes_at_ten_million_are_pinned():
+    # 332,194 primes in four kernel batches of one shard; the digests were recorded
+    # from the kernel that ran cube roots and Cornacchia, which the lattice replaced
+    summary = scan_rank3(10**7, (1, 4, 7), shards=1, workers=1)
+    for fmt, want in (
+        ("csv", "992e31d774bf1355a93f1d967219a3a37be8092b6c9afbd53c2ca801f178df82"),
+        ("json", "e9198b1a924ebce381c4c7d12951b91a1424712b9356ed19181939a560a23451"),
+    ):
+        assert hashlib.sha256(render(summary, fmt).encode()).hexdigest() == want, fmt
+
+
 def _brute_prefix(threshold, p, classes, outcome, hit):
     total = hits = 0
     for n in primes_in_class(threshold, p * p, set(classes)):
@@ -152,8 +163,9 @@ def test_checkpoints_are_exact_prefixes():
 
 
 def test_scans_build_no_context(monkeypatch):
-    # every context is a checked one; a scan, whose sieve proves N prime, takes each
-    # chunk's roots from modmath.powers_table and builds none
+    # every context is a checked one; a scan, whose sieve proves N prime, builds none:
+    # the alpha scan takes each chunk's roots from modmath.powers_table, and the rank-3
+    # scan reads no root
     builds = []
     real_init = ModulusContext.__post_init__
 

@@ -22,7 +22,7 @@ DELETED = (
     "find_order_p_element", "CYCLORANK_THREADS", "AlphaCount.of", "ModulusContext.trusted",
     "_alpha_outcome", "root_of_unity", "root_powers", "alpha_flags", "_rank3_outcome",
     "_rank3_outcomes", "cornacchia_4n", "_base_primes", "_is_report_iter", "unit_product",
-    "Tally",
+    "Tally", "cornacchia_arrays",
 )
 
 
