@@ -14,11 +14,14 @@ N = 1 (mod 2p), and residues that share no step sieve the odd numbers; 2 is
 yielded apart.  A segment is _SEGMENT cells of that progression, s * _SEGMENT
 integers, so memory stays proportional to the segment, not the limit.  The
 cells a base prime q strikes are one class mod q, found once per stream;
-each segment takes every q's first struck cell from it in one array step.  The
-base primes, the odd ones up to sqrt(limit), come from the same sieve one
-level down on the odd progression, so there is one sieve.  Validating a
-target (N, p) is not done here but by check_contract in modmath, which uses
-is_prime.
+each segment takes every q's first struck cell from it in one array step.
+_segments yields each segment's primes as one int64 array, and takes its
+base primes, the odd ones up to sqrt(limit), from itself one level down on
+the odd progression, so there is one sieve.  primes_in_range, the stream, is
+the flatten of those arrays and the one place where they become Python ints;
+a modulus at or past the limit it answers from the residue list, as every
+N below the limit is then its own residue.  Validating a target (N, p) is
+not done here but by check_contract in modmath, which uses is_prime.
 
 DEFAULT_SIEVE_CAP (2^30) bounds every O(N) path through require_within_cap:
 sieves and scans refuse a larger limit, and the array products of the
@@ -28,6 +31,7 @@ invariants and of the factorial criterion a larger N itself.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -84,12 +88,11 @@ def require_within_cap(size: int, what: str) -> None:
         raise DomainError(f"{what}={size} exceeds the 2^{bits} cap on O(N) work")
 
 
-def _strikes(c: int, s: int, base: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The base primes q that divide no cell of c (mod s), as int64, with the class of
-    the cells that q divides: q | c + s*m exactly when m = -c/s (mod q)."""
-    qs = [q for q in base if s % q]  # q | s divides no cell, as gcd(c, s) = 1
-    return (np.array(qs, dtype=np.int64),
-            np.array([-c * pow(s, -1, q) % q for q in qs], dtype=np.int64))
+def _strikes(c: int, s: int, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The base primes q that divide no cell of c (mod s), with the class of the cells
+    that q divides: q | c + s*m exactly when m = -c/s (mod q)."""
+    qs = base[s % base != 0]  # q | s divides no cell, as gcd(c, s) = 1
+    return qs, np.array([-c * pow(s, -1, q) % q for q in qs.tolist()], dtype=np.int64)
 
 
 def _sieve_range(lo: int, hi: int, c: int, s: int, qs: np.ndarray, offs: np.ndarray) -> np.ndarray:
@@ -119,37 +122,32 @@ def primes_in_range(
     for r in res:
         if math.gcd(r, modulus) != 1:
             raise DomainError(f"residue {r} is not coprime to modulus {modulus}")
-    if modulus >= hi:  # every N < hi is its own residue; keeps the arrays within int64
-        modulus, res = hi, [r for r in res if r < hi]
-    return _segments(max(lo, 2), hi, modulus, res)
+    if modulus >= hi:  # every N < hi is its own residue; no array holds a residue past int64
+        return iter([r for r in res if lo <= r < hi and is_prime(r)])
+    return chain.from_iterable(map(np.ndarray.tolist, _segments(max(lo, 2), hi, modulus, res)))
 
 
-def _segments(lo: int, hi: int, modulus: int, res: list[int]) -> Iterator[int]:
-    """Yield the primes of [lo, hi), lo >= 2, in the checked residues, segment by segment."""
-    if hi <= lo or not res:  # the clamp of a modulus past hi may leave no residue
+def _segments(lo: int, hi: int, modulus: int, res: list[int]) -> Iterator[np.ndarray]:
+    """The primes of [lo, hi), lo >= 2, modulus < hi, in the checked residues res: one
+    ascending int64 array per segment, after np.array([2]) when 2 is asked for."""
+    if hi <= lo:
         return
     if lo == 2 and 2 % modulus in res:  # the one even prime, outside every sieved progression
-        yield 2
+        yield np.array([2], dtype=np.int64)
     # g: the step every residue shares; c: their class mod g, lifted to the odd class mod s
     g = math.gcd(modulus, *(r - res[0] for r in res))
     c = res[0] % g
-    if math.gcd(c, g) != 1:  # a residue past a clamped modulus may share its factor
-        g = c = 1
     s = math.lcm(2, g)
     c = c if c % 2 else c + g
-    # The odd base primes up to sqrt(hi - 1) come from this same sieve: each level
-    # sieves the odd N in [3, r] with the odd primes up to sqrt(r), the lowest from none.
-    roots = [math.isqrt(hi - 1)]
-    while roots[-1] > 3:
-        roots.append(math.isqrt(roots[-1]))
-    base: list[int] = []
-    for r in reversed(roots):
-        base = _sieve_range(3, r + 1, 1, 2, *_strikes(1, 2, base)).tolist()
+    # the odd base primes up to sqrt(hi - 1), from this same sieve on the odd progression
+    base = np.concatenate([np.empty(0, dtype=np.int64),
+                           *_segments(3, math.isqrt(hi - 1) + 1, 2, [1])])
     strikes = _strikes(c, s, base)  # once per stream, not once per segment
     res_arr = np.asarray(res, dtype=np.int64)
     for seg_lo in range(lo, hi, s * _SEGMENT):  # _SEGMENT cells a segment
         found = _sieve_range(seg_lo, min(seg_lo + s * _SEGMENT, hi), c, s, *strikes)
-        yield from found[np.isin(found % modulus, res_arr)].tolist()
+        # every cell is = c (mod g); when res holds all modulus/g such classes, none is dropped
+        yield found if len(res) * g == modulus else found[np.isin(found % modulus, res_arr)]
 
 
 def primes_in_class(limit: int, modulus: int, residues: Iterable[int]) -> Iterator[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable, Union
 
 from .rank import RankReport, rank_window
 from .scan import ScanSummary
@@ -100,15 +100,12 @@ def render(obj: Emittable, fmt: str) -> str:
     return _report_csv(obj)
 
 
-def emit(obj: Emittable, fmt: str = "csv", sink: Union[str, Path, IO[str]] = "-") -> int:
-    """Serialize obj to sink ('-' means stdout); returns bytes written."""
+def emit(obj: Emittable, fmt: str = "csv", sink: str | Path = "-") -> int:
+    """Serialize obj to the file sink ('-' means stdout); returns bytes written."""
     text = render(obj, fmt)
-    data = text.encode("utf-8")
     if sink == "-":
         sys.stdout.write(text)
-    elif isinstance(sink, (str, Path)):
+    else:
         with open(sink, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sink.write(text)
-    return len(data)
+    return len(text.encode("utf-8"))

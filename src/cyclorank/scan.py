@@ -78,7 +78,9 @@ def _sub_ranges(limit: int, shards: int) -> list[tuple[int, int]]:
     """Ordered [lo, hi) pairs covering [2, limit], cut at the shard edges only."""
     if shards < 1:
         raise DomainError(f"shard count must be at least 1, got {shards}")
-    # a shard narrower than sqrt(limit) costs more in its base-prime sieve than in its range
+    # The clamp bounds the edge list and the count of per-shard set-ups (base primes and
+    # their strikes, a kernel window, a tally), about 1-1.5 ms each.  It is no break-even:
+    # sqrt(limit) shards, each sqrt(limit) wide, cost far more than one shard.
     shards = min(shards, math.isqrt(limit))
     edges = [2 + (limit - 1) * i // shards for i in range(shards + 1)]
     return list(zip(edges, edges[1:]))

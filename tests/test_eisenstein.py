@@ -71,6 +71,13 @@ def test_represent_errors():
         represent_4n(2**62 + 135)  # prime, 1 (mod 3), outside the contract
     with pytest.raises(DomainError, match="2\\^62"):
         split_prime(2**64 + 1)
+    with pytest.raises(DomainError, match="capped at 10\\^8"):
+        represent_4n_bruteforce(100000039)  # prime, 1 (mod 3), past the oracle's cap
+    # 4 * 7 = A^2 + 27B^2 also at A = -1 or B = -1, which the normalized pair refuses
+    with pytest.raises(DomainError, match="A must be 1 mod 3"):
+        QuadRep(A=-1, B=1, n=7)
+    with pytest.raises(DomainError, match="B must be positive"):
+        QuadRep(A=1, B=-1, n=7)
 
 
 def test_cornacchia_failure_raises():

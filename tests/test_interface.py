@@ -32,6 +32,8 @@ def test_report_csv_shape():
     assert lines[0] == REPORT_HEADER
     assert lines[1:] == ["61,3,7,1,3,2,0,1,2", "11,5,11,,,,0,2,8"]
     assert render([], "csv") == REPORT_HEADER + "\n"
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render(bounds(61, 3), "xml")
 
 
 def test_csv_round_trip():
@@ -102,6 +104,9 @@ def test_ingest_parse_errors(tmp_path):
     f.write_text("7,3,1\n")
     with pytest.raises(TruthTableError, match="header"):
         ingest_truth(f)
+    f.write_text("# provenance\n# no header follows\n")
+    with pytest.raises(TruthTableError, match="line 1: missing header"):
+        ingest_truth(f)
     # every row has the header's field count: no column is read that the header does not name
     f.write_text("N,p,rank\n7,3,1\n61,3,2,7\n")
     with pytest.raises(TruthTableError, match="line 3: expected 3 fields"):
@@ -154,6 +159,8 @@ def test_cli_rank3(capsys):
     assert cli_dispatch(["rank3", "61"]) == 0
     out = capsys.readouterr().out
     assert "rank3=2" in out and "A=1" in out and "B=3" in out
+    assert cli_dispatch(["rank3", "61", "--method", "all"]) == 0
+    assert capsys.readouterr().out.endswith("\nmethods: cornacchia=2 gerth=2 star=2\n")
 
 
 def test_cli_bounds(capsys):
@@ -165,6 +172,8 @@ def test_cli_bounds(capsys):
     assert capsys.readouterr().out == render(bounds(61, 3), "json")
     assert cli_dispatch(["bounds", "11", "--p", "5", "--format", "csv"]) == 0
     assert capsys.readouterr().out == f"{REPORT_HEADER}\n11,5,11,,,,0,2,8\n"
+    assert cli_dispatch(["bounds", "211", "--p", "5", "--mu"]) == 0
+    assert capsys.readouterr().out.endswith(" cl_f_upper=3\n")
 
 
 def test_cli_classify(capsys):
@@ -369,6 +378,9 @@ def test_cli_validate_exit_code_on_failures(tmp_path, capsys):
     bad.write_text("N,p,rank\n31,5,9\n")  # 9 lies outside [2, 8]
     assert cli_dispatch(["validate", "--table", str(bad)]) == 3
     assert "violations=1" in capsys.readouterr().out
+    bad.write_text("N,p,rank\n25,3,1\n61,3,2\n")  # 25 is no prime: skipped, not failed
+    assert cli_dispatch(["validate", "--table", str(bad)]) == 0
+    assert "skipped line 2: " in capsys.readouterr().out
 
 
 def test_cli_invariants(capsys):

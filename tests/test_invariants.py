@@ -46,6 +46,9 @@ def test_m_class_matches_direct_oracle():
         for n in primes_in_class(2000, p, {1}):
             ctx = ModulusContext(n, p)
             assert product_classes(ctx).m == m_class_direct(ctx, ctx.root)
+    # M is no cube mod 7, so f = 1, of order 1, matches none of f's powers
+    with pytest.raises(DomainError, match="order 3"):
+        m_class_direct(ModulusContext(7, 3), 1)
 
 
 def test_m_i_examples():
@@ -370,3 +373,9 @@ def test_invariant_record_cross_checks_alpha_against_u_k():
     assert rec.power_flags == {2: True} and rec.mk_products[2].cls.index == 0
     with pytest.raises(AssertionError, match="U_2"):
         dataclasses.replace(rec, power_flags={2: False})
+    # alpha counts at most (p - 3) / 2 twists, and M and M_1 are p-th powers together
+    for alpha in (-1, 2):
+        with pytest.raises(AssertionError, match="out of range"):
+            dataclasses.replace(rec, alpha=alpha)
+    with pytest.raises(AssertionError, match="M and M_1 disagree"):
+        dataclasses.replace(rec, m_cls=PowerClass(1))

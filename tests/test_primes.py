@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclorank.errors import DomainError
-from cyclorank.modmath import check_contract, classify_target
+from cyclorank.modmath import TargetClass, check_contract, classify_target
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
+from cyclorank.scan import scan_alpha
 
 
 def _trial_division(limit):
@@ -234,6 +235,8 @@ def test_stream_errors():
         primes_in_class(40, -3, {1})
     with pytest.raises(DomainError, match="modulus"):
         primes_in_class(40, 0, {1})
+    with pytest.raises(DomainError, match="limit must be at least 2"):
+        primes_in_class(1, 3, {1})
 
 
 def test_stream_takes_a_modulus_above_the_limit():
@@ -243,6 +246,12 @@ def test_stream_takes_a_modulus_above_the_limit():
     assert list(primes_in_class(100, 2**70, [3, 97, 2**64 + 1])) == [3, 97]
     assert list(primes_in_class(100, 2**70, [2**64 + 1])) == []
     assert list(primes_in_range(90, 100, 2**63 + 1, [2**63 + 98, 97])) == [97]
+    assert list(primes_in_range(2, 10, 21, {5})) == [5]  # 5 shares a factor with hi = 10
+    assert list(primes_in_range(2, 25, 25, {2, 3, 7})) == [2, 3, 7]  # the modulus is hi
+    assert list(primes_in_range(30, 60, 97, {5, 7})) == []  # lo lies above every residue
+    # a scan reads the stream in chunks; p^2 = 9409 lies past every shard's hi
+    want = sum(1 for n in _trial_division(5000) if n % 97 == 1)
+    assert scan_alpha(97, 5000, shards=3, workers=1).total == want == 8
     reference = _trial_division(3000)
     rng = random.Random(18)
     for _ in range(300):
@@ -291,5 +300,7 @@ def test_classify_errors():
         classify_target(25, 3)
     with pytest.raises(DomainError, match="odd prime"):
         classify_target(7, 4)
+    with pytest.raises(AssertionError, match="inconsistent target class"):
+        TargetClass(7, 3, 7, pi_ramified=False, zeta_is_norm=False)  # 7 != 1 (mod 9) ramifies
     with pytest.raises(DomainError, match="2\\^62"):
         classify_target(2**62 + 135, 3)  # prime, 1 (mod 3), outside the contract

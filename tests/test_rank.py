@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -240,3 +241,5 @@ def test_rank_report_invariants_enforced():
             n=7, p=3, target_class=None, rep=None, exact_rank3=1, methods_agreed=True,
             alpha=0, lower=2, upper=1, coarse_lower=1, coarse_upper=2,
         )
+    with pytest.raises(AssertionError, match="not an exact rank 1 or 2"):
+        dataclasses.replace(bounds(61, 3), exact_rank3=3)
