@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclorank._arrays import class_products, powmod
 from cyclorank.eisenstein import represent_4n
@@ -256,9 +256,24 @@ def test_factorial_criterion_refuses_n_above_the_cap():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, DEFAULT_SIEVE_CAP), st.integers(0, DEFAULT_SIEVE_CAP),
                           st.integers(1, DEFAULT_SIEVE_CAP)), min_size=1, max_size=20))
+# base = 0 (mod N), exp = 0 and mod = 1, alone and mixed with ordinary triples
+@example([(0, 5, 7), (5, 0, 1), (0, 0, 1), (0, 0, 7), (14, 3, 7), (3, 0, 7)])
+@example([(7, 2, 7), (2, DEFAULT_SIEVE_CAP, 1), (DEFAULT_SIEVE_CAP, DEFAULT_SIEVE_CAP, DEFAULT_SIEVE_CAP - 35)])
 def test_array_powmod_matches_pow(triples):
     base, exp, mod = (np.array(col, dtype=np.uint64) for col in zip(*triples))
     assert powmod(base, exp, mod).tolist() == [pow(b, e, m) for b, e, m in triples]
+    # 0-d operands: base - 1 wraps at base 0 (mod N), which numpy scalar arithmetic
+    # would report as an overflow warning, an error under -W error
+    for b, e, m in triples:
+        assert powmod(b, e, m).tolist() == pow(b, e, m)
+        assert powmod(np.uint64(b), np.uint64(e), np.uint64(m)).tolist() == pow(b, e, m)
+    # the root rule's shape: one scalar base against arrays of exponents and moduli
+    b = triples[0][0]
+    assert powmod(b, exp, mod).tolist() == [pow(b, e, m) for _, e, m in triples]
+    # alpha_counts' shape: a 2-D base against one exponent and one modulus per column
+    rows = [[b for b, _, _ in triples], [b for b, _, _ in reversed(triples)]]
+    assert powmod(np.array(rows, dtype=np.uint64), exp, mod).tolist() == [
+        [pow(b, e, m) for b, (_, e, m) in zip(row, triples)] for row in rows]
 
 
 def test_array_powmod_refuses_a_modulus_above_the_cap():

@@ -86,8 +86,10 @@ def test_kernel_batch_cuts_do_not_change_a_scan(monkeypatch):
                 assert max(sizes) == per_call and sum(sizes) == summary.total, (p, shards)
 
 
-# sha256 of the published CSV and JSON of three scans: any change to these
-# digests is a change of the output format.
+# sha256 of the published CSV and JSON of five scans: any change to the three small
+# scans' digests is a change of the output format.  The alpha scans to 10^7 (166,104
+# primes at p = 5, 55,376 at p = 13) span several kernel batches of one shard; their
+# digests were recorded from the right-to-left powmod with np.where.
 @pytest.mark.parametrize(
     "scan, csv_digest, json_digest",
     [
@@ -100,8 +102,14 @@ def test_kernel_batch_cuts_do_not_change_a_scan(monkeypatch):
         (lambda: scan_alpha(7, 20000, shards=1, workers=1),
          "d382c0b95be304151730664b53bbc3fe94a843cc0cea0d4f6578cdf8f765c4a2",
          "f3a34b5ccc199a6edd6f64ea175d83157367f10837114591987d24d6fd1b2f6b"),
+        (lambda: scan_alpha(5, 10**7, shards=1, workers=1),
+         "46ecb61e0b34d83de8b6d8fedda40b5256b616ac07c59fa071c28cf0a4e3d82c",
+         "3fe2151fe0b0c54f57a75f527e9fbf50fe608ffad8149ff014da8c2e59298cb5"),
+        (lambda: scan_alpha(13, 10**7, shards=1, workers=1),
+         "3687822a512a2baf42b8bcb202fd421c56d86eaed5cf7e6ca0bbd6458369d95d",
+         "33216f1f8a4a3f0f81359e0cd38bcf4b804b80990028d1d98feb564f99c74d98"),
     ],
-    ids=["rank3", "alpha5", "alpha7"],
+    ids=["rank3", "alpha5", "alpha7", "alpha5_1e7", "alpha13_1e7"],
 )
 def test_scan_output_bytes_are_pinned(scan, csv_digest, json_digest):
     summary = scan()
