@@ -18,7 +18,6 @@ from .eisenstein import (
     gerth_matrix,
     hilbert_pi_unit_criterion,
     represent_4n,
-    represent_4n_bruteforce,
     split_prime,
     star_condition,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "rank3",
     "render",
     "represent_4n",
-    "represent_4n_bruteforce",
     "scan_alpha",
     "scan_rank3",
     "split_prime",

@@ -29,16 +29,22 @@ index.  Their weight T_i[-r mod p] equals T_i[r-1] by the symmetry, so
   ind(M)   = sum_r r * ind(Q_r),
   ind(M_i) = 2 * sum_r T_i[r-1] * ind(Q_r)  (mod p),
 
-and both coefficients vanish at r = 0.  So (N-1)/2 modular products and p-1
-characters give M, every M_i and mu.  The products are array products:
-_arrays.class_products lays k <= (N-1)/2 out as a (rows, p) uint64 grid and
-reduces each column by a product tree, in blocks of at most 2^20 cells
-(8 MB), so memory stays bounded at any N.  The walk, and the scalar
-m_class_direct oracle, refuse N above primes.DEFAULT_SIEVE_CAP (2^30) with a
-DomainError, which also keeps every product exact in uint64.  The context
-itself refuses p^3 above the same cap (p > 1021), so every reader of a
-character here, and invariant_record, whose U_k cost grows as p^2, runs
-only below it.
+and both coefficients vanish at r = 0.  Both are sums over a < r, as
+r = sum_{a<r} 1 and T_i[r-1] = sum_{a<r} a^i, so summation by parts reads M
+and every M_i off the tail sums tail[a] = sum_{r>a} ind(Q_r), a = 0..p-2:
+
+  ind(M)   = sum_a tail[a],
+  ind(M_i) = 2 * sum_a a^i * tail[a]  (mod p).
+
+So (N-1)/2 modular products and p-1 characters give M, every M_i and mu.
+The products are array products: _arrays.class_products lays k <= (N-1)/2
+out as a (rows, p) uint64 grid and reduces each column by a product tree, in
+blocks of at most 2^20 cells (8 MB), so memory stays bounded at any N.
+The walk, and the scalar m_class_direct oracle, refuse N above
+primes.DEFAULT_SIEVE_CAP (2^30) with a DomainError, which also keeps every
+product exact in uint64.  The context itself refuses p^3 above the same cap
+(p > 1021), so every reader of a character here, and invariant_record, whose
+U_k cost grows as p^2, runs only below it.
 
 alpha needs only the power class of each U_k, so it too is linear in the
 character index.  The exponent j^k of (1 - f^j) matters mod p only, so with
@@ -74,6 +80,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -111,22 +118,20 @@ def product_classes(ctx: ModulusContext) -> ProductClasses:
     """M and every M_i from one walk over k <= (N-1)/2, split by k mod p.
 
     The walk is one call of _arrays.class_products, which returns the
-    product Q_r for every residue r, and takes p-1 characters:
-    ind(M) = sum_r r ind(Q_r) and, by the reflection in the module
-    docstring, ind(M_i) = 2 sum_r T_i[r-1] ind(Q_r).
+    product Q_r for every residue r, and takes p-1 characters.  By
+    summation by parts, as in the module docstring, M and every M_i are
+    read off the tail sums tail[a] = sum_{r>a} ind(Q_r), a = 0..p-2.
     """
     n, p = ctx.modulus, ctx.p
     require_within_cap(n, "N")
     products = class_products((n - 1) // 2, p, n)  # Q_r at index r
-    q_index = [0] + [power_class(q, ctx).index for q in products[1:].tolist()]
-    mi = {}
-    for i in range(1, p - 3, 2):
-        total = t = 0  # t = T_i[r-1] = sum_{a<r} a^i mod p
-        for r in range(1, p):
-            total += t * q_index[r]
-            t += pow(r, i, p)
-        mi[i] = PowerClass(2 * total % p)
-    return ProductClasses(PowerClass(sum(r * q for r, q in enumerate(q_index)) % p), mi)
+    q_index = [power_class(q, ctx).index for q in products[1:].tolist()]  # r = 1..p-1
+    tail = list(accumulate(reversed(q_index)))[::-1]  # tail[a] = sum_{r>a} ind(Q_r)
+    mi = {
+        i: PowerClass(2 * sum(pow(a, i, p) * t for a, t in enumerate(tail)) % p)
+        for i in range(1, p - 3, 2)
+    }
+    return ProductClasses(PowerClass(sum(tail) % p), mi)
 
 
 def m_class_direct(ctx: ModulusContext, f: int) -> PowerClass:

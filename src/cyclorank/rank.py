@@ -13,9 +13,14 @@ or 2, decided by divisibility data of the representation 4N = A^2 + 27B^2:
 cornacchia, gerth and star all read the same split_prime(N), computed once per
 query, and test the same congruence, so their agreement is not an independent
 check of the representation.  factorial reads N alone and is independent of
-it, as is represent_4n_bruteforce in the tests.  Every caller (rank3, bounds
-at p = 3 and so validate) applies one agreement rule, _agreed_rank: methods
-that disagree raise AssertionError, an internal error, never a report.
+it.  So are the tests' references, defined once in tests/oracles.py; among
+them Jacobi's cubic character of 3 (3 is a cube mod N iff 3 | B) gives the
+rank for N = 4, 7 (mod 9) from N alone.  Two oracles stay in the library,
+off the package's __all__: eisenstein.represent_4n_bruteforce and
+invariants.m_class_direct, because the benchmark's workloads import them
+from there.  Every caller (rank3, bounds at p = 3 and so validate) applies
+one agreement rule, _agreed_rank: methods that disagree raise
+AssertionError, an internal error, never a report.
 rank3_arrays is the cornacchia method's criterion on arrays, the rank-3 scan's
 kernel; its (A, B) come from the lattice enumeration represent_4n_arrays,
 which shares no step with Cornacchia, and the scalar rank3_criterion on

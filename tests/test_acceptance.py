@@ -14,6 +14,7 @@ from cyclorank.primes import primes_in_class
 from cyclorank.rank import bounds, rank3, rank3_detail
 from cyclorank.scan import scan_rank3
 from cyclorank.validation import ingest_truth
+from oracles import euler_flags
 
 FIXTURE = Path(__file__).parent / "data" / "truth_p3.csv"
 
@@ -124,17 +125,6 @@ def test_c08_converse_failure_instance():
             f"M is not a 7th power at N=337 (index {sieve_cls.index}, oracle agrees)")
 
 
-def _alpha_direct(n: int, p: int, f: int) -> int:
-    """alpha against the order-p element f: U_k in F_N for even k, then Euler's criterion."""
-    alpha = 0
-    for k in range(2, p - 2, 2):
-        u = 1
-        for j in range(1, p):
-            u = u * pow(1 - pow(f, j, n), j**k, n) % n
-        alpha += pow(u, (n - 1) // p, n) == 1
-    return alpha
-
-
 def test_c09_f_independence_of_alpha():
     t0 = time.time()
     failures = 0
@@ -146,7 +136,8 @@ def test_c09_f_independence_of_alpha():
             elements = {pow(ctx.root, e, n) for e in range(1, p)}
             assert len(elements) == p - 1
             total += 1
-            if any(_alpha_direct(n, p, f) != alpha for f in elements):
+            # alpha against each order-p element f: U_k in F_N, then Euler's criterion
+            if any(sum(euler_flags(n, p, f).values()) != alpha for f in elements):
                 failures += 1
     _report(9, failures == 0,
             f"alpha identical for every order-p element, p in {{3,5,7}}, "

@@ -20,7 +20,8 @@ from cyclorank.eisenstein import (
 )
 from cyclorank.errors import DomainError
 from cyclorank.modmath import ModulusContext, factorial_mod
-from cyclorank.primes import is_prime, primes_in_class, primes_in_range
+from cyclorank.primes import primes_in_class, primes_in_range
+from oracles import random_split_primes
 
 
 def test_eis_arithmetic():
@@ -115,19 +116,6 @@ def test_cornacchia_agrees_with_bruteforce():
     assert halves == {True, False}
 
 
-def _random_split_primes(rng: random.Random, count: int, hi: int) -> list[int]:
-    # the next prime = 1 (mod 3) after a log-uniform start, so large N are as
-    # likely as small ones
-    out = []
-    while len(out) < count:
-        n = int(2 ** rng.uniform(3, math.log2(hi)))
-        while not (n % 3 == 1 and is_prime(n)):
-            n += 1
-        if n < hi:
-            out.append(n)
-    return out
-
-
 def _b_scan(n: int) -> tuple[int, int]:
     for b in range(1, math.isqrt(4 * n // 27) + 1):
         r = 4 * n - 27 * b * b
@@ -139,11 +127,11 @@ def _b_scan(n: int) -> tuple[int, int]:
 
 def test_represent_property_up_to_2_62():
     rng = random.Random(20240808)
-    for n in _random_split_primes(rng, 400, 2**62):
+    for n in random_split_primes(rng, 400, 8, 2**62):
         rep = represent_4n(n)
         assert rep.A**2 + 27 * rep.B**2 == 4 * n
         assert rep.A % 3 == 1 and rep.B > 0
-    for n in _random_split_primes(rng, 40, 10**12):
+    for n in random_split_primes(rng, 40, 8, 10**12):
         rep = represent_4n(n)
         assert (rep.A, rep.B) == _b_scan(n)
 
@@ -175,7 +163,7 @@ def test_split_prime_properties():
 def test_zeta_image_is_the_context_root_or_its_square():
     # the image of zeta_3 is read off the context's powers, never recomputed
     rng = random.Random(2021)
-    for n in [*primes_in_class(10**4, 3, {1}), *_random_split_primes(rng, 2000, 2**62)]:
+    for n in [*primes_in_class(10**4, 3, {1}), *random_split_primes(rng, 2000, 8, 2**62)]:
         s = split_prime(n)
         t = s.zeta_image
         assert t in s.ctx.powers[1:], n

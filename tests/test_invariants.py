@@ -19,6 +19,7 @@ from cyclorank.invariants import (
 )
 from cyclorank.modmath import ModulusContext, PowerClass, power_class
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
+from oracles import euler_flags, u_k_direct
 
 VETTED_P = sorted(p for p in REGULAR_PRIMES_BELOW_100 if p >= 5)  # p = 3 has no even twist
 
@@ -97,7 +98,8 @@ def test_product_classes_match_direct_evaluation():
 
 
 def _half_walk(ctx):
-    # the scalar walk over k <= (N-1)/2 that the array class products replaced
+    # the scalar walk over k <= (N-1)/2 that the array class products replaced, with
+    # the running weights T_i[r-1] that product_classes' tail sums replaced
     n, p = ctx.modulus, ctx.p
     q_index = [0] * p
     for r in range(1, p):
@@ -117,12 +119,13 @@ def _half_walk(ctx):
 
 def test_product_classes_match_the_half_walk():
     checked = 0
-    for p in (3, 5, 7, 11, 13, 37, 101):
-        for n in primes_in_class(30000, p, {1}):
-            ctx = ModulusContext(n, p)
-            assert product_classes(ctx) == _half_walk(ctx), (n, p)
-            checked += 1
-    assert checked == 3660
+    pairs = [(n, p) for p in (3, 5, 7, 11, 13, 37, 101) for n in primes_in_class(30000, p, {1})]
+    # p = 1021 is the largest p a context allows (p^3 <= 2^30), with 509 odd i
+    for n, p in [*pairs, (10211, 1021)]:
+        ctx = ModulusContext(n, p)
+        assert product_classes(ctx) == _half_walk(ctx), (n, p)
+        checked += 1
+    assert checked == 3661
 
 
 def test_invariant_record_frozen_at_1000039():
@@ -176,14 +179,6 @@ def test_mu_examples():
         mu_count(ModulusContext(607, 101))  # beyond the vetted range
 
 
-def _unit_product_direct(n, p, k, f):
-    # U_k = prod_j (1 - f^j)^(j^k) in F_N for any order-p element f, exponent unreduced
-    u = 1
-    for j in range(1, p):
-        u = u * pow(1 - pow(f, j, n), j**k, n) % n
-    return u
-
-
 def test_unit_product_examples():
     up = unit_products(ModulusContext(31, 5))[2]  # root 2
     assert (up.value, up.cls.index != 0) == (14, True)
@@ -191,9 +186,9 @@ def test_unit_product_examples():
     assert (up.value, up.cls.index != 0) == (29, True)
     # the alternative order-5 element 3 at N=11 gives value 6, still not a 5th power,
     # like the root 4 does
-    assert _unit_product_direct(11, 5, 2, 3) == 6 and pow(6, 2, 11) != 1
+    assert u_k_direct(11, 5, 2, 3) == 6 and pow(6, 2, 11) != 1
     ups = unit_products(ModulusContext(11, 5))
-    assert ups[2].value == _unit_product_direct(11, 5, 2, 4) and ups[2].cls.index != 0
+    assert ups[2].value == u_k_direct(11, 5, 2, 4) and ups[2].cls.index != 0
     assert sorted(ups) == [1, 2, 3]  # 0 < k < p-1: no U_0, no U_4
     assert sorted(unit_products(ModulusContext(7, 3))) == [1]
 
@@ -203,7 +198,7 @@ def _assert_unit_products_direct(n, p):
     ups = unit_products(ctx)
     assert sorted(ups) == list(range(1, p - 1)), (n, p)
     for k, up in ups.items():
-        assert up.value == _unit_product_direct(n, p, k, ctx.root), (n, p, k)
+        assert up.value == u_k_direct(n, p, k, ctx.root), (n, p, k)
         assert up.cls == power_class(up.value, ctx), (n, p, k)
 
 
@@ -228,9 +223,9 @@ def test_unit_product_triviality_is_f_independent():
     for n in primes_in_class(2000, 5, {1}):
         ctx = ModulusContext(n, 5)
         up = unit_products(ctx)[2]
-        assert up.value == _unit_product_direct(n, 5, 2, ctx.root)
+        assert up.value == u_k_direct(n, 5, 2, ctx.root)
         for e in range(1, 5):
-            u = _unit_product_direct(n, 5, 2, pow(ctx.root, e, n))
+            u = u_k_direct(n, 5, 2, pow(ctx.root, e, n))
             assert (pow(u, ctx.cofactor, n) == 1) == (up.cls.index == 0), (n, e)
 
 
@@ -248,10 +243,7 @@ def test_power_flags_match_euler_criterion():
     for p in VETTED_P:
         for n in primes_in_class(3000 if p < 50 else 1500, p, {1}):
             ctx = ModulusContext(n, p)
-            want = {}
-            for i in range(2, p - 2, 2):
-                u = _unit_product_direct(n, p, p - 1 - i, ctx.root)
-                want[i] = pow(u, (n - 1) // p, n) == 1
+            want = euler_flags(n, p, ctx.root)
             assert alpha_count(ctx).power_flags == want, (n, p)
             assert invariant_record(n, p).power_flags == want, (n, p)
             asymmetric += want != {i: want[p - 1 - i] for i in want}

@@ -14,6 +14,7 @@ from cyclorank.modmath import (
 )
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_range
 from cyclorank.rank import rank3
+from oracles import prime_walk
 
 
 def test_context_validation():
@@ -210,19 +211,13 @@ def _factorial_loop(m, n):
     return acc
 
 
-def _prime_1_mod_3_at_or_below(n):
-    while not (n % 3 == 1 and is_prime(n)):
-        n -= 1
-    return n
-
-
 def test_factorial_mod_matches_a_scalar_loop():
     # p = 1 gives class_products one column of 2^20 rows per block
     rng = random.Random(18)
-    top = _prime_1_mod_3_at_or_below(DEFAULT_SIEVE_CAP)
+    top = prime_walk(DEFAULT_SIEVE_CAP, -1, 3)  # the largest prime = 1 (mod 3) in range
     assert top == DEFAULT_SIEVE_CAP - 105
     ns = [7, 13, 19, 61, 199, 9901, top]
-    ns += [_prime_1_mod_3_at_or_below(rng.randrange(10**4, DEFAULT_SIEVE_CAP)) for _ in range(4)]
+    ns += [prime_walk(rng.randrange(10**4, DEFAULT_SIEVE_CAP), -1, 3) for _ in range(4)]
     for n in ns:
         ctx = ModulusContext(n, 3)
         ms = {0, 1, 2, rng.randrange(n) % 10**5}
@@ -290,17 +285,11 @@ def _class_products_loop(hi, p, n):
     return out
 
 
-def _prime_at_or_above(n):
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 def test_class_products_match_a_scalar_loop():
     rng = random.Random(17)
     ns = [7, 101, 1021, DEFAULT_SIEVE_CAP - 35]  # 2^30 - 35 is prime
-    ns += [_prime_at_or_above(rng.randrange(2, DEFAULT_SIEVE_CAP)) for _ in range(3)]
-    ns += [_prime_at_or_above(rng.randrange(DEFAULT_SIEVE_CAP - 1000, DEFAULT_SIEVE_CAP - 100))]
+    ns += [prime_walk(rng.randrange(2, DEFAULT_SIEVE_CAP)) for _ in range(3)]
+    ns += [prime_walk(rng.randrange(DEFAULT_SIEVE_CAP - 1000, DEFAULT_SIEVE_CAP - 100))]
     assert all(n <= DEFAULT_SIEVE_CAP and is_prime(n) for n in ns)
     for n in ns:
         for p in (3, 5, 13, 97, 1021):

@@ -10,8 +10,9 @@ from cyclorank.eisenstein import represent_4n, represent_4n_arrays, split_prime
 from cyclorank.errors import DomainError
 from cyclorank.invariants import alpha_count
 from cyclorank.modmath import ModulusContext
-from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
+from cyclorank.primes import DEFAULT_SIEVE_CAP, primes_in_class, primes_in_range
 from cyclorank.rank import RankReport, bounds, rank3, rank3_arrays, rank3_detail
+from oracles import euler_flags, prime_walk, random_split_primes, three_is_a_cube
 
 
 def test_rank3_examples():
@@ -108,10 +109,7 @@ def test_rank3_arrays_cost_follows_the_primes_not_their_span():
     rng = random.Random(26)
     spread = {7, 1073741719}
     while len(spread) < 12:
-        n = rng.randrange(7, DEFAULT_SIEVE_CAP) | 1
-        while not (n % 3 == 1 and is_prime(n)):
-            n += 2
-        spread.add(n)
+        spread.add(prime_walk(rng.randrange(7, DEFAULT_SIEVE_CAP) | 1, 2, 3))
     for ns in ([7, 1073741719], sorted(spread)):
         t0 = time.perf_counter()
         ranks = rank3_arrays(np.array(ns, dtype=np.int64))
@@ -174,13 +172,7 @@ def _euler_alpha(n: int, p: int) -> tuple[bool, ...]:
     # the twists k = p-1-i, i = 2, 4, ..., p-3, with f the first g^((N-1)/p) != 1
     e = (n - 1) // p
     f = next(x for x in (pow(g, e, n) for g in range(2, n)) if x != 1)
-    flags = []
-    for i in range(2, p - 2, 2):
-        u = 1
-        for j in range(1, p):
-            u = u * pow(1 - pow(f, j, n), j ** (p - 1 - i), n) % n
-        flags.append(pow(u, e, n) == 1)
-    return tuple(flags)
+    return tuple(euler_flags(n, p, f).values())
 
 
 def test_first_prime_with_alpha_four_at_p11():
@@ -194,6 +186,18 @@ def test_first_prime_with_alpha_four_at_p11():
     assert _euler_alpha(n, 11) == (True,) * 4
     assert _euler_alpha(211, 5) == (True,)  # the reference says no to something too
     assert _euler_alpha(11, 5) == (False,)
+
+
+def test_cubic_character_of_3_matches_b_and_the_rank():
+    # Jacobi: 3 is a cube mod N iff 3 | B, so for N = 4, 7 (mod 9) the rank is 2 iff 3 is
+    # a cube, read off N alone; seeded N far above the brute-force and factorial oracles
+    ns = random_split_primes(random.Random(29), 600, 2**40, 2**62)
+    assert {n % 9 for n in ns} == {1, 4, 7}
+    for n in ns:
+        cube = three_is_a_cube(n)
+        assert cube == (represent_4n(n).B % 3 == 0), n
+        if n % 9 != 1:
+            assert cube == (rank3(n) == 2), n
 
 
 def test_bounds_alpha_one_instance():

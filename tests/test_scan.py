@@ -12,6 +12,7 @@ from cyclorank.primes import primes_in_class
 from cyclorank.rank import bounds, rank3
 from cyclorank.reporting import render
 from cyclorank.scan import _shard, _worker_count, scan_alpha, scan_rank3
+from oracles import euler_flags, three_is_a_cube
 
 
 def test_scan_matches_single_threaded_reference():
@@ -25,6 +26,16 @@ def test_scan_matches_single_threaded_reference():
     assert summary.totals == totals
     assert summary.rank2 == rank2
     assert summary.total == sum(totals.values())
+
+
+def test_cubic_character_of_3_counts_the_rank_two_primes():
+    # Jacobi: for N = 4, 7 (mod 9) the rank is 2 iff 3 is a cube mod N, one power per
+    # prime that shares no step with the scan's lattice kernel
+    ns = np.fromiter(primes_in_class(10**7, 9, {4, 7}), dtype=np.int64)
+    assert ns.size == 221422
+    cube = three_is_a_cube(ns)
+    counts = {c: int(cube[ns % 9 == c].sum()) for c in (4, 7)}
+    assert counts == scan_rank3(10**7, (4, 7), shards=1, workers=1).rank2 == {4: 36929, 7: 36932}
 
 
 def test_shard_invariance_bit_identical():
@@ -138,14 +149,7 @@ def _brute_prefix(threshold, p, classes, outcome, hit):
 
 def _alpha_euler(n, p):
     # alpha by Euler's criterion on each U_k in F_N, independent of the scan's linear form
-    f = ModulusContext(n, p).root
-    alpha = 0
-    for k in range(2, p - 2, 2):
-        u = 1
-        for j in range(1, p):
-            u = u * pow(1 - pow(f, j, n), j**k, n) % n
-        alpha += pow(u, (n - 1) // p, n) == 1
-    return alpha
+    return sum(euler_flags(n, p, ModulusContext(n, p).root).values())
 
 
 def test_checkpoints_are_exact_prefixes():
