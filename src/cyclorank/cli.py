@@ -132,6 +132,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.out is not None and not args.format:
         raise DomainError("--out applies only with --format")
+    if args.mu and args.format == "csv":
+        raise DomainError("--mu has no CSV column: use --format json or no --format")
     report = bounds(args.n, args.p, cl_k_rank=args.clk, include_cl_f=args.mu)
     if args.format:  # the report is the only output, as with scan
         emit(report, args.format, args.out or "-")

@@ -307,7 +307,9 @@ def gerth_matrix(s: SplitData) -> GerthMatrix:
 
     The first two entries are the symbol of 2a - b, always trivial by the
     Wilson-Jacobi identity (checked); the third is the exponent of the symbol
-    at the prime above 3, zero exactly when N*a = 1 (mod 9).
+    at the prime above 3, e3 = ((1 - N*a)/3) mod 3.  N = 1 (mod 3) and the
+    primary a = 1 (mod 3) make 1 - N*a a multiple of 3, and e3 = 0 exactly
+    when N*a = 1 (mod 9), the congruence hilbert_pi_unit_criterion reads.
     """
     n = s.rep.n
     if n % 9 not in (4, 7):
@@ -316,11 +318,5 @@ def gerth_matrix(s: SplitData) -> GerthMatrix:
     sym = cubic_symbol(2 * s.primary.a - s.primary.b, s)
     if sym.index != 0:
         raise AssertionError(f"symbol of 2a - b is nontrivial at N={n}")
-    na = n * s.primary.a
-    if (1 - na) % 3 != 0:
-        raise AssertionError(f"3 does not divide 1 - N*a at N={n}")
-    e3 = ((1 - na) // 3) % 3
-    if (e3 == 0) != hilbert_pi_unit_criterion(s):
-        raise AssertionError(f"e3 disagrees with the Hilbert-symbol criterion at N={n}")
-    entries = (sym.index, sym.index, e3)
-    return GerthMatrix(width=3, entries=entries, rank=0 if e3 == 0 else 1)
+    e3 = (1 - n * s.primary.a) // 3 % 3
+    return GerthMatrix(width=3, entries=(sym.index, sym.index, e3), rank=0 if e3 == 0 else 1)

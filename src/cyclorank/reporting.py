@@ -70,7 +70,8 @@ _SCAN_JSON_KEYS = ("kind", "p", "limit", "class_modulus", "classes", "totals", "
 
 def _jsonable(obj: object) -> object:
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        # str keys, so that to_json's sort_keys orders them as text (10 before 9)
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, ScanSummary):

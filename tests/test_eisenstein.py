@@ -19,7 +19,7 @@ from cyclorank.eisenstein import (
     star_condition,
 )
 from cyclorank.errors import DomainError
-from cyclorank.modmath import ModulusContext, factorial_mod
+from cyclorank.modmath import ModulusContext, PowerClass, factorial_mod
 from cyclorank.primes import primes_in_class, primes_in_range
 from oracles import random_split_primes
 
@@ -35,9 +35,9 @@ def test_eis_arithmetic():
 def test_gerth_matrix_guard_survives_dash_o(monkeypatch):
     from cyclorank import eisenstein
 
-    flipped = eisenstein.hilbert_pi_unit_criterion
-    monkeypatch.setattr(eisenstein, "hilbert_pi_unit_criterion", lambda s: not flipped(s))
-    with pytest.raises(AssertionError, match="Hilbert"):
+    # the Wilson-Jacobi check is an explicit raise, not an assert, so -O keeps it
+    monkeypatch.setattr(eisenstein, "cubic_symbol", lambda x, s: PowerClass(1))
+    with pytest.raises(AssertionError, match="nontrivial"):
         gerth_matrix(split_prime(7))
 
 

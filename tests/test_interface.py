@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -61,6 +62,56 @@ def test_json_mirrors_fields_and_is_deterministic():
     sp = json.loads(render(s, "json"))
     assert sp["kind"] == "rank3" and sp["limit"] == 1000
     assert sp["checkpoints"][-1]["total"] == s.total
+
+
+# sha256 of the CSV and JSON of single reports: p = 3 in each class mod 9 (7, 19,
+# 13) and README's 61, p = 3 past the old overflow, and general p: with the mu bound,
+# with alpha = 4 at p = 11, at N just below 2^61 and p = 97, and with the guard
+# failing (alpha empty).
+@pytest.mark.parametrize(
+    "args, kwargs, csv_digest, json_digest",
+    [
+        ((7, 3), {},
+         "7646f70d5dc44af99bc0118bf6ce37ac129f737d75cbeec4c135b54630ab6f7c",
+         "cb70fd6b2f5d70246122f79cc09158023f23ac5da00504e2b53e70d327d9aed1"),
+        ((13, 3), {},
+         "aa6a6a3e2069ae1e1b8f4041d47c5f920c091e72368bf1a8b51c9fecf5814a32",
+         "79f4fe11f695706be69a46a88d2bd17146dfcfa069d0fca17236379d03e8b355"),
+        ((19, 3), {},
+         "ec5417ab3a9e2e99370908a7402ff22a7d4194cf372d4e23511dfca9de818afe",
+         "d905f13eef4fa96fb5e941f72f38f55a1cde1fafa1be9b8781f034792d645f76"),
+        ((61, 3), {},
+         "bfae261e84e7b615300f66aff3a3d6d78dc2fb3bc731fca83240a6298ac964d7",
+         "8de6e6df8e79610b56e5efde50487458a4dbf7e29ea33429dce2c15d4e338874"),
+        ((10000000033, 3), {},
+         "eba3cb0f157e324ae3603bc0c3ab9735acf9802c485e0ff1c5f9ed377121be4c",
+         "e9766d690bed6d287a47de6af567ecac29ab65fb413e7c2e2a9fed9a62695db4"),
+        ((1000000000000000003, 3), {},
+         "8c32e810c4b30b1f845255d98664bec358dba0af7703acf80617ea41bd59e914",
+         "47ea857ac885add69782c91bdf0363ec1f97086ca3b467fe7a922242fb5d734e"),
+        ((11, 5), {},
+         "5ea538e7f833a3df368846f8af45dbef948f897c0622198e249d28e15324f4a4",
+         "9427890d1536d38687a0e8e45859b7b182935e3389146c9ca14c304e26e4b722"),
+        ((211, 5), {"cl_k_rank": 1, "include_cl_f": True},
+         "28a1a6a9a27c651e157fc723d087f99e7c1178bf08ec176b460db5f9de6a40eb",
+         "ac26e6c221580fb333128028551c487c72859398fc85cc7b682f6cf66ad5bd93"),
+        ((313968931, 11), {},
+         "1184b18466ff78072bb591dee35bd77c4875dada46323ef7e10ce4d07ba99e6b",
+         "a51d118f45428efd0e11887e655fe4d964bd63cf2428cfc4bbb2f9edd891a690"),
+        ((2305843009213693133, 97), {},
+         "fbbd481a34f56c015626a43f48bc6decb281c8e5504178a8c277a5ef8511d1d5",
+         "f309b7d5eae547a4e2340a03857aca71987d640d7e5d91bd9da9be0f79562e8a"),
+        ((149, 37), {"cl_k_rank": 1},
+         "abafbb9f65db99d49da5b5b87b549a7e5718bd790b1b49de13513c5ddc2e433f",
+         "92e4a4b920a5068e74f08578e0a70d9692d1e8335ed3618630f21fd80138bb5d"),
+    ],
+    ids=["7_3", "13_3", "19_3", "61_3", "1e10_3", "1e18_3", "11_5", "211_5_mu", "313968931_11",
+         "2p61_97", "149_37"],
+)
+def test_point_report_bytes_are_pinned(args, kwargs, csv_digest, json_digest):
+    report = bounds(*args, **kwargs)
+    for fmt, want in (("csv", csv_digest), ("json", json_digest)):
+        assert hashlib.sha256(render(report, fmt).encode()).hexdigest() == want, fmt
 
 
 def test_emit_writes_file(tmp_path):
@@ -228,6 +279,10 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert cli_dispatch(["bounds", "61", "--p", "3", "--out", str(target)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "--format" in err and not target.exists()
+    # --mu with CSV would run the O(N) walk and drop cl_f_upper: refused before the walk
+    assert cli_dispatch(["bounds", "211", "--p", "5", "--clk", "1", "--mu", "--format", "csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--mu" in err
     argv = ["scan", "--limit", "1000", "--shards", "1000000000000", "--workers", "1"]
     assert cli_dispatch(argv) == 0
 

@@ -204,13 +204,6 @@ def test_factorial_mod_matches_math_factorial():
         assert factorial_mod(m, ctx) == math.factorial(m) % 199
 
 
-def _factorial_loop(m, n):
-    acc = 1
-    for k in range(2, m + 1):
-        acc = acc * k % n
-    return acc
-
-
 def test_factorial_mod_matches_a_scalar_loop():
     # p = 1 gives class_products one column of 2^20 rows per block
     rng = random.Random(18)
@@ -224,11 +217,11 @@ def test_factorial_mod_matches_a_scalar_loop():
         if n < 10**4:
             ms.add(n - 1)
         for m in sorted(ms):
-            assert factorial_mod(m, ctx) == _factorial_loop(m, n), (m, n)
+            assert factorial_mod(m, ctx) == _class_products_loop(m, 1, n)[0], (m, n)
     # whole blocks, a block edge and a ragged last block at the top prime
     ctx = ModulusContext(top, 3)
     for m in (2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5):
-        assert factorial_mod(m, ctx) == _factorial_loop(m, top), m
+        assert factorial_mod(m, ctx) == _class_products_loop(m, 1, top)[0], m
 
 
 def test_wilson_jacobi_identity_at_1e8():
