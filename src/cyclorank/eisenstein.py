@@ -22,11 +22,16 @@ on (N, r) passes (r, N - r) to (N - r, r mod (N - r)), where Euclid on
 (N, N - r) arrives in one step, so both stop at the same x.  Any cube root of
 unity t != 1 serves.
 
-The rank-3 scan reads no root: represent_4n_arrays finds (A, B) for a chunk
-of sieved N below the 2^30 cap by enumerating the lattice points with
+The arrays read no root: represent_4n_arrays finds (A, B) for a chunk of
+sieved N below the 2^30 cap by enumerating the lattice points with
 A^2 + 27B^2 = 4N over the chunk's range and looking each N up.  It shares no
-step with Cornacchia, so each is the other's oracle.  Its points satisfy
-A^2 + 27B^2 <= 4 * 2^30 = 2^32, exact in int64.
+step with Cornacchia, so each is the other's oracle.  The rank-3 scan's
+rank3_lattice is the same enumeration cut to the points the rank-3
+criterion reads.  4N = A^2 (mod 27) gives N = 8 - A (mod 9), so a point's A
+names its class: it keeps every point of class 1, whose A the ninth-power
+test takes, and of classes 4 and 7 only the points with 3 | B, the whole
+criterion there.  Their points satisfy A^2 + 27B^2 <= 4 * 2^30 = 2^32,
+exact in int64.
 """
 
 from __future__ import annotations
@@ -118,6 +123,10 @@ _WINDOW = 1 << 22
 # iff a and b differ in parity, so |A| = 10 or 4 (mod 12) stepping +12 and 2 or 8 (mod 12)
 # stepping -12, for b even or odd.  Every point has A = 1 (mod 3) and an odd N = 1 (mod 6).
 _SIGNED_STEPS = np.array([6, -6, 12, -12], dtype=np.int8)
+# A step of 6 or 12 moves A through 1, 4, 7 (mod 9) in turn, and 4N = A^2 (mod 27) makes
+# A = 1, 4, 7 (mod 9) exactly when N = 7, 4, 1 (mod 9), that is N = 8 - A (mod 9).  So each
+# progression is three of one class each, |A| = x0 + j*step stepping 3*step, j = 0, 1, 2.
+_THIRDS = np.arange(3, dtype=np.int64)
 
 
 def represent_4n_arrays(ns) -> tuple[np.ndarray, np.ndarray]:
@@ -131,24 +140,47 @@ def represent_4n_arrays(ns) -> tuple[np.ndarray, np.ndarray]:
     the representation, not testing primality.  A prime has exactly one
     point; an N with none or several (25, 91) and an input out of order raise
     DomainError, an N above the 2^30 cap AssertionError, also under -O.  The
-    check is no primality test: 49 = 7^2 has one point too.
+    check is no primality test: 49 = 7^2 has one point too.  B is read off
+    each N's A, as isqrt((4N - A^2)/27).
     """
+    n = np.asarray(ns, dtype=np.int64)
+    a = _lattice(n, every=True)
+    return a, isqrt((4 * n - a * a) // 27)
+
+
+def rank3_lattice(ns) -> np.ndarray:
+    """The A that the rank-3 criterion reads, for strictly ascending sieved primes N = 1 (mod 3).
+
+    represent_4n_arrays's lattice with only the points whose outcome is read:
+    every point of class N = 1 (mod 9), whose A the ninth-power test takes,
+    and the points with 3 | B of classes 4 and 7, where 3 | B is the whole
+    criterion; that is 5/9 of the points, and none of a class the chunk lacks.
+    int64 A, and 0 at an N = 4, 7 (mod 9) that no point with 3 | B hits.
+    Every other N must be hit exactly once and no N twice, or DomainError;
+    an N = 4, 7 (mod 9) with no point at all reads 0, as the input is sieved
+    primes.  The same order and cap checks as represent_4n_arrays.
+    """
+    return _lattice(ns, every=False)
+
+
+def _lattice(ns, every: bool) -> np.ndarray:
+    """The A of the point at each N, window by window; every: keep all points, not the read ones."""
     n = np.asarray(ns, dtype=np.int64)
     if (n[1:] <= n[:-1]).any():
         raise DomainError("the N must be strictly ascending")
-    a, b = np.empty_like(n), np.empty_like(n)
+    a = np.empty_like(n)
     if n.size:
         _require_width(int(n[-1]))
     first = 0
     while first < n.size:
         last = int(np.searchsorted(n, n[first] + _WINDOW))
-        a[first:last], b[first:last] = _lattice_window(n[first:last])
+        a[first:last] = _lattice_window(n[first:last], every)
         first = last
-    return a, b
+    return a
 
 
-def _lattice_window(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """represent_4n_arrays on one window: n ascending, nonempty, hi - lo < _WINDOW."""
+def _lattice_window(n: np.ndarray, every: bool) -> np.ndarray:
+    """_lattice on one window: n ascending, nonempty, hi - lo < _WINDOW."""
     lo, hi = int(n[0]), int(n[-1])
     bs = np.arange(1, math.isqrt(max(0, 4 * hi) // 27) + 1, dtype=np.int64)
     odd, even = bs[0::2], bs[1::2]
@@ -164,30 +196,50 @@ def _lattice_window(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x0 = isqrt(gap)
     x0 += x0 * x0 < gap
     x0 += (residue - x0) % step
-    cnt = np.maximum(0, (isqrt(4 * hi - q) - x0) // step + 1)
-    edges = np.concatenate(([0], np.cumsum(cnt)))  # progression k: points edges[k] .. edges[k+1]-1
-    # point i of progression k: A = sign*x0 + signed*(i - edges[k]), one signed step per group
-    a = np.arange(edges[-1], dtype=np.int64)
-    a *= np.repeat(_SIGNED_STEPS, np.diff(edges[groups], prepend=0))
-    a += np.repeat(np.sign(signed) * x0 - signed * edges[:-1], cnt)
-    # an int32 table over the N = 1 (mod 6) of [lo, hi]: the last point at each N, -1 at none
+    # row k of the (progressions, 3) arrays: k's three classes, so each group stays contiguous
+    x = x0[:, None] + step[:, None] * _THIRDS
+    cnt = np.maximum(0, (isqrt(4 * hi - q)[:, None] - x) // (3 * step[:, None]) + 1)
+    first = np.sign(signed)[:, None] * x  # the first A of each sub-progression
+    if not every:  # class 1 in full, classes 4 and 7 where 3 | B, each only if the window has it
+        r9 = n - n // 9 * 9  # N mod 9; floor division by a constant is the cheaper ufunc
+        present = np.zeros(9, dtype=bool)
+        present[r9] = True
+        cls = 8 - first % 9
+        cnt *= present[cls] & ((cls == 1) | (b % 3 == 0)[:, None])
+    cnt = cnt.ravel()
+    edges = np.concatenate(([0], np.cumsum(cnt)))  # sub-progression k: edges[k] .. edges[k+1]-1
+    # point i of sub-progression k: A = first + 3*signed*(i - edges[k]), one step per group;
+    # point i is a[1 + i], and a[0] = 0 answers an N that no point hits
+    a = np.arange(-1, edges[-1], dtype=np.int64)
+    a[0] = 0
+    points = a[1:]
+    points *= np.repeat(3 * _SIGNED_STEPS, np.diff(edges[3 * groups], prepend=0))
+    points += np.repeat(first.ravel() - np.repeat(3 * signed, 3) * edges[:-1], cnt)
+    # an int32 table over the N = 1 (mod 6) of [lo, hi]: 1 + the last point at each N, 0 at none
     base = lo - (lo - 1) % 6
-    cell = a * a  # in place: the point arrays are the kernel's widest
-    cell += np.repeat(q - 4 * base, cnt)
+    cell = points * points  # in place: the point arrays are the kernel's widest
+    cell += np.repeat(np.repeat(q - 4 * base, 3), cnt)
     cell //= 24  # (N - base) / 6
-    point_at = np.full((hi - base) // 6 + 1, -1, dtype=np.int32)
-    point_at[cell] = np.arange(cell.size, dtype=np.int32)
-    at = (n - base) // 6
-    point = np.where(n % 6 == 1, point_at[at], -1)  # every point has N = 1 (mod 6)
-    # once every N is hit, each is hit exactly once iff as many points as N hit them
+    point_at = np.zeros((hi - base) // 6 + 1, dtype=np.int32)
+    point_at[cell] = np.arange(1, cell.size + 1, dtype=np.int32)
+    off = n - base
+    at = off // 6
+    on = at * 6 == off  # every point has N = 1 (mod 6)
+    point = point_at[at] * on
+    hit = point > 0
+    # an N the outcome reads must be hit, as must any N off the table; every N when every
+    # point is kept
+    missed = ~hit if every else ~hit & (~on | (r9 != 4) & (r9 != 7))
+    # once those N are hit, no N is hit twice iff as many points as N hit them
     ours = np.zeros(point_at.size, dtype=bool)
     ours[at] = True
-    if (point < 0).any() or np.count_nonzero(ours[cell]) != n.size:
-        times = np.where(n % 6 == 1, np.bincount(cell, minlength=point_at.size)[at], 0)
-        bad = np.flatnonzero(times != 1)[0]
+    if missed.any() or np.count_nonzero(ours[cell]) != np.count_nonzero(hit):
+        times = np.where(on, np.bincount(cell, minlength=point_at.size)[at], 0)
+        bad = np.flatnonzero(missed | (times > 1))[0]
+        read = "" if every or n[bad] % 9 == 1 else " and 3 | B"
         raise DomainError(f"N={n[bad]} has {times[bad]} representations 4N = A^2 + 27B^2 with "
-                          "3 !| A, B > 0: it is not a prime = 1 (mod 3)")
-    return a[point], np.repeat(b.astype(np.int32), cnt)[point]  # B < 2^13; the caller stores int64
+                          f"3 !| A, B > 0{read}: it is not a prime = 1 (mod 3)")
+    return a[point]
 
 
 def represent_4n(n: int) -> QuadRep:

@@ -22,9 +22,16 @@ from there.  Every caller (rank3, bounds at p = 3 and so validate) applies
 one agreement rule, _agreed_rank: methods that disagree raise
 AssertionError, an internal error, never a report.
 rank3_arrays is the cornacchia method's criterion on arrays, the rank-3 scan's
-kernel; its (A, B) come from the lattice enumeration represent_4n_arrays,
-which shares no step with Cornacchia, and the scalar rank3_criterion on
-represent_4n is its reference.
+kernel.  It reads eisenstein.rank3_lattice, the lattice enumeration of
+represent_4n_arrays (which shares no step with Cornacchia) cut to the points
+the criterion reads: every point of class N = 1 (mod 9), for A's ninth
+power, and for N = 4, 7 (mod 9) the points with 3 | B alone, so a hit is
+rank 2 and no hit rank 1.  The scalar rank3_criterion on represent_4n is its
+reference.  The lattice checks that every N = 1 (mod 9) is hit exactly once,
+but in classes 4 and 7 it sees only the rank-2 primes, so a missing point
+reads rank 1.  The whole-range check for those classes is Jacobi's cubic
+character of 3 in tier-1 (test_cubic_character_of_3_counts_the_rank_two_primes,
+to 10^7) and CI's byte pins of the scan, to 10^8 and to 2^30.
 
 For general regular p only bounds are reported: the coarse envelope
 (p-1)/2 .. (p-1)(p-2) and the alpha-refined window of rank_window.
@@ -58,18 +65,19 @@ def rank3_criterion(rep: eisenstein.QuadRep) -> int:
 def rank3_arrays(ns) -> np.ndarray:
     """rank3_criterion for each N of a strictly ascending array of sieved primes N = 1 (mod 3).
 
-    The rank-3 scan's kernel: (A, B) from eisenstein.represent_4n_arrays's
-    lattice, then 3 | B, or for the N = 1 (mod 9) alone A's ninth-power
-    residue from modmath.power_residues (A may be negative, and the residues
-    are uint64).  Every N must lie below the 2^30 cap; the checks raise, also
-    under -O.
+    The rank-3 scan's kernel: eisenstein.rank3_lattice's A, which is 0 at an
+    N = 4, 7 (mod 9) with 3 !| B, then for the N = 1 (mod 9) alone A's
+    ninth-power residue from modmath.power_residues (A may be negative, and
+    the residues are uint64); a chunk without them takes no power.  Every N
+    must lie below the 2^30 cap; the checks raise, also under -O.
     """
     n = np.asarray(ns, dtype=np.int64)
-    a, b = eisenstein.represent_4n_arrays(n)
-    ranks = np.where(b % 3 == 0, 2, 1)
+    a = eisenstein.rank3_lattice(n)
+    ranks = np.where(a != 0, 2, 1)
     nine = np.flatnonzero(n % 9 == 1)
-    m = n[nine]
-    ranks[nine] = np.where(power_residues(a[nine] % m, m, 9) == 1, 2, 1)
+    if nine.size:
+        m = n[nine]
+        ranks[nine] = np.where(power_residues(a[nine] % m, m, 9) == 1, 2, 1)
     return ranks
 
 

@@ -12,8 +12,9 @@ checkpoint being the first threshold 10^3, 10^4, ..., limit at or above it.
 The alpha kernel is invariants.alpha_counts, whose widest array, the
 (p, chunk) uint64 powers table, holds at most _CHUNK_CELLS cells (2 MB).  The
 rank-3 kernel is rank.rank3_arrays, which enumerates the chunk's lattice
-points (eisenstein.represent_4n_arrays) and runs the criterion once per chunk
-on arrays; its widest arrays hold the points, about 4 to 6 per prime.  Work
+points that the criterion reads (eisenstein.rank3_lattice) and runs it once
+per chunk on arrays; its widest arrays hold the points, about 2 to 3.5 per
+prime, and 1.3 to 2.1 when the scan asks for classes 4 and 7 alone.  Work
 is split into at most sqrt(limit) contiguous prime sub-ranges fixed by
 (limit, shards) alone.  The summary is the plain sum of their counts: summed
 over checkpoints it is the histogram per class, and its cumulative sums, read
@@ -48,8 +49,8 @@ from .rank import rank3, rank3_arrays  # noqa: F401  (perfbench/: scan.rank3)
 Outcome = Callable[[np.ndarray], np.ndarray]
 # primes a kernel call reads, times p: 87,381 at p = 3 and 2,702 at p = 97, so a kernel's
 # fixed numpy cost is paid rarely.  The alpha kernel's (p, chunk) uint64 powers table then
-# holds _CHUNK_CELLS cells (2 MB); the rank-3 kernel's widest arrays, its lattice points,
-# about 4-6 per prime, up to 550k int64 (4.4 MB) at the 2^30 cap
+# holds _CHUNK_CELLS cells (2 MB); the rank-3 kernel's widest arrays, the lattice points
+# its criterion reads, about 2-3.5 per prime, up to 310k int64 (2.5 MB) at the 2^30 cap
 _CHUNK_CELLS = 1 << 18
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cyclorank.eisenstein
+import cyclorank.rank
 from cyclorank.eisenstein import represent_4n, represent_4n_arrays, split_prime
 from cyclorank.errors import DomainError
 from cyclorank.invariants import alpha_count
@@ -84,7 +85,17 @@ def test_rank3_arrays_edge_cases(monkeypatch):
     # (4 * 28 = 2^2 + 27 * 2^2); each an explicit raise, kept under -O
     for bad, times in ((25, 0), (91, 2), (28, 0)):
         with pytest.raises(DomainError, match=f"N={bad} has {times} representations"):
+            represent_4n_arrays(np.array([7, 13, bad]))
+    # the rank kernel keeps the points it reads: every N = 1 (mod 9) must be hit once
+    # (55 = 5 * 11 is hit by none, 91 twice, 28 by none), and no N twice (4453 = 61 * 73
+    # = 7 (mod 9) by two points with 3 | B); an even N, such as 70 = 7 (mod 9), lies off
+    # the table of N = 1 (mod 6) and raises in any class.  An odd N = 4, 7 (mod 9) that no
+    # point with 3 | B hits reads rank 1, composite 25 too: the kernel's input is sieved
+    # primes.
+    for bad, times in ((55, 0), (91, 2), (28, 0), (4453, 2), (70, 0)):
+        with pytest.raises(DomainError, match=f"N={bad} has {times} representations"):
             rank3_arrays(np.array([7, 13, bad]))
+    assert rank3_arrays(np.array([7, 13, 25])).tolist() == [1, 1, 1]
     # the kernel reads the sieve's order: ascending, no repeats
     for bad in ([7, 25, 13], [13, 7], [7, 7]):
         with pytest.raises(DomainError, match="strictly ascending"):
@@ -100,6 +111,32 @@ def test_rank3_arrays_edge_cases(monkeypatch):
     monkeypatch.setattr(cyclorank.eisenstein, "_WINDOW", 1000)
     cut = represent_4n_arrays(ns)
     assert all((x == y).all() for x, y in zip(whole, cut))
+
+
+def test_rank3_arrays_cut_into_windows_read_the_cubic_character(monkeypatch):
+    # windows of 1,000 integers, most without a class or without a point with 3 | B, give
+    # the uncut ranks; for N = 4, 7 (mod 9) rank 2 is Jacobi's cubic character of 3
+    ns = np.fromiter(primes_in_range(2, 2 * 10**5, 3, {1}), dtype=np.int64)
+    whole = rank3_arrays(ns)
+    monkeypatch.setattr(cyclorank.eisenstein, "_WINDOW", 1000)
+    cut = rank3_arrays(ns)
+    assert (cut == whole).all()
+    mixed = ns % 9 != 1
+    assert ((cut[mixed] == 2) == three_is_a_cube(ns[mixed])).all()
+    assert set(cut[mixed].tolist()) == {1, 2}
+
+
+def test_rank3_arrays_without_class_one_take_no_ninth_power(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ninth power taken for a chunk without N = 1 (mod 9)")
+
+    ns = np.fromiter(primes_in_range(2, 10**5, 9, {4, 7}), dtype=np.int64)
+    want = rank3_arrays(ns)
+    monkeypatch.setattr(cyclorank.rank, "power_residues", refuse)
+    assert (rank3_arrays(ns) == want).all()
+    assert (want == np.where(three_is_a_cube(ns), 2, 1)).all()
+    with pytest.raises(AssertionError, match="ninth power"):
+        rank3_arrays(ns[:3].tolist() + [37])
 
 
 def test_rank3_arrays_cost_follows_the_primes_not_their_span():
