@@ -154,11 +154,11 @@ def rank3_lattice(ns) -> np.ndarray:
     represent_4n_arrays's lattice with only the points whose outcome is read:
     every point of class N = 1 (mod 9), whose A the ninth-power test takes,
     and the points with 3 | B of classes 4 and 7, where 3 | B is the whole
-    criterion; that is 5/9 of the points, and none of a class the chunk lacks.
-    int64 A, and 0 at an N = 4, 7 (mod 9) that no point with 3 | B hits.
-    Every other N must be hit exactly once and no N twice, or DomainError;
-    an N = 4, 7 (mod 9) with no point at all reads 0, as the input is sieved
-    primes.  The same order and cap checks as represent_4n_arrays.
+    criterion; that is 5/9 of the points.  int64 A, and 0 at an N = 4, 7
+    (mod 9) that no point with 3 | B hits.  Every other N must be hit exactly
+    once and no N twice, or DomainError; an N = 4, 7 (mod 9) with no point at
+    all reads 0, as the input is sieved primes.  The same order and cap
+    checks as represent_4n_arrays.
     """
     return _lattice(ns, every=False)
 
@@ -200,12 +200,8 @@ def _lattice_window(n: np.ndarray, every: bool) -> np.ndarray:
     x = x0[:, None] + step[:, None] * _THIRDS
     cnt = np.maximum(0, (isqrt(4 * hi - q)[:, None] - x) // (3 * step[:, None]) + 1)
     first = np.sign(signed)[:, None] * x  # the first A of each sub-progression
-    if not every:  # class 1 in full, classes 4 and 7 where 3 | B, each only if the window has it
-        r9 = n - n // 9 * 9  # N mod 9; floor division by a constant is the cheaper ufunc
-        present = np.zeros(9, dtype=bool)
-        present[r9] = True
-        cls = 8 - first % 9
-        cnt *= present[cls] & ((cls == 1) | (b % 3 == 0)[:, None])
+    if not every:  # class 1 (A = 7 mod 9) in full, classes 4 and 7 only where 3 | B
+        cnt *= (first % 9 == 7) | (b % 3 == 0)[:, None]
     cnt = cnt.ravel()
     edges = np.concatenate(([0], np.cumsum(cnt)))  # sub-progression k: edges[k] .. edges[k+1]-1
     # point i of sub-progression k: A = first + 3*signed*(i - edges[k]), one step per group;
@@ -229,7 +225,11 @@ def _lattice_window(n: np.ndarray, every: bool) -> np.ndarray:
     hit = point > 0
     # an N the outcome reads must be hit, as must any N off the table; every N when every
     # point is kept
-    missed = ~hit if every else ~hit & (~on | (r9 != 4) & (r9 != 7))
+    if every:
+        missed = ~hit
+    else:
+        r9 = n - n // 9 * 9  # N mod 9; floor division by a constant is the cheaper ufunc
+        missed = ~hit & (~on | (r9 != 4) & (r9 != 7))
     # once those N are hit, no N is hit twice iff as many points as N hit them
     ours = np.zeros(point_at.size, dtype=bool)
     ours[at] = True

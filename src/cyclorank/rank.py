@@ -68,16 +68,15 @@ def rank3_arrays(ns) -> np.ndarray:
     The rank-3 scan's kernel: eisenstein.rank3_lattice's A, which is 0 at an
     N = 4, 7 (mod 9) with 3 !| B, then for the N = 1 (mod 9) alone A's
     ninth-power residue from modmath.power_residues (A may be negative, and
-    the residues are uint64); a chunk without them takes no power.  Every N
-    must lie below the 2^30 cap; the checks raise, also under -O.
+    the residues are uint64).  Every N must lie below the 2^30 cap; the
+    checks raise, also under -O.
     """
     n = np.asarray(ns, dtype=np.int64)
     a = eisenstein.rank3_lattice(n)
     ranks = np.where(a != 0, 2, 1)
     nine = np.flatnonzero(n % 9 == 1)
-    if nine.size:
-        m = n[nine]
-        ranks[nine] = np.where(power_residues(a[nine] % m, m, 9) == 1, 2, 1)
+    m = n[nine]
+    ranks[nine] = np.where(power_residues(a[nine] % m, m, 9) == 1, 2, 1)
     return ranks
 
 

@@ -14,7 +14,7 @@ The alpha kernel is invariants.alpha_counts, whose widest array, the
 rank-3 kernel is rank.rank3_arrays, which enumerates the chunk's lattice
 points that the criterion reads (eisenstein.rank3_lattice) and runs it once
 per chunk on arrays; its widest arrays hold the points, about 2 to 3.5 per
-prime, and 1.3 to 2.1 when the scan asks for classes 4 and 7 alone.  Work
+prime over the three classes, and 3.3 to 5.2 for classes 4 and 7 alone.  Work
 is split into at most sqrt(limit) contiguous prime sub-ranges fixed by
 (limit, shards) alone.  The summary is the plain sum of their counts: summed
 over checkpoints it is the histogram per class, and its cumulative sums, read

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import cyclorank.eisenstein
-import cyclorank.rank
 from cyclorank.eisenstein import represent_4n, represent_4n_arrays, split_prime
 from cyclorank.errors import DomainError
 from cyclorank.invariants import alpha_count
@@ -105,38 +104,17 @@ def test_rank3_arrays_edge_cases(monkeypatch):
         rank3_arrays(np.array([7, DEFAULT_SIEVE_CAP + 3]))
     with pytest.raises(AssertionError, match="cap"):
         represent_4n_arrays(np.array([7, DEFAULT_SIEVE_CAP + 3]))
-    # windows of 1,000 integers cut this chunk into 200, and give the same pairs
+    # windows of 1,000 integers cut this chunk into 200, and give the same pairs and ranks;
+    # for N = 4, 7 (mod 9) rank 2 is Jacobi's cubic character of 3
     ns = np.fromiter(primes_in_range(2, 2 * 10**5, 3, {1}), dtype=np.int64)
-    whole = represent_4n_arrays(ns)
+    whole, ranks = represent_4n_arrays(ns), rank3_arrays(ns)
     monkeypatch.setattr(cyclorank.eisenstein, "_WINDOW", 1000)
     cut = represent_4n_arrays(ns)
     assert all((x == y).all() for x, y in zip(whole, cut))
-
-
-def test_rank3_arrays_cut_into_windows_read_the_cubic_character(monkeypatch):
-    # windows of 1,000 integers, most without a class or without a point with 3 | B, give
-    # the uncut ranks; for N = 4, 7 (mod 9) rank 2 is Jacobi's cubic character of 3
-    ns = np.fromiter(primes_in_range(2, 2 * 10**5, 3, {1}), dtype=np.int64)
-    whole = rank3_arrays(ns)
-    monkeypatch.setattr(cyclorank.eisenstein, "_WINDOW", 1000)
-    cut = rank3_arrays(ns)
-    assert (cut == whole).all()
+    assert (rank3_arrays(ns) == ranks).all()
     mixed = ns % 9 != 1
-    assert ((cut[mixed] == 2) == three_is_a_cube(ns[mixed])).all()
-    assert set(cut[mixed].tolist()) == {1, 2}
-
-
-def test_rank3_arrays_without_class_one_take_no_ninth_power(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("ninth power taken for a chunk without N = 1 (mod 9)")
-
-    ns = np.fromiter(primes_in_range(2, 10**5, 9, {4, 7}), dtype=np.int64)
-    want = rank3_arrays(ns)
-    monkeypatch.setattr(cyclorank.rank, "power_residues", refuse)
-    assert (rank3_arrays(ns) == want).all()
-    assert (want == np.where(three_is_a_cube(ns), 2, 1)).all()
-    with pytest.raises(AssertionError, match="ninth power"):
-        rank3_arrays(ns[:3].tolist() + [37])
+    assert ((ranks[mixed] == 2) == three_is_a_cube(ns[mixed])).all()
+    assert set(ranks[mixed].tolist()) == {1, 2}
 
 
 def test_rank3_arrays_cost_follows_the_primes_not_their_span():
