@@ -16,7 +16,6 @@ from .eisenstein import (
     SplitData,
     cubic_symbol,
     gerth_matrix,
-    hilbert_pi_unit_criterion,
     represent_4n,
     split_prime,
     star_condition,
@@ -71,7 +70,6 @@ __all__ = [
     "emit",
     "factorial_mod",
     "gerth_matrix",
-    "hilbert_pi_unit_criterion",
     "ingest_truth",
     "invariant_record",
     "is_prime",

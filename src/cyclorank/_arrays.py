@@ -4,9 +4,8 @@ Residues are uint64.  Every modulus lies below primes.DEFAULT_SIEVE_CAP
 (2^30), the cap on the scans and on the O(N) products, so a product of two
 residues stays below 2^60 and numpy's uint64 multiplication is exact.
 powmod and class_products refuse a wider modulus with an explicit raise,
-which python -O keeps; so do eisenstein.represent_4n_arrays and
-rank3_lattice, whose int64 lattice points (A^2 + 27B^2 = 4N <= 2^32) and
-isqrt are exact below the cap.
+which python -O keeps; so does eisenstein.rank3_lattice, whose int64
+lattice points (A^2 + 27B^2 = 4N <= 2^32) and isqrt are exact below the cap.
 
 powmod is the left-to-right binary method (Knuth, TAOCP vol. 2, 4.6.3) with
 no per-element select: np.where on a random mask of exponent bits costs

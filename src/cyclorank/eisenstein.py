@@ -22,16 +22,15 @@ on (N, r) passes (r, N - r) to (N - r, r mod (N - r)), where Euclid on
 (N, N - r) arrives in one step, so both stop at the same x.  Any cube root of
 unity t != 1 serves.
 
-The arrays read no root: represent_4n_arrays finds (A, B) for a chunk of
-sieved N below the 2^30 cap by enumerating the lattice points with
-A^2 + 27B^2 = 4N over the chunk's range and looking each N up.  It shares no
-step with Cornacchia, so each is the other's oracle.  The rank-3 scan's
-rank3_lattice is the same enumeration cut to the points the rank-3
-criterion reads.  4N = A^2 (mod 27) gives N = 8 - A (mod 9), so a point's A
-names its class: it keeps every point of class 1, whose A the ninth-power
-test takes, and of classes 4 and 7 only the points with 3 | B, the whole
-criterion there.  Their points satisfy A^2 + 27B^2 <= 4 * 2^30 = 2^32,
-exact in int64.
+The arrays read no root: rank3_lattice, the rank-3 scan's kernel, finds A
+for a chunk of sieved N below the 2^30 cap by enumerating the lattice points
+with A^2 + 27B^2 = 4N over the chunk's range and looking each N up.  It
+shares no step with Cornacchia, so each is the other's oracle.
+4N = A^2 (mod 27) gives N = 8 - A (mod 9), so a point's A names its class,
+and the lattice builds only the points whose outcome the rank-3 criterion
+reads: every point of class 1, whose A the ninth-power test takes, and of
+classes 4 and 7 only the points with 3 | B, the whole criterion there.
+Their points satisfy A^2 + 27B^2 <= 4 * 2^30 = 2^32, exact in int64.
 """
 
 from __future__ import annotations
@@ -129,42 +128,24 @@ _SIGNED_STEPS = np.array([6, -6, 12, -12], dtype=np.int8)
 _THIRDS = np.arange(3, dtype=np.int64)
 
 
-def represent_4n_arrays(ns) -> tuple[np.ndarray, np.ndarray]:
-    """represent_4n on arrays: int64 (A, B) for strictly ascending sieved primes N = 1 (mod 3).
+def rank3_lattice(ns) -> np.ndarray:
+    """The A that the rank-3 criterion reads, for strictly ascending sieved primes N = 1 (mod 3).
 
     No root and no Cornacchia: each window of at most _WINDOW integers
     enumerates the lattice points with 4*lo <= A^2 + 27B^2 <= 4*hi (lo, hi its
     first and last N) and looks each N = (A^2 + 27B^2)/4 up among the given
     ones: the quadratic-form enumeration of Atkin and Bernstein ("Prime
     sieves using binary quadratic forms", Math. Comp. 73, 2004), here finding
-    the representation, not testing primality.  A prime has exactly one
-    point; an N with none or several (25, 91) and an input out of order raise
-    DomainError, an N above the 2^30 cap AssertionError, also under -O.  The
-    check is no primality test: 49 = 7^2 has one point too.  B is read off
-    each N's A, as isqrt((4N - A^2)/27).
+    the representation, not testing primality.  Only the points whose
+    outcome is read are built: every point of class N = 1 (mod 9), whose A
+    the ninth-power test takes, and the points with 3 | B of classes 4 and 7,
+    where 3 | B is the whole criterion; that is 5/9 of the points.  int64 A,
+    and 0 at an N = 4, 7 (mod 9) that no point with 3 | B hits.  Every other
+    N must be hit exactly once and no N twice, or DomainError; an N = 4, 7
+    (mod 9) with no point at all reads 0, as the input is sieved primes.  An
+    input out of order raises DomainError, an N above the 2^30 cap
+    AssertionError, also under -O.
     """
-    n = np.asarray(ns, dtype=np.int64)
-    a = _lattice(n, every=True)
-    return a, isqrt((4 * n - a * a) // 27)
-
-
-def rank3_lattice(ns) -> np.ndarray:
-    """The A that the rank-3 criterion reads, for strictly ascending sieved primes N = 1 (mod 3).
-
-    represent_4n_arrays's lattice with only the points whose outcome is read:
-    every point of class N = 1 (mod 9), whose A the ninth-power test takes,
-    and the points with 3 | B of classes 4 and 7, where 3 | B is the whole
-    criterion; that is 5/9 of the points.  int64 A, and 0 at an N = 4, 7
-    (mod 9) that no point with 3 | B hits.  Every other N must be hit exactly
-    once and no N twice, or DomainError; an N = 4, 7 (mod 9) with no point at
-    all reads 0, as the input is sieved primes.  The same order and cap
-    checks as represent_4n_arrays.
-    """
-    return _lattice(ns, every=False)
-
-
-def _lattice(ns, every: bool) -> np.ndarray:
-    """The A of the point at each N, window by window; every: keep all points, not the read ones."""
     n = np.asarray(ns, dtype=np.int64)
     if (n[1:] <= n[:-1]).any():
         raise DomainError("the N must be strictly ascending")
@@ -174,13 +155,13 @@ def _lattice(ns, every: bool) -> np.ndarray:
     first = 0
     while first < n.size:
         last = int(np.searchsorted(n, n[first] + _WINDOW))
-        a[first:last] = _lattice_window(n[first:last], every)
+        a[first:last] = _lattice_window(n[first:last])
         first = last
     return a
 
 
-def _lattice_window(n: np.ndarray, every: bool) -> np.ndarray:
-    """_lattice on one window: n ascending, nonempty, hi - lo < _WINDOW."""
+def _lattice_window(n: np.ndarray) -> np.ndarray:
+    """rank3_lattice on one window: n ascending, nonempty, hi - lo < _WINDOW."""
     lo, hi = int(n[0]), int(n[-1])
     bs = np.arange(1, math.isqrt(max(0, 4 * hi) // 27) + 1, dtype=np.int64)
     odd, even = bs[0::2], bs[1::2]
@@ -200,8 +181,8 @@ def _lattice_window(n: np.ndarray, every: bool) -> np.ndarray:
     x = x0[:, None] + step[:, None] * _THIRDS
     cnt = np.maximum(0, (isqrt(4 * hi - q)[:, None] - x) // (3 * step[:, None]) + 1)
     first = np.sign(signed)[:, None] * x  # the first A of each sub-progression
-    if not every:  # class 1 (A = 7 mod 9) in full, classes 4 and 7 only where 3 | B
-        cnt *= (first % 9 == 7) | (b % 3 == 0)[:, None]
+    # class 1 (A = 7 mod 9) in full, classes 4 and 7 only where 3 | B
+    cnt *= (first % 9 == 7) | (b % 3 == 0)[:, None]
     cnt = cnt.ravel()
     edges = np.concatenate(([0], np.cumsum(cnt)))  # sub-progression k: edges[k] .. edges[k+1]-1
     # point i of sub-progression k: A = first + 3*signed*(i - edges[k]), one step per group;
@@ -223,20 +204,16 @@ def _lattice_window(n: np.ndarray, every: bool) -> np.ndarray:
     on = at * 6 == off  # every point has N = 1 (mod 6)
     point = point_at[at] * on
     hit = point > 0
-    # an N the outcome reads must be hit, as must any N off the table; every N when every
-    # point is kept
-    if every:
-        missed = ~hit
-    else:
-        r9 = n - n // 9 * 9  # N mod 9; floor division by a constant is the cheaper ufunc
-        missed = ~hit & (~on | (r9 != 4) & (r9 != 7))
+    # an N the outcome reads must be hit, as must any N off the table
+    r9 = n - n // 9 * 9  # N mod 9; floor division by a constant is the cheaper ufunc
+    missed = ~hit & (~on | (r9 != 4) & (r9 != 7))
     # once those N are hit, no N is hit twice iff as many points as N hit them
     ours = np.zeros(point_at.size, dtype=bool)
     ours[at] = True
     if missed.any() or np.count_nonzero(ours[cell]) != np.count_nonzero(hit):
         times = np.where(on, np.bincount(cell, minlength=point_at.size)[at], 0)
         bad = np.flatnonzero(missed | (times > 1))[0]
-        read = "" if every or n[bad] % 9 == 1 else " and 3 | B"
+        read = "" if n[bad] % 9 == 1 else " and 3 | B"
         raise DomainError(f"N={n[bad]} has {times[bad]} representations 4N = A^2 + 27B^2 with "
                           f"3 !| A, B > 0{read}: it is not a prime = 1 (mod 3)")
     return a[point]
@@ -309,15 +286,6 @@ def cubic_symbol(x: int, s: SplitData) -> PowerClass:
     return power_class(x % s.rep.n, s.ctx)
 
 
-def hilbert_pi_unit_criterion(s: SplitData) -> bool:
-    """Triviality of the cubic Hilbert symbol at the prime above 3.
-
-    The symbol attached to the primary generator reduces to the closed
-    congruence N*a = 1 (mod 9), which holds exactly when 9 | b.
-    """
-    return (s.rep.n * s.primary.a) % 9 == 1
-
-
 def _star_candidates() -> frozenset[tuple[int, int]]:
     # The twelve residues +-zeta_3^v * 2^w (mod 9), v in {0,1,2}, w in {1,2}.
     out = set()
@@ -361,7 +329,7 @@ def gerth_matrix(s: SplitData) -> GerthMatrix:
     Wilson-Jacobi identity (checked); the third is the exponent of the symbol
     at the prime above 3, e3 = ((1 - N*a)/3) mod 3.  N = 1 (mod 3) and the
     primary a = 1 (mod 3) make 1 - N*a a multiple of 3, and e3 = 0 exactly
-    when N*a = 1 (mod 9), the congruence hilbert_pi_unit_criterion reads.
+    when N*a = 1 (mod 9), that is when 9 | b.
     """
     n = s.rep.n
     if n % 9 not in (4, 7):

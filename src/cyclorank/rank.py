@@ -22,14 +22,14 @@ from there.  Every caller (rank3, bounds at p = 3 and so validate) applies
 one agreement rule, _agreed_rank: methods that disagree raise
 AssertionError, an internal error, never a report.
 rank3_arrays is the cornacchia method's criterion on arrays, the rank-3 scan's
-kernel.  It reads eisenstein.rank3_lattice, the lattice enumeration of
-represent_4n_arrays (which shares no step with Cornacchia) cut to the points
-the criterion reads: every point of class N = 1 (mod 9), for A's ninth
-power, and for N = 4, 7 (mod 9) the points with 3 | B alone, so a hit is
-rank 2 and no hit rank 1.  The scalar rank3_criterion on represent_4n is its
-reference.  The lattice checks that every N = 1 (mod 9) is hit exactly once,
-but in classes 4 and 7 it sees only the rank-2 primes, so a missing point
-reads rank 1.  The whole-range check for those classes is Jacobi's cubic
+kernel.  It reads eisenstein.rank3_lattice, a lattice enumeration of
+4N = A^2 + 27B^2 (which shares no step with Cornacchia) that builds only the
+points the criterion reads: every point of class N = 1 (mod 9), for A's
+ninth power, and for N = 4, 7 (mod 9) the points with 3 | B alone, so a hit
+is rank 2 and no hit rank 1.  The scalar rank3_criterion on represent_4n is
+its reference, at every N the lattice reads.  The lattice checks that every
+N = 1 (mod 9) is hit exactly once, but in classes 4 and 7 it sees only the
+rank-2 primes, so a missing point reads rank 1.  The whole-range check for those classes is Jacobi's cubic
 character of 3 in tier-1 (test_cubic_character_of_3_counts_the_rank_two_primes,
 to 10^7) and CI's byte pins of the scan, to 10^8 and to 2^30.
 

@@ -11,7 +11,6 @@ from cyclorank.eisenstein import (
     QuadRep,
     cubic_symbol,
     gerth_matrix,
-    hilbert_pi_unit_criterion,
     represent_4n,
     represent_4n_bruteforce,
     split_of,
@@ -237,18 +236,6 @@ def test_star_condition_examples():
         star_condition(split_prime(19))
 
 
-def test_hilbert_pi_unit_criterion_examples():
-    assert hilbert_pi_unit_criterion(split_prime(61)) is True
-    assert hilbert_pi_unit_criterion(split_prime(7)) is False
-    assert hilbert_pi_unit_criterion(split_prime(19)) is False
-
-
-def test_hilbert_criterion_is_nine_divides_b():
-    for n in primes_in_class(20000, 3, {1}):
-        s = split_prime(n)
-        assert hilbert_pi_unit_criterion(s) == (s.primary.b % 9 == 0)
-
-
 def test_gerth_matrix_examples():
     m = gerth_matrix(split_prime(61))
     assert (m.width, m.entries, m.rank) == (3, (0, 0, 0), 0)
@@ -261,11 +248,11 @@ def test_gerth_matrix_examples():
 
 
 def test_criterion_chain():
-    # 3 | B <=> Hilbert criterion <=> star congruence <=> symbol rank 0
+    # 3 | B <=> 9 | b <=> star congruence <=> symbol rank 0
     for n in primes_in_class(20000, 9, {4, 7}):
         s = split_prime(n)
         three_divides_b = s.rep.B % 3 == 0
-        assert hilbert_pi_unit_criterion(s) == three_divides_b
+        assert (s.primary.b % 9 == 0) == three_divides_b
         assert star_condition(s) == three_divides_b
         assert (gerth_matrix(s).rank == 0) == three_divides_b
 

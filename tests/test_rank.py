@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cyclorank.eisenstein
-from cyclorank.eisenstein import represent_4n, represent_4n_arrays, split_prime
+from cyclorank.eisenstein import rank3_lattice, represent_4n, split_prime
 from cyclorank.errors import DomainError
 from cyclorank.invariants import alpha_count
 from cyclorank.modmath import ModulusContext
@@ -53,17 +53,20 @@ def test_rank3_methods_agree():
 def test_rank3_arrays_match_the_scalar_path(lo, hi):
     # the scan's lattice kernel against the point-query path, which shares no step with
     # it (Cornacchia from a cube root of unity), on every prime N = 1 (mod 3) of the
-    # range: (A, B) against represent_4n, the rank against rank3, each class mod 9 on
-    # its own; the second range is the width edge of the int64 / uint64 arithmetic
+    # range: the lattice's A against represent_4n's at every N the kernel reads (every
+    # N = 1 (mod 9), and N = 4, 7 (mod 9) where 3 | B) and 0 at the rest, the rank
+    # against rank3, each class mod 9 on its own; the second range is the width edge of
+    # the int64 / uint64 arithmetic
     ns = np.fromiter(primes_in_range(lo, hi, 3, {1}), dtype=np.int64)
     for c in (1, 4, 7):
         cls = ns[ns % 9 == c]
-        a, b = represent_4n_arrays(cls)
+        a = rank3_lattice(cls)
         ranks = rank3_arrays(cls)
-        assert a.dtype == b.dtype == ranks.dtype == np.int64 and cls.size > 1000
-        for n, pair, rank in zip(cls.tolist(), zip(a.tolist(), b.tolist()), ranks.tolist()):
+        assert a.dtype == ranks.dtype == np.int64 and cls.size > 1000
+        for n, got, rank in zip(cls.tolist(), a.tolist(), ranks.tolist()):
             want, split, _ = rank3_detail(n)  # rank3(n), from the split represent_4n reads
-            assert pair == (split.rep.A, split.rep.B) and rank == want, n
+            read = c == 1 or split.rep.B % 3 == 0
+            assert got == (split.rep.A if read else 0) and rank == want, n
         if c == 1:
             assert {2, 1} == set(ranks.tolist())  # the ninth-power test decides both ways
     # one call over the three classes gives each class's answers
@@ -78,19 +81,13 @@ def test_rank3_arrays_edge_cases(monkeypatch):
     assert rank3_arrays(ns).tolist() == [rank3(n) for n in ns.tolist()]
     empty = np.array([], dtype=np.int64)
     assert rank3_arrays(empty).shape == (0,)
-    assert [x.shape for x in represent_4n_arrays(empty)] == [(0,), (0,)]
-    # every N must be hit by exactly one lattice point: composite 25 = 1 (mod 3) has no
-    # representation, 91 = 7 * 13 two, and even 28 = 1 (mod 3) lies on no progression
-    # (4 * 28 = 2^2 + 27 * 2^2); each an explicit raise, kept under -O
-    for bad, times in ((25, 0), (91, 2), (28, 0)):
-        with pytest.raises(DomainError, match=f"N={bad} has {times} representations"):
-            represent_4n_arrays(np.array([7, 13, bad]))
-    # the rank kernel keeps the points it reads: every N = 1 (mod 9) must be hit once
-    # (55 = 5 * 11 is hit by none, 91 twice, 28 by none), and no N twice (4453 = 61 * 73
-    # = 7 (mod 9) by two points with 3 | B); an even N, such as 70 = 7 (mod 9), lies off
-    # the table of N = 1 (mod 6) and raises in any class.  An odd N = 4, 7 (mod 9) that no
-    # point with 3 | B hits reads rank 1, composite 25 too: the kernel's input is sieved
-    # primes.
+    # the kernel keeps the points it reads: every N = 1 (mod 9) must be hit once
+    # (55 = 5 * 11 is hit by none, 91 = 7 * 13 twice, and even 28 lies on no progression,
+    # as 4 * 28 = 2^2 + 27 * 2^2), and no N twice (4453 = 61 * 73 = 7 (mod 9) by two
+    # points with 3 | B); an even N, such as 70 = 7 (mod 9), lies off the table of
+    # N = 1 (mod 6) and raises in any class.  Each is an explicit raise, kept under -O.
+    # An odd N = 4, 7 (mod 9) that no point with 3 | B hits reads rank 1, composite 25
+    # too: the kernel's input is sieved primes.
     for bad, times in ((55, 0), (91, 2), (28, 0), (4453, 2), (70, 0)):
         with pytest.raises(DomainError, match=f"N={bad} has {times} representations"):
             rank3_arrays(np.array([7, 13, bad]))
@@ -102,15 +99,12 @@ def test_rank3_arrays_edge_cases(monkeypatch):
     # 2^30 + 3 is a prime = 1 (mod 3) above the cap of the array kernels
     with pytest.raises(AssertionError, match="cap"):
         rank3_arrays(np.array([7, DEFAULT_SIEVE_CAP + 3]))
-    with pytest.raises(AssertionError, match="cap"):
-        represent_4n_arrays(np.array([7, DEFAULT_SIEVE_CAP + 3]))
-    # windows of 1,000 integers cut this chunk into 200, and give the same pairs and ranks;
+    # windows of 1,000 integers cut this chunk into 200, and give the same A and ranks;
     # for N = 4, 7 (mod 9) rank 2 is Jacobi's cubic character of 3
     ns = np.fromiter(primes_in_range(2, 2 * 10**5, 3, {1}), dtype=np.int64)
-    whole, ranks = represent_4n_arrays(ns), rank3_arrays(ns)
+    whole, ranks = rank3_lattice(ns), rank3_arrays(ns)
     monkeypatch.setattr(cyclorank.eisenstein, "_WINDOW", 1000)
-    cut = represent_4n_arrays(ns)
-    assert all((x == y).all() for x, y in zip(whole, cut))
+    assert (rank3_lattice(ns) == whole).all()
     assert (rank3_arrays(ns) == ranks).all()
     mixed = ns % 9 != 1
     assert ((ranks[mixed] == 2) == three_is_a_cube(ns[mixed])).all()
