@@ -25,7 +25,8 @@ _BLOCK_CELLS = 1 << 20  # uint64 cells per class_products block: 8 MB
 
 def _require_width(top: int) -> None:
     if top > DEFAULT_SIEVE_CAP:
-        raise AssertionError(f"modulus {top} exceeds the 2^30 cap of the array kernels")
+        bits = DEFAULT_SIEVE_CAP.bit_length() - 1
+        raise AssertionError(f"modulus {top} exceeds the 2^{bits} cap of the array kernels")
 
 
 def powmod(base, exp, mod) -> np.ndarray:

@@ -76,7 +76,6 @@ def _build_parser() -> _Parser:
     sp.add_argument(
         "--classes", type=_classes, help="residues of N mod 9; default 1,4,7 (p = 3 only)"
     )
-    sp.add_argument("--shards", type=int, default=None)
     sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--format", default="csv", choices=("csv", "json"))
     sp.add_argument("--out", default="-")
@@ -152,11 +151,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.p == 3:
         classes = args.classes or (1, 4, 7)
-        summary = scan_rank3(args.limit, classes, shards=args.shards, workers=args.workers)
+        summary = scan_rank3(args.limit, classes, workers=args.workers)
     elif args.classes:
         raise DomainError("--classes applies to p = 3 only")
     else:
-        summary = scan_alpha(args.p, args.limit, shards=args.shards, workers=args.workers)
+        summary = scan_alpha(args.p, args.limit, workers=args.workers)
     emit(summary, args.format, args.out)
     return 0
 

@@ -10,7 +10,9 @@ Two normalizations coexist on purpose:
     (mod 3) and 3 | b; for that generator 2a - b = -A.
 
 Conflating the two conventions flips a sign (first visible at N = 61), so both
-are kept explicit and cross-checked.
+are kept explicit and cross-checked.  EisensteinInt is only the pair (a, b)
+and its norm: the symbols read a generator through its image in F_N, and the
+star congruence through (a mod 9, b mod 9).
 
 A point query has one algorithm for the whole contract N < 2^62: integer
 Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  split_of runs it
@@ -54,15 +56,6 @@ class EisensteinInt:
 
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def times_zeta(self) -> "EisensteinInt":
-        return EisensteinInt(-self.b, self.a - self.b)
-
-    def __neg__(self) -> "EisensteinInt":
-        return EisensteinInt(-self.a, -self.b)
-
-    def reduce_mod(self, m: int) -> tuple[int, int]:
-        return (self.a % m, self.b % m)
 
 
 @dataclass(frozen=True)
@@ -114,8 +107,10 @@ def _normalize_pair(a: int, b: int, n: int) -> QuadRep:
     return QuadRep(A=a if a % 3 == 1 else -a, B=abs(b), n=n)
 
 
-# Integers of N one lattice call covers: a scan's chunk at the 2^30 cap (87,381 primes over
-# about 3.6M integers) is one window, and a lone N costs O(sqrt(N)) points, not O(N).
+# Integers of N one lattice call covers, so a lone N costs O(sqrt(N)) points, not O(N).  Only
+# the default classes fit a scan's chunk (87,381 primes) in one window: classes 1, 4, 7 span
+# 3.2M integers at 10^8 and 3.6M at the 2^30 cap; classes 4, 7 span 4.8M / 5.4M, two
+# windows; a single class 9.6M / 10.9M, three windows.
 _WINDOW = 1 << 22
 # Each B has two progressions of A, in four groups of one signed step each: odd B has
 # |A| = 1 and 5 (mod 6), stepping +6 and -6; B = 2b gives A = 2a with N = a^2 + 27b^2, odd
@@ -286,19 +281,11 @@ def cubic_symbol(x: int, s: SplitData) -> PowerClass:
     return power_class(x % s.rep.n, s.ctx)
 
 
-def _star_candidates() -> frozenset[tuple[int, int]]:
-    # The twelve residues +-zeta_3^v * 2^w (mod 9), v in {0,1,2}, w in {1,2}.
-    out = set()
-    for w in (1, 2):
-        u = EisensteinInt(2**w, 0)
-        for _ in range(3):
-            out.add(u.reduce_mod(9))
-            out.add((-u).reduce_mod(9))
-            u = u.times_zeta()
-    return frozenset(out)
-
-
-_STAR_CANDIDATES = _star_candidates()
+# The twelve residues +-zeta_3^v * 2^w (mod 9) as pairs (a, b) of a + b*zeta_3: for
+# c = +-2^w, c = (c, 0), c*zeta_3 = (0, c) and c*zeta_3^2 = c*(-1 - zeta_3) = (-c, -c).
+_STAR_CANDIDATES = frozenset(
+    pair for c in (2, 4, -2, -4) for pair in ((c % 9, 0), (0, c % 9), (-c % 9, -c % 9))
+)
 
 
 def star_condition(s: SplitData) -> bool:
@@ -310,14 +297,13 @@ def star_condition(s: SplitData) -> bool:
     """
     if s.rep.n % 9 == 1:
         raise DomainError("the unit-congruence test is defined for N != 1 (mod 9)")
-    return s.primary.reduce_mod(9) in _STAR_CANDIDATES
+    return (s.primary.a % 9, s.primary.b % 9) in _STAR_CANDIDATES
 
 
 @dataclass(frozen=True)
 class GerthMatrix:
     """Row of cubic-symbol exponents whose rank s gives the exact 3-rank 2 - s."""
 
-    width: int
     entries: tuple[int, ...]
     rank: int
 
@@ -339,4 +325,4 @@ def gerth_matrix(s: SplitData) -> GerthMatrix:
     if sym.index != 0:
         raise AssertionError(f"symbol of 2a - b is nontrivial at N={n}")
     e3 = (1 - n * s.primary.a) // 3 % 3
-    return GerthMatrix(width=3, entries=(sym.index, sym.index, e3), rank=0 if e3 == 0 else 1)
+    return GerthMatrix(entries=(sym.index, sym.index, e3), rank=0 if e3 == 0 else 1)

@@ -1,6 +1,7 @@
-"""Structured CSV/JSON serialization of reports and scan summaries.
+"""Structured CSV/JSON serialization of one report or one scan summary.
 
-Per-prime CSV rows use the fixed column order
+The CSV of a per-prime report is one header and one row, in the fixed column
+order
 
     N,p,class_mod_p2,A,B,rank3,alpha,lower,upper
 
@@ -17,14 +18,14 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
 from .rank import RankReport, rank_window
 from .scan import ScanSummary
 
 REPORT_HEADER = "N,p,class_mod_p2,A,B,rank3,alpha,lower,upper"
 
-Emittable = Union[RankReport, Iterable[RankReport], ScanSummary]
+Emittable = Union[RankReport, ScanSummary]
 
 
 def _opt(x: object) -> str:
@@ -37,12 +38,6 @@ def report_row(r: RankReport) -> str:
     cells = (r.n, r.p, r.target_class.residue_mod_p2, a, b, r.exact_rank3,
              r.alpha, r.lower, r.upper)
     return ",".join(_opt(c) for c in cells)
-
-
-def _report_csv(reports: Iterable[RankReport]) -> str:
-    lines = [REPORT_HEADER]
-    lines.extend(report_row(r) for r in reports)
-    return "\n".join(lines) + "\n"
 
 
 def _summary_csv(s: ScanSummary) -> str:
@@ -85,8 +80,7 @@ def _jsonable(obj: object) -> object:
 
 
 def to_json(obj: object) -> str:
-    payload = _jsonable(list(obj) if isinstance(obj, Iterable) else obj)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
 def render(obj: Emittable, fmt: str) -> str:
@@ -96,9 +90,7 @@ def render(obj: Emittable, fmt: str) -> str:
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(obj, ScanSummary):
         return _summary_csv(obj)
-    if isinstance(obj, RankReport):
-        return _report_csv([obj])
-    return _report_csv(obj)
+    return f"{REPORT_HEADER}\n{report_row(obj)}\n"
 
 
 def emit(obj: Emittable, fmt: str = "csv", sink: str | Path = "-") -> int:

@@ -23,11 +23,20 @@ from cyclorank.primes import primes_in_class, primes_in_range
 from oracles import random_split_primes
 
 
+def _zeta(x: EisensteinInt) -> EisensteinInt:
+    # (a + b*zeta) * zeta = a*zeta + b*zeta^2 = -b + (a - b)*zeta, as zeta^2 = -1 - zeta
+    return EisensteinInt(-x.b, x.a - x.b)
+
+
+def _neg(x: EisensteinInt) -> EisensteinInt:
+    return EisensteinInt(-x.a, -x.b)
+
+
 def test_eis_arithmetic():
     x = EisensteinInt(3, -2)
-    z = x.times_zeta()
-    assert z.norm() == x.norm()
-    assert z.times_zeta().times_zeta() == x  # zeta^3 = 1
+    z = _zeta(x)
+    assert z.norm() == _neg(x).norm() == x.norm()
+    assert _zeta(_zeta(z)) == x  # zeta^3 = 1
     assert EisensteinInt(2**63, 0).norm() == 2**126  # Python integers are exact
 
 
@@ -44,9 +53,9 @@ def test_associate_count():
     # exactly one of the six unit multiples is 1 (mod 3), exactly two are +-1
     for n in primes_in_class(2000, 3, {1}):
         g = split_prime(n).primary
-        z1 = g.times_zeta()
-        z2 = z1.times_zeta()
-        mods = [(x.a % 3, x.b % 3) for x in (g, z1, z2, -g, -z1, -z2)]
+        z1 = _zeta(g)
+        z2 = _zeta(z1)
+        mods = [(x.a % 3, x.b % 3) for x in (g, z1, z2, _neg(g), _neg(z1), _neg(z2))]
         assert mods.count((1, 0)) == 1
         assert mods.count((2, 0)) == 1
 
@@ -223,12 +232,19 @@ def test_integral_symbol_row_vanishes_for_class_one():
 
 
 def test_star_condition_examples():
-    # the twelve candidates are closed under the six units, so one generator decides
+    # the candidates are +-zeta^v * 2^w (mod 9), derived here by multiplying by zeta
+    derived = set()
+    for c in (2, 4, -2, -4):
+        u = EisensteinInt(c, 0)
+        for _ in range(3):
+            derived.add((u.a % 9, u.b % 9))
+            u = _zeta(u)
+    assert _STAR_CANDIDATES == derived and len(derived) == 12
+    # they are closed under the six units, so one generator decides
     for a, b in _STAR_CANDIDATES:
         g = EisensteinInt(a, b)
-        for u in (g.times_zeta(), -g):
-            assert u.reduce_mod(9) in _STAR_CANDIDATES
-    assert len(_STAR_CANDIDATES) == 12
+        for u in (_zeta(g), _neg(g)):
+            assert (u.a % 9, u.b % 9) in _STAR_CANDIDATES
     assert star_condition(split_prime(61)) is True
     assert star_condition(split_prime(7)) is False
     assert star_condition(split_prime(31)) is False
@@ -238,9 +254,9 @@ def test_star_condition_examples():
 
 def test_gerth_matrix_examples():
     m = gerth_matrix(split_prime(61))
-    assert (m.width, m.entries, m.rank) == (3, (0, 0, 0), 0)
+    assert (m.entries, m.rank) == ((0, 0, 0), 0)
     m = gerth_matrix(split_prime(7))
-    assert m.width == 3 and m.entries[:2] == (0, 0) and m.entries[2] != 0 and m.rank == 1
+    assert len(m.entries) == 3 and m.entries[:2] == (0, 0) and m.entries[2] != 0 and m.rank == 1
     m = gerth_matrix(split_prime(31))
     assert m.entries[2] != 0 and m.rank == 1
     with pytest.raises(DomainError):

@@ -28,20 +28,18 @@ def test_report_rows_match_contract():
 
 
 def test_report_csv_shape():
-    text = render([bounds(61, 3), bounds(11, 5)], "csv")
-    lines = text.strip().split("\n")
-    assert lines[0] == REPORT_HEADER
-    assert lines[1:] == ["61,3,7,1,3,2,0,1,2", "11,5,11,,,,0,2,8"]
-    assert render([], "csv") == REPORT_HEADER + "\n"
+    # one report renders as one header and one row
+    assert render(bounds(61, 3), "csv") == f"{REPORT_HEADER}\n61,3,7,1,3,2,0,1,2\n"
+    assert render(bounds(11, 5), "csv") == f"{REPORT_HEADER}\n11,5,11,,,,0,2,8\n"
     with pytest.raises(ValueError, match="unknown format 'xml'"):
         render(bounds(61, 3), "xml")
 
 
 def test_csv_round_trip():
-    reports = [bounds(n, 3) for n in primes_in_class(200, 3, {1})]
-    text = render(reports, "csv")
-    lines = text.strip().split("\n")[1:]
-    for line, r in zip(lines, reports):
+    for n in primes_in_class(200, 3, {1}):
+        r = bounds(n, 3)
+        header, line = render(r, "csv").strip().split("\n")
+        assert header == REPORT_HEADER
         n, p, cls, a, b, rk, alpha, lo, hi = line.split(",")
         assert (int(n), int(p), int(cls)) == (r.n, r.p, r.target_class.residue_mod_p2)
         assert (int(a), int(b)) == (r.rep.A, r.rep.B)
@@ -242,7 +240,7 @@ def test_cli_scan_and_validate(tmp_path, capsys):
     out_file = tmp_path / "scan.csv"
     code = cli_dispatch(
         ["scan", "--p", "3", "--limit", "2000", "--classes", "4,7",
-         "--shards", "2", "--workers", "1", "--format", "csv", "--out", str(out_file)]
+         "--workers", "1", "--format", "csv", "--out", str(out_file)]
     )
     assert code == 0
     assert out_file.read_text().startswith("class,threshold,total,rank2,density")
@@ -263,10 +261,10 @@ def test_cli_exit_codes(capsys, tmp_path):
     # a p past the contract's bound is refused by it, before a primality test past 2^64
     assert cli_dispatch(["classify", "7", "--p", str(2**89 - 1)]) == 1
     assert f"p={2**89 - 1} exceeds the 2^62 bound" in capsys.readouterr().err
-    for shards in ("0", "-3"):
-        argv = ["scan", "--limit", "1000", "--shards", shards, "--workers", "1"]
-        assert cli_dispatch(argv) == 1
-    assert "shard count" in capsys.readouterr().err
+    # the CLI runs one shard per worker; the shard count is a library parameter only
+    assert cli_dispatch(["scan", "--limit", "1000", "--shards", "2", "--workers", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --shards 2" in err
     argv = ["scan", "--p", "5", "--limit", "1000", "--classes", "2", "--workers", "1"]
     assert cli_dispatch(argv) == 1
     out, err = capsys.readouterr()
@@ -283,8 +281,6 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert cli_dispatch(["bounds", "211", "--p", "5", "--clk", "1", "--mu", "--format", "csv"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "--mu" in err
-    argv = ["scan", "--limit", "1000", "--shards", "1000000000000", "--workers", "1"]
-    assert cli_dispatch(argv) == 0
 
 
 def test_cli_internal_fault_exits_4(monkeypatch, capsys, tmp_path):
@@ -353,8 +349,7 @@ _ARGV = st.one_of(
          st.sampled_from([[], ["--mu"]]), _FORMAT, _STDOUT),
     _cmd(st.just(["scan", "--workers", "1"]), _P,
          _opt("--limit", st.integers(-10, 10**5).map(str)),
-         _opt("--classes", st.sampled_from(["1,4,7", "4", "2,4", "4,x", ""])),
-         _opt("--shards", st.sampled_from(["-1", "0", "1", "3", "x"])), _FORMAT, _STDOUT),
+         _opt("--classes", st.sampled_from(["1,4,7", "4", "2,4", "4,x", ""])), _FORMAT, _STDOUT),
     _cmd(st.just(["validate"]),
          _opt("--table", st.sampled_from([str(FIXTURE), "/definitely/not/there.csv"]))),
 )
@@ -398,7 +393,7 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
         ("invariants", "1000000000061", "--p", "5"),
         ("bounds", "1000000000061", "--p", "5", "--mu"),
         ("rank3", "10000000207", "--method", "all"),  # 1 (mod 9): factorial of (N-1)/3
-        ("scan", "--limit", str(2**40), "--shards", "1", "--workers", "1"),
+        ("scan", "--limit", str(2**40), "--workers", "1"),
         ("invariants", "2063", "--p", "1031"),  # p^3 > 2^30: U_k work grows as p^2
     ],
 )

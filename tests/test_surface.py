@@ -11,7 +11,9 @@ import re
 from pathlib import Path
 
 import cyclorank
-from cyclorank.eisenstein import EisensteinInt, SplitData, gerth_matrix, star_condition
+from cyclorank.eisenstein import (
+    EisensteinInt, GerthMatrix, SplitData, gerth_matrix, star_condition,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cyclorank"
@@ -24,6 +26,7 @@ DELETED = (
     "_alpha_outcome", "root_of_unity", "root_powers", "alpha_flags", "_rank3_outcome",
     "_rank3_outcomes", "cornacchia_4n", "_base_primes", "_is_report_iter", "unit_product",
     "Tally", "cornacchia_arrays", "represent_4n_arrays", "hilbert_pi_unit_criterion",
+    "times_zeta", "reduce_mod", "_star_candidates", "_report_csv",
 )
 
 
@@ -46,8 +49,11 @@ def test_deleted_names_are_gone():
         for no, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)
     ]
     assert hits == []
-    for attr in ("conjugate", "__add__", "__sub__", "__mul__", "associates"):
+    for attr in ("conjugate", "__add__", "__sub__", "__mul__", "associates", "times_zeta",
+                 "reduce_mod", "__neg__"):
         assert not hasattr(EisensteinInt, attr)
+    # the matrix is its three entries and their rank: its width is len(entries)
+    assert tuple(GerthMatrix.__dataclass_fields__) == ("entries", "rank")
 
 
 def test_every_unexported_function_has_a_caller():
