@@ -4,7 +4,7 @@ A prime N = 1 (mod 3) splits as N = n * conj(n) in Z[zeta_3], and 4N has a
 representation 4N = A^2 + 27B^2 that is unique up to the signs of A and B.
 Two normalizations coexist on purpose:
 
-  * QuadRep pins A = 1 (mod 3) (and B >= 0), the classical Jacobi sign
+  * QuadRep pins A = 1 (mod 3) (and B > 0), the classical Jacobi sign
     convention, which makes A * (((N-1)/3)!)^3 = 1 (mod N) an exact identity.
   * SplitData carries the primary generator n = a + b*zeta_3 with a = 1
     (mod 3) and 3 | b; for that generator 2a - b = -A.
@@ -14,15 +14,13 @@ are kept explicit and cross-checked.  EisensteinInt is only the pair (a, b)
 and its norm: the symbols read a generator through its image in F_N, and the
 star congruence through (a mod 9, b mod 9).
 
-A point query has one algorithm for the whole contract N < 2^62: integer
-Cornacchia for x^2 + 3y^2 = N, mapped linearly to (A, B).  split_of runs it
-on one N, which is checked once, by the ModulusContext gate: represent_4n and
-split_prime reach it through that context, whose root starts Cornacchia and
-indexes every symbol.  split_of does not fold r = 2t + 1 to 2r >= N, as no
-fold changes the result: t and t^2 give r and N - r, and for r > N/2 Euclid
-on (N, r) passes (r, N - r) to (N - r, r mod (N - r)), where Euclid on
-(N, N - r) arrives in one step, so both stop at the same x.  Any cube root of
-unity t != 1 serves.
+A point query has one algorithm for the whole contract N < 2^62: Cohen's
+modified Cornacchia (Alg. 1.5.3) for x^2 + 27y^2 = 4N, which gives (A, B) as
+(+-x, y) from one Euclid.  split_of runs it on one N, which is checked once,
+by the ModulusContext gate: represent_4n and split_prime reach it through
+that context, whose root starts Cornacchia and indexes every symbol.  The
+algorithm's parity rule asks for a start x0 = D = 1 (mod 2): of the two
+square roots +-3(2t + 1) of -27 it takes the odd one.
 
 The arrays read no root: rank3_lattice, the rank-3 scan's kernel, finds A
 for a chunk of sieved N below the 2^30 cap by enumerating the lattice points
@@ -60,7 +58,7 @@ class EisensteinInt:
 
 @dataclass(frozen=True)
 class QuadRep:
-    """The normalized pair with 4N = A^2 + 27B^2, A = 1 (mod 3), B >= 0."""
+    """The normalized pair with 4N = A^2 + 27B^2, A = 1 (mod 3), B > 0."""
 
     A: int
     B: int
@@ -104,7 +102,7 @@ class SplitData:
 
 
 def _normalize_pair(a: int, b: int, n: int) -> QuadRep:
-    return QuadRep(A=a if a % 3 == 1 else -a, B=abs(b), n=n)
+    return QuadRep(A=a if a % 3 == 1 else -a, B=b, n=n)
 
 
 # Integers of N one lattice call covers, so a lone N costs O(sqrt(N)) points, not O(N).  Only
@@ -243,27 +241,23 @@ def split_prime(n: int) -> SplitData:
 def split_of(ctx: ModulusContext) -> SplitData:
     """split_prime for an (N, 3) context in hand, by the one scalar Cornacchia; keeps ctx.
 
-    Cohen, Alg. 1.5.2: r = 2t + 1 for t = ctx.root is a square root of -3,
-    and Euclid on (N, r) stops at the first remainder x <= sqrt(N), where
-    (N - x^2)/3 = y^2.  A failed search raises.
+    Cohen, Alg. 1.5.3 with D = -27: x0 = 3(2t + 1) for t = ctx.root is a
+    square root of -27 mod N, replaced by N - x0 when even, as the algorithm
+    needs x0 = D (mod 2).  Euclid on (2N, x0) stops at the first remainder
+    x <= sqrt(4N), where (4N - x^2)/27 = B^2 and A = +-x.  A failed search
+    raises.
     """
     n = ctx.modulus
-    m, x = n, (2 * ctx.root + 1) % n
-    bound = math.isqrt(n)
+    x = 3 * (2 * ctx.root + 1) % n
+    m, x = 2 * n, x if x % 2 else n - x
+    bound = math.isqrt(4 * n)
     while x > bound:
         m, x = x, m % x
-    y2, rem = divmod(n - x * x, 3)
+    y2, rem = divmod(4 * n - x * x, 27)
     y = math.isqrt(y2)
     if rem or y * y != y2:
-        raise DomainError(f"Cornacchia found no x^2 + 3y^2 = {n}: N is not a split prime")
-    # 4N = (2x)^2 + 12y^2 = (x + 3y)^2 + 3(x - y)^2 = (x - 3y)^2 + 3(x + y)^2;
-    # 3 does not divide x, so one of 2y, x - y, x + y is divisible by 3.
-    if y % 3 == 0:
-        rep = _normalize_pair(2 * x, 2 * y // 3, n)
-    elif (x - y) % 3 == 0:
-        rep = _normalize_pair(x + 3 * y, (x - y) // 3, n)
-    else:
-        rep = _normalize_pair(x - 3 * y, (x + y) // 3, n)
+        raise DomainError(f"Cornacchia found no A^2 + 27B^2 = 4*{n}: N is not a split prime")
+    rep = _normalize_pair(x, y, n)
     a = (-rep.A - 3 * rep.B) // 2
     b = -3 * rep.B
     # zeta_3's image is the context's root or its square, whichever kills a + b*zeta_3

@@ -64,6 +64,8 @@ def test_represent_examples():
     assert represent_4n(7) == QuadRep(1, 1, 7)
     assert represent_4n(13) == QuadRep(-5, 1, 13)
     assert represent_4n(61) == QuadRep(1, 3, 61)
+    # the largest split prime below 2^62, the top of the contract
+    assert represent_4n(4611686018427387847) == QuadRep(4293546145, 21261663, 4611686018427387847)
     assert represent_4n_bruteforce(7) == QuadRep(1, 1, 7)
     assert represent_4n_bruteforce(19) == QuadRep(7, 1, 19)
     assert represent_4n_bruteforce(31) == QuadRep(4, 2, 31)
@@ -90,7 +92,7 @@ def test_represent_errors():
 
 
 def test_cornacchia_failure_raises():
-    # 25 = 1 (mod 3) has no primitive x^2 + 3y^2: split_of must raise, not assert, so
+    # 4 * 25 has no A^2 + 27B^2, though 25 = 1 (mod 3): split_of must raise, not assert, so
     # the check also runs under python -O.  Composite 25 gets no checked context, so
     # this one is set up by hand as __post_init__ would, with g = 2: root 2^8 mod 25.
     ctx = object.__new__(ModulusContext)
@@ -114,14 +116,13 @@ def test_wilson_jacobi_identity_small():
 
 
 def test_cornacchia_agrees_with_bruteforce():
-    # Euclid starts from r = 2t + 1 for the context's root t, unfolded: both halves
-    # 2r < N and 2r > N occur, so each branch of a fold to 2r > N meets the oracle
-    halves = set()
+    # Euclid starts from x0 = 3(2t + 1) mod N for the context's root t, folded to
+    # N - x0 when even: both parities of x0 occur, so both arms of the fold meet the oracle
+    parities = set()
     for n in [*primes_in_class(4000, 3, {1}), *primes_in_range(10**6, 1_000_400, 3, {1})]:
-        r = (2 * ModulusContext(n, 3).root + 1) % n
-        halves.add(2 * r < n)
+        parities.add(3 * (2 * ModulusContext(n, 3).root + 1) % n % 2)
         assert represent_4n(n) == represent_4n_bruteforce(n), n
-    assert halves == {True, False}
+    assert parities == {0, 1}
 
 
 def _b_scan(n: int) -> tuple[int, int]:
