@@ -7,6 +7,11 @@ powmod and class_products refuse a wider modulus with an explicit raise,
 which python -O keeps; so does eisenstein.rank3_lattice, whose int64
 lattice points (A^2 + 27B^2 = 4N <= 2^32) and isqrt are exact below the cap.
 
+powmod reduces after every product.  class_products, the product tree
+behind every O(N) product (M and M_i, m!), halves each block in place
+and, from a bound on its entries, reduces only before a level whose
+products could reach 2^64.
+
 powmod is the left-to-right binary method (Knuth, TAOCP vol. 2, 4.6.3) with
 no per-element select: np.where on a random mask of exponent bits costs
 about 5 ns/element against under 1 ns on a constant mask, the price of
@@ -74,10 +79,20 @@ def class_products(hi: int, p: int, n: int) -> np.ndarray:
 
     k runs over a (rows, p) grid, k = row*p + r, in blocks of at most
     _BLOCK_CELLS cells; each block is reduced along its rows by a product
-    tree of pairwise products (Bernstein, "Fast multiplication and its
-    applications", 2008), and the block results are multiplied together.
-    Every product is reduced mod n, so the unreduced k need only stay below
-    2^32 (hi < 2^32) for k*k to be exact.
+    tree (Bernstein, "Fast multiplication and its applications", 2008), and
+    the block results are multiplied together.  A level of m rows multiplies
+    its first h = m // 2 rows in place by its last h, two contiguous halves of
+    one C-order block, so each level is one inner loop over h*p cells with no
+    allocation; an odd m carries its middle row to the next level.
+
+    top bounds every entry of the block: the block's largest k at first,
+    squared by each level, n - 1 after a reduction.  The block is reduced
+    mod n in place only before a level whose products could reach 2^64
+    (top * top >> 64 nonzero): k below 2^16 run two levels unreduced, and
+    for n below 2^16 every other level runs unreduced.  So every product is
+    exact for any hi whose k fit uint64, as a block whose top reaches 2^32
+    is reduced before its first product, and a reduced one only ever holds
+    residues below n <= 2^30.
     """
     _require_width(n)
     out = np.ones(p, dtype=np.uint64)
@@ -90,10 +105,14 @@ def class_products(hi: int, p: int, n: int) -> np.ndarray:
         if first == 0:
             a[0] = 1  # k = 0
         a = a.reshape(-1, p)
-        while len(a) > 1:
-            if len(a) % 2:
-                a[0] = a[0] * a[-1] % n
-                a = a[:-1]
-            a = a[0::2] * a[1::2] % n
-        out = out * a[0] % n
+        top = min(hi, last * p - 1)  # the block's largest k
+        while (m := len(a)) > 1:
+            if top * top >> 64:
+                np.remainder(a, n, out=a)
+                top = n - 1
+            h = m // 2
+            np.multiply(a[:h], a[m - h:], out=a[:h])
+            a = a[: m - h]
+            top *= top
+        out = out * (a[0] % n) % n
     return out

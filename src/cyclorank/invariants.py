@@ -38,8 +38,10 @@ and every M_i off the tail sums tail[a] = sum_{r>a} ind(Q_r), a = 0..p-2:
 
 So (N-1)/2 modular products and p-1 characters give M, every M_i and mu.
 The products are array products: _arrays.class_products lays k <= (N-1)/2
-out as a (rows, p) uint64 grid and reduces each column by a product tree, in
-blocks of at most 2^20 cells (8 MB), so memory stays bounded at any N.
+out as a (rows, p) uint64 grid and reduces each column by a product tree
+that halves the grid in place, reducing mod N only when a product could
+reach 2^64, in blocks of at most 2^20 cells (8 MB), so memory stays
+bounded at any N.
 The walk, and the scalar m_class_direct oracle, refuse N above
 primes.DEFAULT_SIEVE_CAP (2^30) with a DomainError, which also keeps every
 product exact in uint64.  The context itself refuses p^3 above the same cap

@@ -74,7 +74,7 @@ def rank3_arrays(ns) -> np.ndarray:
     n = np.asarray(ns, dtype=np.int64)
     a = eisenstein.rank3_lattice(n)
     ranks = np.where(a != 0, 2, 1)
-    nine = np.flatnonzero(n % 9 == 1)
+    nine = np.flatnonzero(n - n // 9 * 9 == 1)  # N mod 9 without np.remainder, the slower ufunc
     m = n[nine]
     ranks[nine] = np.where(power_residues(a[nine] % m, m, 9) == 1, 2, 1)
     return ranks

@@ -101,7 +101,8 @@ def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], thresholds: tuple
         if (bad := (out < 0) | (out >= p)).any():  # the packed key needs 0 <= outcome < p
             raise AssertionError(f"outcome {out[bad][0]} at N={ns[bad][0]} is outside [0, {p})")
         # checkpoint: the first threshold >= N (the last is the limit); class index (N mod p^2) // p
-        key = np.searchsorted(thresholds, ns) * m + ns % m // p * p + out
+        # (N mod p^2 as N - N // p^2 * p^2: numpy's floor division by a scalar beats np.remainder)
+        key = np.searchsorted(thresholds, ns) * m + (ns - ns // m * m) // p * p + out
         tally += np.bincount(key, minlength=tally.size).reshape(tally.shape)
     return tally
 

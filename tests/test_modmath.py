@@ -297,6 +297,19 @@ def test_class_products_over_several_blocks():
     assert class_products(hi, 3, n).tolist() == _class_products_loop(hi, 3, n)
 
 
+def test_class_products_reduce_before_a_product_could_reach_2_64():
+    # Four factors k <= 2^16 - 1 multiply exactly without a reduction; from hi = 2^17 - 1
+    # they reach 2^64, so a reduction bound loosened by a few bits overflows there.  One
+    # row, and row counts 2^k - 1 and 2^k + 1, which carry an odd middle row at the first
+    # level and at every level.
+    n = DEFAULT_SIEVE_CAP - 35
+    for p in (1, 3, 13):
+        his = [2**16 - 1, 2**16, 2**17 - 1, 2**17, p - 1]
+        his += [(2**k + d) * p - 1 for k in (5, 12) for d in (-1, 1)]
+        for hi in his:
+            assert class_products(hi, p, n).tolist() == _class_products_loop(hi, p, n), (hi, p)
+
+
 def test_class_products_refuse_a_modulus_above_the_cap():
     # the same explicit width raise as powmod, kept under -O
     assert class_products(10, 3, DEFAULT_SIEVE_CAP).tolist() == [3 * 6 * 9, 1 * 4 * 7 * 10, 2 * 5 * 8]
