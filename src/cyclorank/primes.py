@@ -1,11 +1,15 @@
 """Primality and prime generation in residue classes.
 
 is_prime is deterministic on [0, 2^64): trial division by the twelve primes
-up to 37, then strong-probable-prime tests to Sinclair's seven bases (2011),
-which no composite below 2^64 passes, as checked against Feitsma and
-Galway's list of the base-2 strong pseudoprimes below 2^64.  The bases prove
-nothing above that, so a larger n is a DomainError; the (N, p) contract
-stops at 2^62.
+up to 37, then the Baillie-PSW test, a base-2 strong-probable-prime test and
+a strong Lucas test with Selfridge's method A parameters (Baillie and
+Wagstaff, "Lucas pseudoprimes", Math. Comp. 35, 1980).  A perfect square is
+refused before the search for the Lucas parameter D, as (D/n) is never -1 on
+one.  No composite below 2^64 passes: each base-2 strong pseudoprime below 2^64, on
+Feitsma and Galway's list, fails the Lucas test (Baillie, Fiori and Wagstaff,
+"Strengthening the Baillie-PSW primality test", Math. Comp. 90, 2021).  That
+check proves nothing above 2^64, so a larger n is a DomainError; the (N, p)
+contract stops at 2^62.
 
 Primes are streamed by a segmented sieve of one arithmetic progression
 c (mod s), where s = lcm(2, g) and g is the largest step that every requested
@@ -39,10 +43,6 @@ import numpy as np
 from .errors import DomainError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Sinclair's bases: deterministic for every n < 2^64 (checked against Feitsma and
-# Galway's base-2 strong pseudoprimes); unproved above.  A base that n divides is skipped;
-# 73, 193, 407521 and 299210837 divide one, all above the trial divisors.
-_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 PRIMALITY_BITS = 64
 
 DEFAULT_SIEVE_CAP = 1 << 30
@@ -50,35 +50,68 @@ _SEGMENT = 1 << 19
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 2^64; DomainError above, where the bases prove nothing."""
+    """Baillie-PSW, deterministic for n < 2^64; DomainError above, where it is unchecked."""
     if n >= 1 << PRIMALITY_BITS:
         raise DomainError(f"n={n} exceeds the 2^{PRIMALITY_BITS} bound of is_prime")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
-        if n == q:
-            return True
         if n % q == 0:
-            return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _SINCLAIR_BASES:
-        a %= n
-        if a == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    x = pow(2, (n - 1) >> s, n)
+    if x != 1 and x != n - 1:
+        for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
-    return True
+    if math.isqrt(n) ** 2 == n:  # (D/n) is never -1 on a square
+        return False
+    d = 5  # Selfridge's method A: the first of 5, -7, 9, -11, ... with (D/n) = -1
+    while (j := _jacobi(d, n)) == 1:
+        d = -d - 2 if d > 0 else 2 - d
+    return j == -1 and _strong_lucas(n, (1 - d) // 4)  # j = 0: gcd(D, n) > 1, and |D| < n
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    t = -1 if a < 0 and n % 4 == 3 else 1  # (-1/n), so a negative D stays small
+    a = abs(a) % n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int, q: int) -> bool:
+    """Whether odd n is a strong Lucas probable prime for P = 1 and Q = q, (D/n) = -1.
+
+    With n + 1 = d * 2^s, d odd: U_d = 0 or V_(d 2^r) = 0 (mod n) for some r < s.  The
+    ladder carries V_k, V_(k+1) and Q^k up the bits of d, three products a bit, and
+    reads U_d = 0 off D U_d = 2 V_(d+1) - V_d, as gcd(D, n) = 1.
+    """
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    v, w, qk = 1, 1 - 2 * q, q  # V_1, V_2, Q^1: k = 1, the leading bit of d
+    for bit in bin((n + 1) >> s)[3:]:
+        if bit == "1":  # k -> 2k + 1
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * q * qk) % n, qk * qk * q % n
+        else:  # k -> 2k
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    if (2 * w - v) % n == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
 
 
 def require_within_cap(size: int, what: str) -> None:

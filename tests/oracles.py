@@ -8,7 +8,13 @@ and assertions.
     for any element f of order p;
   * euler_flags: for each even twist i = 2..p-3, whether U_(p-1-i) is a p-th
     power by Euler's criterion; alpha is how many are;
-  * prime_walk and random_split_primes: the seeded prime inputs;
+  * is_prime_12_witnesses: Miller-Rabin to the first 12 prime bases
+    (Sorenson and Webster), deterministic below 3.18 * 10^23, far past 2^64.
+    It shares no step with the library's Baillie-PSW test but the base-2
+    strong test, is_strong_probable_prime(n, 2), and no base set with
+    perfbench's inputs;
+  * prime_walk and random_split_primes: the seeded prime inputs, proved prime
+    by is_prime_12_witnesses, not by the library;
   * three_is_a_cube: Jacobi's cubic character of 3.  For a prime N = 1 (mod 3)
     with 4N = A^2 + 27B^2, 3 is a cube mod N iff 3 | B (Ireland and Rosen, "A
     Classical Introduction to Modern Number Theory", ch. 9), so for
@@ -22,7 +28,6 @@ import random
 import numpy as np
 
 from cyclorank._arrays import powmod
-from cyclorank.primes import is_prime
 
 
 def u_k_direct(n: int, p: int, k: int, f: int) -> int:
@@ -39,9 +44,39 @@ def euler_flags(n: int, p: int, f: int) -> dict[int, bool]:
     return {i: pow(u_k_direct(n, p, p - 1 - i, f), e, n) == 1 for i in range(2, p - 2, 2)}
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the strong test to base a: with n - 1 = d * 2^r, d odd,
+    a^d = 1 or a^(d 2^i) = -1 (mod n) for some i < r."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_12_witnesses(n: int) -> bool:
+    """Miller-Rabin to the first 12 prime bases: deterministic for n < 3.18 * 10^23."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    return all(is_strong_probable_prime(n, a) for a in _WITNESSES)
+
+
 def prime_walk(n: int, step: int = 1, modulus: int = 1) -> int:
     """The first of n, n + step, n + 2*step, ... that is a prime = 1 (mod modulus)."""
-    while not ((n - 1) % modulus == 0 and is_prime(n)):
+    while not ((n - 1) % modulus == 0 and is_prime_12_witnesses(n)):
         n += step
     return n
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclorank.primes
 from cyclorank.errors import DomainError
 from cyclorank.modmath import TargetClass, check_contract, classify_target
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
 from cyclorank.scan import scan_alpha
+from oracles import is_prime_12_witnesses, is_strong_probable_prime
 
 
 def _trial_division(limit):
@@ -40,32 +42,6 @@ def test_is_prime_large():
     assert not is_prime(2**64 - 1)
 
 
-def _is_prime_12_witnesses(n):
-    # oracle: Miller-Rabin to the first 12 prime bases (Sorenson-Webster), deterministic
-    # below 3.18 * 10^23; it shares no base set with the library or perfbench's inputs
-    if n < 2:
-        return False
-    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in witnesses:
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in witnesses:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def test_is_prime_matches_a_sieve_below_10_6():
     limit = 10**6
     sieve = bytearray([1]) * limit
@@ -84,6 +60,11 @@ def test_is_prime_matches_a_sieve_below_10_6():
         341550071728321, 3825123056546413051,
         4759123141,  # strong pseudoprime to the bases 2, 7 and 61
         561, 1105, 1729, 2465, 2821, 6601, 8911,  # Carmichael numbers
+        # a Chernick Carmichael number (6k + 1)(12k + 1)(18k + 1), k = 152420, below 2^62
+        914521 * 1829041 * 2743561,
+        # the least strong Lucas pseudoprimes for Selfridge's parameters: the Lucas half
+        # passes each, so only the base-2 half refuses them
+        5459, 5777, 10877, 16109, 18971,
     ],
 )
 def test_is_prime_refuses_pseudoprimes(n):
@@ -91,26 +72,49 @@ def test_is_prime_refuses_pseudoprimes(n):
 
 
 @pytest.mark.parametrize("q", [13, 19, 73, 193, 407521, 299210837])
-def test_is_prime_skips_a_base_that_n_divides(q):
-    # each divides one of Sinclair's bases, which is then 0 mod q and skipped
+def test_is_prime_accepts_the_divisors_of_fixed_bases(q):
+    # each prime divides a base of some fixed-base Miller-Rabin set below 2^64 (Sinclair's
+    # 325, 9375, 28178, 450775, 9780504, 1795265022), the primes such a test must skip a
+    # base for; 13 and 19 end at trial division, the other four pass both Baillie-PSW halves
     assert is_prime(q)
+
+
+def test_is_prime_refuses_every_base_2_strong_pseudoprime_below_10_6():
+    # the base-2 half passes each (2047 is the least), so only the Lucas half refuses them
+    pseudoprimes = [n for n in range(3, 10**6, 2)
+                    if is_strong_probable_prime(n, 2) and not is_prime_12_witnesses(n)]
+    assert len(pseudoprimes) == 46 and pseudoprimes[0] == 2047
+    assert not any(map(is_prime, pseudoprimes))
+
+
+def test_is_prime_refuses_squares_before_the_search_for_d(monkeypatch):
+    # (D/n) is never -1 on a square, so a square must not reach the search for D.  1093
+    # and 3511 are the Wieferich primes, so their squares pass the base-2 half;
+    # (2^32 - 5)^2 is the square of the largest prime below 2^32
+    jacobi_calls = []
+    monkeypatch.setattr(cyclorank.primes, "_jacobi", lambda *args: jacobi_calls.append(args))
+    for n in (1093**2, 3511**2):
+        assert is_strong_probable_prime(n, 2)
+        assert not is_prime(n)
+    assert not is_prime((2**32 - 5) ** 2) and is_prime_12_witnesses(2**32 - 5)
+    assert jacobi_calls == []
 
 
 def test_is_prime_matches_the_12_witness_oracle_seeded():
     rng = random.Random(22)
     for _ in range(20_000):
         n = rng.randrange(1 << rng.randrange(3, 62)) | 1  # odd, every bit length below 2^62
-        assert is_prime(n) == _is_prime_12_witnesses(n), n
+        assert is_prime(n) == is_prime_12_witnesses(n), n
 
 
 @settings(max_examples=2000, deadline=None)
 @given(st.integers(0, 2**64 - 1))
 def test_is_prime_matches_the_12_witness_oracle(n):
-    assert is_prime(n) == _is_prime_12_witnesses(n)
+    assert is_prime(n) == is_prime_12_witnesses(n)
 
 
 def test_is_prime_refuses_n_past_its_bound():
-    # Sinclair's bases prove nothing at or above 2^64
+    # the Baillie-PSW check against Feitsma and Galway's list stops at 2^64
     for n in (2**64, 2**64 + 13, 2**89 - 1):
         with pytest.raises(DomainError, match="2\\^64"):
             is_prime(n)
