@@ -11,8 +11,11 @@ every character index is taken against (alpha and mu do not depend on it).
 Only the power class of M and M_i is needed, so their exponents are reduced
 mod p at the character level; U_k additionally reports the residue itself.
 mu counts the odd i with M_i not a p-th power; alpha counts the even i with
-U_(p-1-i) a p-th power.  Both counts presume p regular, guarded by the list
-of the regular odd primes below 100.
+U_(p-1-i) a p-th power.  Both counts presume p regular, guarded by
+is_regular: Kummer's criterion, p irregular iff p divides the numerator of
+some B_k, k even in 2..p-3, read off sum_{a=1}^{p-1} a^k = p*B_k (mod p^2)
+(Washington, "Introduction to Cyclotomic Fields", ch. 5), for p within the
+context's cap.
 
 M and every M_i come from one walk (product_classes) over k <= (N-1)/2.
 The character index is additive, and the exponent of k in M_i is
@@ -79,7 +82,6 @@ alpha_count is the point-query kernel and the batch kernel's oracle.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -87,24 +89,36 @@ from operator import mul
 
 import numpy as np
 
-from ._arrays import class_products
+from ._arrays import class_products, powmod
 from .errors import DomainError
 from .modmath import ModulusContext, PowerClass, power_class, power_residues, powers_table
-from .primes import require_within_cap
-
-REGULAR_PRIMES_BELOW_100 = frozenset(
-    {3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43, 47, 53, 61, 71, 73, 79, 83, 89, 97}
-)
+from .primes import DEFAULT_SIEVE_CAP, is_prime, require_within_cap
 
 
-def is_vetted_regular(p: int) -> bool:
-    return p in REGULAR_PRIMES_BELOW_100
+def is_regular(p: int) -> bool:
+    """Whether p is a regular prime within the context's cap (p^3 <= 2^30, so p <= 1021).
+
+    The cap is tested first, so any integer p is answered without a raise.
+    """
+    return 3 <= p and p**3 <= DEFAULT_SIEVE_CAP and _kummer(p)
+
+
+@cache
+def _kummer(p: int) -> bool:
+    """p prime and regular by Kummer's criterion: no sum_{a=1}^{p-1} a^k is 0 mod p^2.
+
+    Here k runs over the even k in 2..p-3.  That sum is p*B_k mod p^2, so it
+    vanishes exactly when p divides the numerator of B_k.
+    """
+    k = np.arange(2, p - 2, 2)[:, None]
+    return is_prime(p) and bool((powmod(np.arange(1, p), k, p * p).sum(axis=1) % (p * p)).all())
 
 
 def require_regular(p: int) -> None:
-    if not is_vetted_regular(p):
+    if not is_regular(p):
         raise DomainError(
-            f"p={p} fails the regularity guard: regular pairs require eigenspace data"
+            f"p={p} fails the regularity guard (Kummer's criterion, p <= 1021): "
+            "regular pairs require eigenspace data"
         )
 
 
@@ -211,21 +225,10 @@ class AlphaCount:
     power_flags: dict[int, bool]
 
 
-def _twist_rows(p: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(i, (j^(p-1-i) mod p for j = 1..(p-1)/2)) for every even twist i in 2..p-3."""
-    half = range(1, (p + 1) // 2)
-    return ((i, tuple(pow(j, p - 1 - i, p) for j in half)) for i in range(2, p - 2, 2))
-
-
 @cache
-def _twist_table(p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """_twist_rows(p), built once for each vetted p, which scans and bounds query per N."""
-    return tuple(_twist_rows(p))
-
-
-def _twists(p: int) -> Iterable[tuple[int, tuple[int, ...]]]:
-    # the table holds p^2/4 entries, so it is kept only for the vetted p < 100
-    return _twist_table(p) if is_vetted_regular(p) else _twist_rows(p)
+def _twists(p: int) -> np.ndarray:
+    """Row r holds j^(p-3-2r) mod p for j = 1..(p-1)/2: the weights of even twist i = 2r + 2."""
+    return powmod(np.arange(1, (p + 1) // 2), np.arange(p - 3, 1, -2)[:, None], p).astype(np.int16)
 
 
 def alpha_counts(ns, p: int) -> np.ndarray:
@@ -248,8 +251,7 @@ def alpha_counts(ns, p: int) -> np.ndarray:
         raise AssertionError(f"N={n[unmatched][0]}: a character value is no power of the root")
     j = np.arange(1, half, dtype=np.int64)[:, None]
     b = 2 * logs - j * ((n - 1) // p % p).astype(np.int64)  # c = ind(f) = ((N-1)/p) mod p
-    table = np.array([row for _, row in _twists(p)], dtype=np.int64)
-    return (table @ b % p == 0).sum(axis=0)
+    return (_twists(p) @ b % p == 0).sum(axis=0)
 
 
 def alpha_count(ctx: ModulusContext) -> AlphaCount:
@@ -264,7 +266,7 @@ def alpha_count(ctx: ModulusContext) -> AlphaCount:
     c = e % p
     # b_j = 2*a_j - j*c = ind((1 - f^j)(1 - f^(p-j))), the weight of j^k in ind(U_k)
     b = [2 * powers.index(pow(n + 1 - powers[j], e, n)) - j * c for j in range(1, (p + 1) // 2)]
-    flags = {i: sum(map(mul, row, b)) % p == 0 for i, row in _twists(p)}
+    flags = {2 * r: sum(map(mul, row, b)) % p == 0 for r, row in enumerate(_twists(p).tolist(), 1)}
     return AlphaCount(alpha=sum(flags.values()), power_flags=flags)
 
 
@@ -305,7 +307,7 @@ def invariant_record(n: int, p: int) -> InvariantRecord:
     ctx = ModulusContext(n, p)
     pc = product_classes(ctx)
     mk = unit_products(ctx)
-    if is_vetted_regular(p):
+    if is_regular(p):
         mb = MuBound.of(p, pc.mi)
         mu, cl_f_upper = mb.mu, mb.cl_f_upper
     else:

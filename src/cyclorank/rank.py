@@ -159,12 +159,13 @@ class RankReport:
 def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> RankReport:
     """Rank bounds for (N, p); exact value attached when p = 3, where methods must agree.
 
-    cl_k_rank = 0 asserts p regular (the guard rejects vetted-irregular and
-    unvetted p); supplying cl_k_rank >= 1 switches the coarse upper bound to
-    p * cl_k_rank + (3/2)(p-1)^2, valid without regularity, which the alpha
-    window of a regular p never reaches.  include_cl_f additionally computes
-    the O(N) mu-based bound on the degree-p subfield, for a regular p only.  Any
-    other p reads no character, so it runs check_contract and builds no context.
+    cl_k_rank = 0 asserts p regular (the guard, invariants.is_regular,
+    rejects irregular p and p > 1021); supplying cl_k_rank >= 1 switches the
+    coarse upper bound to p * cl_k_rank + (3/2)(p-1)^2, valid without
+    regularity, which the alpha window of a regular p never reaches.
+    include_cl_f additionally computes the O(N) mu-based bound on the degree-p
+    subfield, for a regular p only.  Any other p reads no character, so it runs
+    check_contract and builds no context.
     """
     if cl_k_rank < 0:
         raise DomainError("cl_k_rank must be non-negative")
@@ -177,7 +178,7 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     alpha: int | None = None
     cl_f_upper: int | None = None
     rep = exact = None
-    if invariants.is_vetted_regular(p):
+    if invariants.is_regular(p):
         ctx = ModulusContext(n, p)
         alpha = invariants.alpha_count(ctx).alpha
         lower, upper = rank_window(p, alpha)

@@ -19,11 +19,15 @@ and assertions.
     with 4N = A^2 + 27B^2, 3 is a cube mod N iff 3 | B (Ireland and Rosen, "A
     Classical Introduction to Modern Number Theory", ch. 9), so for
     N = 4, 7 (mod 9) the 3-rank is 2 iff 3 is a cube: a rank read off N alone,
-    with no representation and no root.
+    with no representation and no root;
+  * REGULAR_PRIMES_BELOW_100, the regular odd primes below 100 as typed from
+    the tables, and is_irregular_by_bernoulli: p divides the numerator of some
+    exact B_k, k even in 2..p-3 (Kummer), with no power sum mod p^2.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,3 +103,28 @@ def three_is_a_cube(n):
     if isinstance(n, np.ndarray):
         return powmod(3, (n - 1) // 3, n) == 1
     return pow(3, (n - 1) // 3, n) == 1
+
+
+REGULAR_PRIMES_BELOW_100 = frozenset(
+    {3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43, 47, 53, 61, 71, 73, 79, 83, 89, 97}
+)
+
+
+_BERNOULLI = [Fraction(1)]  # B_0, B_1, ..., extended as far as asked
+
+
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_m exactly, by sum_{k=0}^{j} C(j+1, k) B_k = 0 for j >= 1; B_j = 0 for odd j > 1."""
+    b = _BERNOULLI
+    for j in range(len(b), m + 1):
+        if j % 2 and j > 1:
+            b.append(Fraction(0))
+        else:
+            b.append(-sum(math.comb(j + 1, k) * b[k] for k in range(j) if b[k]) / (j + 1))
+    return b
+
+
+def is_irregular_by_bernoulli(p: int) -> bool:
+    """For an odd prime p: whether p divides the numerator of some B_k, k even in 2..p-3."""
+    b = _bernoulli(max(p - 3, 0))
+    return any(b[k].numerator % p == 0 for k in range(2, p - 2, 2))

@@ -7,11 +7,11 @@ import pytest
 from cyclorank import invariants
 from cyclorank.errors import DomainError
 from cyclorank.invariants import (
-    REGULAR_PRIMES_BELOW_100,
     ProductClasses,
     alpha_count,
     alpha_counts,
     invariant_record,
+    is_regular,
     m_class_direct,
     mu_count,
     product_classes,
@@ -19,9 +19,9 @@ from cyclorank.invariants import (
 )
 from cyclorank.modmath import ModulusContext, PowerClass, power_class
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
-from oracles import euler_flags, u_k_direct
+from oracles import REGULAR_PRIMES_BELOW_100, euler_flags, is_irregular_by_bernoulli, u_k_direct
 
-VETTED_P = sorted(p for p in REGULAR_PRIMES_BELOW_100 if p >= 5)  # p = 3 has no even twist
+REGULAR_P = sorted(p for p in REGULAR_PRIMES_BELOW_100 if p >= 5)  # p = 3 has no even twist
 
 
 def _naive_m_i(ctx, i):
@@ -176,7 +176,23 @@ def test_mu_examples():
     with pytest.raises(DomainError, match="regular"):
         mu_count(ModulusContext(149, 37))
     with pytest.raises(DomainError, match="regular"):
-        mu_count(ModulusContext(607, 101))  # beyond the vetted range
+        mu_count(ModulusContext(607, 101))  # irregular: 101 divides the numerator of B_68
+    # 107 is the first regular p past the typed list: mu is defined there
+    assert invariant_record(643, 107).mu is not None
+
+
+def test_is_regular_is_kummers_criterion():
+    # power sums mod p^2 against exact Bernoulli numbers, on every odd prime below 200
+    odd_primes = [p for p in range(3, 200) if is_prime(p)]
+    irregular = [p for p in odd_primes if is_irregular_by_bernoulli(p)]
+    assert irregular == [37, 59, 67, 101, 103, 131, 149, 157]
+    assert [p for p in odd_primes if not is_regular(p)] == irregular
+    assert {p for p in range(100) if is_regular(p)} == REGULAR_PRIMES_BELOW_100
+    # no odd prime, or past the context's cap p^3 <= 2^30 (1031 is regular): False, no raise
+    for p in (2, 1, 0, -3, 9, 1023, 1031, 2**70):
+        assert is_regular(p) is False, p
+    for p in (107, 1019, 1021):  # 1021 is the largest p a context allows
+        assert is_regular(p) is True, p
 
 
 def test_unit_product_examples():
@@ -240,7 +256,7 @@ def test_alpha_examples():
 def test_power_flags_match_euler_criterion():
     # flag i says whether U_(p-1-i) is a p-th power; U is evaluated directly here
     asymmetric = 0
-    for p in VETTED_P:
+    for p in REGULAR_P:
         for n in primes_in_class(3000 if p < 50 else 1500, p, {1}):
             ctx = ModulusContext(n, p)
             want = euler_flags(n, p, ctx.root)
@@ -263,9 +279,9 @@ def _seeded_primes(p: int, rng: random.Random, square: bool, count: int):
 
 def test_alpha_linear_form_matches_unit_products():
     # oracle: the flags read off the class of each U_k, evaluated in F_N by unit_products;
-    # 37 (irregular) and 101 (beyond the list) take the path without the cached table
+    # 37 and 101 are irregular: the linear form holds for any p, regular or not
     rng = random.Random(8)
-    for p in (*VETTED_P, 37, 101):
+    for p in (*REGULAR_P, 37, 101):
         ns = [*primes_in_class(10_000, p, {1})]
         ns += _seeded_primes(p, rng, True, 2) + _seeded_primes(p, rng, False, 2)
         cofactor_classes = set()
@@ -279,12 +295,21 @@ def test_alpha_linear_form_matches_unit_products():
         assert cofactor_classes == {True, False}, p
 
 
-@pytest.mark.parametrize("p", VETTED_P)
+@pytest.mark.parametrize("p", REGULAR_P)
 @pytest.mark.parametrize("lo, hi", [(2, 10**5), (DEFAULT_SIEVE_CAP - 10**5, DEFAULT_SIEVE_CAP + 1)])
 def test_alpha_counts_match_alpha_flags(p, lo, hi):
     # the batch kernel against the point-query kernel on every prime N = 1 (mod p) of the
     # range; the second range is the uint64 width edge below the 2^30 cap
     ns = np.fromiter(primes_in_range(lo, hi, p, {1}), dtype=np.int64)
+    want = [alpha_count(ModulusContext(n, p)).alpha for n in ns.tolist()]
+    assert alpha_counts(ns, p).tolist() == want
+
+
+@pytest.mark.parametrize("p, hi, step, size", [(107, 10**6, 1, 719), (1019, 10**7, 10, 65)])
+def test_alpha_counts_match_alpha_flags_above_100(p, hi, step, size):
+    # regular p past the typed list: every sieved prime at p = 107, every 10th at p = 1019
+    ns = np.fromiter(primes_in_range(2, hi, p, {1}), dtype=np.int64)[::step]
+    assert ns.size == size
     want = [alpha_count(ModulusContext(n, p)).alpha for n in ns.tolist()]
     assert alpha_counts(ns, p).tolist() == want
 

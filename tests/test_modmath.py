@@ -8,13 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from cyclorank._arrays import class_products, powmod
 from cyclorank.eisenstein import represent_4n
 from cyclorank.errors import DomainError
-from cyclorank.invariants import REGULAR_PRIMES_BELOW_100
 from cyclorank.modmath import (
     ModulusContext, PowerClass, factorial_mod, power_class, power_residues, powers_table,
 )
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_range
 from cyclorank.rank import rank3
-from oracles import prime_walk
+from oracles import REGULAR_PRIMES_BELOW_100, prime_walk
 
 
 def test_context_validation():
@@ -104,7 +103,7 @@ def test_context_refuses_a_large_p_and_coarse_queries_build_none(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("p", sorted(REGULAR_PRIMES_BELOW_100))  # 3 and every vetted p
+@pytest.mark.parametrize("p", sorted(REGULAR_PRIMES_BELOW_100))  # 3 and every regular p < 100
 @pytest.mark.parametrize("lo, hi", [(2, 10**5), (DEFAULT_SIEVE_CAP - 10**5, DEFAULT_SIEVE_CAP + 1)])
 def test_powers_table_is_the_context_table(p, lo, hi):
     # the array form of the root rule against the scalar one, column by column, on every

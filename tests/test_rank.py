@@ -176,6 +176,17 @@ def test_bounds_errors():
         bounds(149, 37, cl_k_rank=1, include_cl_f=True)  # mu presumes p regular
 
 
+def test_bounds_window_for_regular_p_above_100():
+    # N near 2^61 at the first regular p past the typed list and near the context's cap
+    r = bounds(2305843009213692283, 107)
+    assert (r.alpha, r.lower, r.upper) == (0, 53, 5618)
+    assert r.alpha == sum(_euler_alpha(r.n, r.p))
+    r = bounds(2305843009213664741, 1019)
+    assert (r.alpha, r.lower, r.upper) == (1, 510, 519180)
+    with pytest.raises(DomainError, match="regularity guard"):
+        bounds(607, 101)  # irregular
+
+
 def _euler_alpha(n: int, p: int) -> tuple[bool, ...]:
     # each flag: U_k = prod_j (1 - f^j)^(j^k) is a p-th power by Euler's criterion, for
     # the twists k = p-1-i, i = 2, 4, ..., p-3, with f the first g^((N-1)/p) != 1

@@ -41,7 +41,7 @@ def test_cubic_character_of_3_counts_the_rank_two_primes():
 def test_shard_invariance_bit_identical():
     scans = [
         (lambda shards: scan_rank3(20000, (1, 4, 7), shards=shards, workers=1), (2, 5, 16, 10**18)),
-        # p = 97: the largest vetted p, so the largest (checkpoint, class, outcome) tally
+        # p = 97: a large p, so a large (checkpoint, class, outcome) tally
         (lambda shards: scan_alpha(97, 10**6, shards=shards, workers=1), (3, 10**18)),
     ]
     for scan, shard_counts in scans:
@@ -252,6 +252,8 @@ def test_scan_validation():
     for p in (2, 9):  # rejected by the guard, not by a per-prime check
         with pytest.raises(DomainError, match="regular"):
             scan_alpha(p, 1000)
+    # 107, the first regular p past the typed list, scans every N = 1 (mod 107)
+    assert scan_alpha(107, 10**5, workers=1).total == len(list(primes_in_class(10**5, 107, {1})))
     # the 2^30 sieve cap of primes_in_class, enforced before any shard sieves
     with pytest.raises(DomainError, match="cap"):
         scan_rank3(2**40, (4, 7), shards=1, workers=1)
