@@ -7,10 +7,12 @@ powmod and class_products refuse a wider modulus with an explicit raise,
 which python -O keeps; so does eisenstein.rank3_lattice, whose int64
 lattice points (A^2 + 27B^2 = 4N <= 2^32) and isqrt are exact below the cap.
 
-powmod reduces after every product.  class_products, the product tree
-behind every O(N) product (M and M_i, m!), halves each block in place
-and, from a bound on its entries, reduces only before a level whose
-products could reach 2^64.
+Neither kernel reduces after every product.  Each keeps a Python-int bound
+on its entries and reduces in place only before a product that could
+reach 2^64: powmod, whose exponent bits then take one remainder each for
+every modulus up to 2,642,246 ((N-1)^3 < 2^64), and class_products, the
+product tree behind every O(N) product (M and M_i, m!), which also halves
+each block in place.
 
 powmod is the left-to-right binary method (Knuth, TAOCP vol. 2, 4.6.3) with
 no per-element select: np.where on a random mask of exponent bits costs
@@ -38,15 +40,26 @@ def powmod(base, exp, mod) -> np.ndarray:
     """base^exp mod mod, elementwise over the broadcast of three non-negative integer arrays.
 
     From the top exponent bit down, square the result, then multiply it by
-    bit*(base - 1) + 1, reducing after each product.  In wrapping uint64
-    arithmetic that factor is 1 for a 0 bit and base for a 1 bit, base 0
-    included, so every element takes the same products and no np.where picks
-    between them.  The loop writes into buffers allocated once; its ufuncs
-    run on arrays, even 0-d ones, so base - 1 wraps without a warning.
+    bit*(base - 1) + 1.  In wrapping uint64 arithmetic that factor is 1 for a
+    0 bit and base mod N for a 1 bit, base 0 included, so every element takes
+    the same products and no np.where picks between them.  The loop writes
+    into buffers allocated once; its ufuncs run on arrays, even 0-d ones, so
+    base - 1 wraps without a warning.
+
+    class_products' reduction rule: top bounds every entry of the result, 1
+    at the start, squared by each square, multiplied by n1 = max(mod) - 1 at
+    each factor product, n1 after a reduction.  The result is reduced in
+    place only before a product that could reach 2^64 (top * top or top * n1
+    >> 64 nonzero), and once after the loop.  A factor is at most n1 where
+    max(mod) > 1, and where every modulus is 1 the result is 0 throughout, so
+    every product is exact.  For max(mod) <= 2,642,246, the largest N with
+    (N-1)^3 < 2^64, a reduced result takes a square and a factor product
+    unreduced, so each bit costs one remainder; above it, the result is
+    reduced before both products, two remainders a bit.
     """
     base, exp, mod = (np.asarray(a, dtype=np.uint64) for a in (base, exp, mod))
-    if mod.size:
-        _require_width(int(mod.max()))
+    n1 = int(mod.max(initial=1)) - 1
+    _require_width(n1 + 1)
     shape = np.broadcast_shapes(base.shape, exp.shape, mod.shape)
     base_less_one = np.empty(np.broadcast_shapes(base.shape, mod.shape), np.uint64)
     np.remainder(base, mod, out=base_less_one)
@@ -54,16 +67,23 @@ def powmod(base, exp, mod) -> np.ndarray:
     result = np.remainder(1, mod, out=np.empty(shape, np.uint64))
     factor = np.empty(shape, np.uint64)
     bit = np.empty(exp.shape, np.uint64)
+    top = 1
     for k in reversed(range(int(exp.max(initial=0)).bit_length())):
+        if top * top >> 64:
+            np.remainder(result, mod, out=result)
+            top = n1
         np.multiply(result, result, out=result)
-        np.remainder(result, mod, out=result)
+        top *= top
         np.right_shift(exp, k, out=bit)
         bit &= 1
         np.multiply(bit, base_less_one, out=factor)
         factor += 1
+        if top * n1 >> 64:
+            np.remainder(result, mod, out=result)
+            top = n1
         result *= factor
-        np.remainder(result, mod, out=result)
-    return result
+        top *= n1
+    return np.remainder(result, mod, out=result)
 
 
 def isqrt(n: np.ndarray) -> np.ndarray:

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from cyclorank._arrays import class_products, powmod
 from cyclorank.eisenstein import represent_4n
 from cyclorank.errors import DomainError
+from cyclorank.invariants import alpha_count, alpha_counts
 from cyclorank.modmath import (
     ModulusContext, PowerClass, factorial_mod, power_class, power_residues, powers_table,
 )
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_range
-from cyclorank.rank import rank3
+from cyclorank.rank import rank3, rank3_arrays, rank3_criterion
 from oracles import REGULAR_PRIMES_BELOW_100, prime_walk
 
 
@@ -268,6 +269,68 @@ def test_array_powmod_refuses_a_modulus_above_the_cap():
     assert powmod(3, 5, DEFAULT_SIEVE_CAP).tolist() == 243
     with pytest.raises(AssertionError, match="exceeds"):
         powmod(np.array([2, 3]), 5, np.array([7, DEFAULT_SIEVE_CAP + 1]))
+
+
+# the last N with (N-1)^3 < 2^64: up to it powmod takes one remainder per exponent bit, past it two
+_ONE_REMAINDER_TOP = 2642246
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, DEFAULT_SIEVE_CAP), st.integers(0, DEFAULT_SIEVE_CAP),
+                          st.integers(1, 2**22 - 1)), min_size=1, max_size=20))
+@example([(2, 2**30 - 1, _ONE_REMAINDER_TOP), (3, 2**30 - 1, _ONE_REMAINDER_TOP + 1)])
+def test_array_powmod_matches_pow_below_2_22(triples):
+    # moduli below 2^22 put a list's largest on either side of _ONE_REMAINDER_TOP, so the
+    # one-remainder bits run, which test_array_powmod_matches_pow's moduli up to 2^30 almost
+    # never reach
+    base, exp, mod = (np.array(col, dtype=np.uint64) for col in zip(*triples))
+    assert powmod(base, exp, mod).tolist() == [pow(b, e, m) for b, e, m in triples]
+    for b, e, m in triples:
+        assert powmod(b, e, m).tolist() == pow(b, e, m)
+    rows = [[b for b, _, _ in triples], [b for b, _, _ in reversed(triples)]]
+    assert powmod(np.array(rows, dtype=np.uint64), exp, mod).tolist() == [
+        [pow(b, e, m) for b, (_, e, m) in zip(row, triples)] for row in rows]
+
+
+def test_powmod_reduces_before_a_product_could_reach_2_64():
+    # Base N - 1 and exponents whose bits are all 1 form (N-1)^2 * (N-1) at every bit.  That
+    # fits uint64 up to N = _ONE_REMAINDER_TOP, where it runs unreduced, and reaches 2^64 from
+    # the next N on, where it must be reduced first: a bound loosened by one bit overflows
+    # there, and a dropped final reduction leaves (N-1)^3 at the top.
+    last = _ONE_REMAINDER_TOP
+    assert (last - 1) ** 3 < 2**64 <= last**3
+    exps = [2**20 - 1, 2**30 - 1]
+    for n in (last, last + 1):
+        for e in exps:
+            assert powmod(n - 1, e, n).tolist() == n - 1  # 0-d
+        assert powmod([n - 1, n - 1], exps, [n, n]).tolist() == [n - 1, n - 1]  # 1-D
+        # alpha_counts' shape: a 2-D base against one exponent and one modulus per column
+        rows = [[n - 1, n - 1], [n - 2, 2]]
+        assert powmod(np.array(rows, dtype=np.uint64), exps, [n, n]).tolist() == [
+            [pow(b, e, n) for b, e in zip(row, exps)] for row in rows]
+    # mixed moduli: every element follows the largest one's rule, one remainder a bit for the
+    # first list and two for the second
+    for mods in ([1, 7, 2**20 + 7, last - 1, last], [1, 7, 2**20 + 7, last - 1, last, last + 1]):
+        for e in exps:
+            got = powmod([m - 1 for m in mods], e, mods).tolist()
+            assert got == [pow(m - 1, e, m) for m in mods], (mods, e)
+
+
+def test_kernels_on_both_sides_of_the_one_remainder_threshold():
+    # sieved primes of a window around _ONE_REMAINDER_TOP, as a chunk whose largest N is at or
+    # below it and as one whose largest N is above it, against the scalar kernels
+    last = _ONE_REMAINDER_TOP
+    for p in (3, 5, 13):
+        ns = np.fromiter(primes_in_range(last - 15000, last + 15000, p, {1}), dtype=np.int64)
+        powered = ns[ns % 9 == 1] if p == 3 else ns  # the ninth powers run on N = 1 (mod 9) alone
+        assert powered.min() <= last < powered.max()
+        for chunk in (ns[ns <= last], ns):
+            if p == 3:
+                want = [rank3_criterion(represent_4n(n)) for n in chunk.tolist()]
+                assert rank3_arrays(chunk).tolist() == want
+            else:
+                want = [alpha_count(ModulusContext(n, p)).alpha for n in chunk.tolist()]
+                assert alpha_counts(chunk, p).tolist() == want, p
 
 
 def _class_products_loop(hi, p, n):
