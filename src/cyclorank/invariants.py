@@ -61,23 +61,38 @@ The same reflection halves the characters: 1 - f^-j = -f^-j (1 - f^j),
 and -1 is a p-th power, so a_(p-j) = a_j - j*c with
 c = ind(f) = ((N-1)/p) mod p.  For even k, (p-j)^k = j^k (mod p), hence
 
-  ind(U_k) = sum_{j=1}^{(p-1)/2} (j^k mod p) * (2*a_j - j*c)  (mod p),
+  ind(U_k) = sum_{j=1}^{(p-1)/2} (j^k mod p) * (2*a_j - j*c)  (mod p).
 
-and alpha_count evaluates (p-1)/2 characters per N, read against the
-context's powers, with a (p-3)/2 x (p-1)/2 table of j^k mod p built once per
-p.  unit_products evaluates every U_k itself in F_N, for the residues
-invariant_record reports; InvariantRecord checks every flag of the linear
-form against that U_k.  By Fermat the exponent j^k needs no reduction mod
-N-1: with V_(j,0) = 1 - f^j and V_(j,k) = V_(j,k-1)^j, U_k = prod_j V_(j,k),
-so every modpow has an exponent below p.
+For even k in 2..p-3, p-1 does not divide k, so sum_{j=1}^{p-1} j^k = 0
+(mod p), and by the same symmetry sum_{j=1}^{(p-1)/2} j^k = 0 (mod p): every
+row of the weights sums to 0, and the form cannot see a constant shift of
+its (p-1)/2 coefficients.  Shift them by 2*a_1 - c: the coefficient becomes
+2*(a_j - a_1) - (j-1)*c, and a_j - a_1 = ind(u_j) for the unit
+
+  u_j = (1 - f^j)/(1 - f) = 1 + f + ... + f^(j-1),
+
+whose coefficient vanishes at j = 1, as u_1 = 1.  So
+
+  ind(U_k) = sum_{j=2}^{(p-1)/2} (j^k mod p) * (2*ind(u_j) - (j-1)*c)  (mod p),
+
+and alpha takes (p-3)/2 characters per N, read against the context's
+powers, with a (p-3)/2 x (p-1)/2 table of j^k mod p built once per p
+(_twists), of which the form reads the columns j >= 2.  unit_products
+evaluates every U_k itself in F_N, for the residues invariant_record
+reports; InvariantRecord checks every flag of the linear form against that
+U_k.  By Fermat the exponent j^k needs no reduction mod N-1: with
+V_(j,0) = 1 - f^j and V_(j,k) = V_(j,k-1)^j, U_k = prod_j V_(j,k), so every
+modpow has an exponent below p.
 
 alpha_counts is the batch form that the alpha scan runs: for an array of
 sieved N below the 2^30 cap it takes the roots' powers from
-modmath.powers_table, the (p-1)/2 characters of 1 - f^j as one 2-D
-modmath.power_residues on the shared exponent (N-1)/p, their discrete logs
-by comparison against the powers, and every flag by one integer matmul with
-the same table.  uint64 residues are exact below the cap (_arrays).
-alpha_count is the point-query kernel and the batch kernel's oracle.
+modmath.powers_table, the units u_j as running sums of its rows, their
+(p-3)/2 characters as one 2-D modmath.power_residues on the shared exponent
+(N-1)/p, their discrete logs by comparison against the powers, and every
+flag by _flags, the one evaluation of the linear form.  uint64 residues are
+exact below the cap (_arrays).  alpha_count is the point-query kernel and
+the batch kernel's oracle: the same units, summed as it runs, and the same
+_flags.
 """
 
 from __future__ import annotations
@@ -85,7 +100,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from operator import mul
 
 import numpy as np
 
@@ -227,46 +241,67 @@ class AlphaCount:
 
 @cache
 def _twists(p: int) -> np.ndarray:
-    """Row r holds j^(p-3-2r) mod p for j = 1..(p-1)/2: the weights of even twist i = 2r + 2."""
+    """Row r holds j^(p-3-2r) mod p for j = 1..(p-1)/2: the weights of even twist i = 2r + 2.
+
+    Every row sums to 0 mod p, which lets the linear form drop j = 1.
+    """
     return powmod(np.arange(1, (p + 1) // 2), np.arange(p - 3, 1, -2)[:, None], p).astype(np.int16)
+
+
+def _flags(p: int, b: np.ndarray) -> np.ndarray:
+    """Row r: whether ind(U_k) = sum_{j=2}^{(p-1)/2} (j^k mod p) * b_j is 0 mod p, k = p-3-2r.
+
+    b holds b_j at row j - 2: a vector, or one column per N.
+    """
+    return _twists(p)[:, 1:] @ b % p == 0
 
 
 def alpha_counts(ns, p: int) -> np.ndarray:
     """alpha for each N of an array of sieved primes N = 1 (mod p) below the 2^30 cap.
 
-    The batch form of alpha_count: the same root, characters and linear
-    form, evaluated on arrays.  Raises AssertionError when a
-    character value is no power of the root, which a composite N can cause.
+    The batch form of alpha_count: the same root, units u_j, characters and
+    linear form, evaluated on arrays, (p-3)/2 characters per N.  Raises
+    AssertionError when a character value is no power of the root, which a
+    composite N can cause.
     """
     n = np.asarray(ns, dtype=np.uint64)
     if p == 3:
         return np.zeros(n.shape, dtype=np.int64)
     powers = powers_table(n, p)
     half = (p + 1) // 2
-    chars = power_residues(n + 1 - powers[1:half], n, p)  # chi(1 - f^j), j = 1..(p-1)/2
+    # row j - 2 becomes u_j = 1 + f + ... + f^(j-1), j = 2..(p-1)/2, below 2^39: powmod reduces it
+    units = powers[1 : half - 1].copy()
+    units[0] += 1
+    for r in range(1, half - 2):
+        units[r] += units[r - 1]
+    chars = power_residues(units, n, p)
     logs = np.full(chars.shape, -1, dtype=np.int64)
     for k in range(p):
         logs[chars == powers[k]] = k
     if (unmatched := (logs < 0).any(axis=0)).any():
         raise AssertionError(f"N={n[unmatched][0]}: a character value is no power of the root")
-    j = np.arange(1, half, dtype=np.int64)[:, None]
-    b = 2 * logs - j * ((n - 1) // p % p).astype(np.int64)  # c = ind(f) = ((N-1)/p) mod p
-    return (_twists(p) @ b % p == 0).sum(axis=0)
+    j = np.arange(2, half, dtype=np.int64)[:, None]
+    b = 2 * logs - (j - 1) * ((n - 1) // p % p).astype(np.int64)  # c = ind(f) = ((N-1)/p) mod p
+    return _flags(p, b).sum(axis=0)
 
 
 def alpha_count(ctx: ModulusContext) -> AlphaCount:
     """Count positive even i < p-1 with U_(p-1-i) a p-th power in F_N^x (0 for p = 3).
 
-    By the linear form in the module docstring: (p-1)/2 characters of
-    1 - f^j, no U_k.
+    By the linear form in the module docstring: (p-3)/2 characters of the
+    units u_j = 1 + f + ... + f^(j-1), j = 2..(p-1)/2, no U_k; as every row
+    of the weights sums to 0 mod p, u_1 = 1 is left out.
     """
     n, p, e, powers = ctx.modulus, ctx.p, ctx.cofactor, ctx.powers
     if p == 3:
         return AlphaCount(alpha=0, power_flags={})
     c = e % p
-    # b_j = 2*a_j - j*c = ind((1 - f^j)(1 - f^(p-j))), the weight of j^k in ind(U_k)
-    b = [2 * powers.index(pow(n + 1 - powers[j], e, n)) - j * c for j in range(1, (p + 1) // 2)]
-    flags = {2 * r: sum(map(mul, row, b)) % p == 0 for r, row in enumerate(_twists(p).tolist(), 1)}
+    # b_j = 2*ind(u_j) - (j-1)*c, the weight of j^k in ind(U_k); u runs unreduced, pow reduces it
+    b, u = [], 1
+    for j in range(2, (p + 1) // 2):
+        u += powers[j - 1]
+        b.append(2 * powers.index(pow(u, e, n)) - (j - 1) * c)
+    flags = {2 * r: f for r, f in enumerate(_flags(p, np.array(b)).tolist(), 1)}
     return AlphaCount(alpha=sum(flags.values()), power_flags=flags)
 
 

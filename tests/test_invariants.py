@@ -17,7 +17,7 @@ from cyclorank.invariants import (
     product_classes,
     unit_products,
 )
-from cyclorank.modmath import ModulusContext, PowerClass, power_class
+from cyclorank.modmath import ModulusContext, PowerClass, power_class, power_residues
 from cyclorank.primes import DEFAULT_SIEVE_CAP, is_prime, primes_in_class, primes_in_range
 from oracles import REGULAR_PRIMES_BELOW_100, euler_flags, is_irregular_by_bernoulli, u_k_direct
 
@@ -334,8 +334,9 @@ def test_alpha_counts_refuse_a_composite_n(n):
         alpha_counts(np.array([n]), 5)
 
 
-def test_alpha_count_evaluates_half_the_characters(monkeypatch):
-    # (p-1)/2 full-width modpows per N, each a character (exponent (N-1)/p), none of a U_k
+def test_alpha_count_evaluates_p_minus_3_over_2_characters(monkeypatch):
+    # (p-3)/2 full-width modpows per N, each a character (exponent (N-1)/p) of a unit u_j,
+    # j = 2..(p-1)/2, none of a U_k; u_1 = 1 takes none
     calls = []
 
     def counting_pow(*args):
@@ -349,8 +350,37 @@ def test_alpha_count_evaluates_half_the_characters(monkeypatch):
         assert len(ctx.powers) == p  # the root and its powers, before counting
         calls.clear()
         alpha_count(ctx)
-        assert len(calls) == (p - 1) // 2
+        assert len(calls) == (p - 3) // 2
         assert all(e == ctx.cofactor and m == n for _, e, m in calls)
+
+
+def test_alpha_counts_evaluate_p_minus_3_over_2_characters(monkeypatch):
+    # the batch side: one 2-D character call of (p-3)/2 rows, one column per N; the powers
+    # table's root rule calls modmath's power_residues, which this does not count
+    calls = []
+
+    def counting_power_residues(xs, ns, k):
+        calls.append((np.shape(xs), k))
+        return power_residues(xs, ns, k)
+
+    monkeypatch.setattr(invariants, "power_residues", counting_power_residues)
+    for p in (5, 7, 13, 107):
+        ns = np.fromiter(primes_in_range(2, 10**5, p, {1}), dtype=np.int64)
+        calls.clear()
+        alpha_counts(ns, p)
+        assert calls == [(((p - 3) // 2, ns.size), p)], p
+
+
+def test_twist_rows_sum_to_zero_mod_p():
+    # sum_{j<=(p-1)/2} j^k = 0 (mod p) for even k in 2..p-3: the identity that lets both
+    # alpha kernels drop j = 1, whose weight is 1 in every row
+    ps = [p for p in range(200) if is_regular(p)] + [1019]
+    assert len(ps) == 38  # 3 included, whose table has no rows
+    for p in ps:
+        table = invariants._twists(p)
+        assert table.shape == ((p - 3) // 2, (p - 1) // 2), p
+        assert (table[:, 0] == 1).all(), p
+        assert (table.sum(axis=1, dtype=np.int64) % p == 0).all(), p
 
 
 def test_alpha_range_law():
