@@ -96,25 +96,19 @@ class TargetClass:
 
     n: int
     p: int
-    residue_mod_p2: int
-    pi_ramified: bool
-    zeta_is_norm: bool
+    residue_mod_p2: int = field(init=False)
+    pi_ramified: bool = field(init=False)
+    zeta_is_norm: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        r = self.residue_mod_p2
-        if self.pi_ramified != (r != 1) or self.zeta_is_norm != (r == 1):
-            raise AssertionError(f"inconsistent target class {self}")
-
-    @classmethod
-    def of(cls, n: int, p: int) -> "TargetClass":
-        r = n % (p * p)
-        return cls(n, p, r, pi_ramified=r != 1, zeta_is_norm=r == 1)
+        r = self.n % (self.p * self.p)
+        self.__dict__.update(residue_mod_p2=r, pi_ramified=r != 1, zeta_is_norm=r == 1)
 
 
 def classify_target(n: int, p: int) -> TargetClass:
     """Classify prime N = 1 (mod p) by the congruence N mod p^2; builds no context."""
     check_contract(n, p)
-    return TargetClass.of(n, p)
+    return TargetClass(n, p)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,22 @@ or 2, decided by divisibility data of the representation 4N = A^2 + 27B^2:
                  O(N) array products, N <= 2^30; kept as an independent oracle).
 
 cornacchia, gerth and star all read the same split_prime(N), computed once per
-query, and test the same congruence, so their agreement is not an independent
-check of the representation.  factorial reads N alone and is independent of
-it.  So are the tests' references, defined once in tests/oracles.py; among
-them Jacobi's cubic character of 3 (3 is a cube mod N iff 3 | B) gives the
-rank for N = 4, 7 (mod 9) from N alone.  Two oracles stay in the library,
-off the package's __all__: eisenstein.represent_4n_bruteforce and
+query, and for N = 4, 7 (mod 9) test one congruence, 9 | b of the primary,
+which is 3 | B, so their agreement is not an independent check of the
+representation.  Two rows read N alone and are independent of it: factorial,
+and for N = 4, 7 (mod 9) the cube row, Jacobi's cubic character of 3 (3 is a
+cube mod N iff 3 | B; Ireland and Rosen, ch. 9): rank 2 iff
+3^((N-1)/3) = 1 (mod N).  The cube row is a guard, not a method, so it is off
+RANK3_METHODS and rank3 refuses it by name.  bounds at p = 3, and so
+validate, reads cornacchia once and checks it against the cube row (at
+N = 1 (mod 9) cornacchia runs alone); rank3's "all" runs the cube row beside
+the four methods and leaves it out of the results it returns.  The tests'
+references are defined once, in tests/oracles.py.  Two oracles stay in the
+library, off the package's __all__: eisenstein.represent_4n_bruteforce and
 invariants.m_class_direct, because the benchmark's workloads import them
 from there.  Every caller (rank3, bounds at p = 3 and so validate) applies
-one agreement rule, _agreed_rank: methods that disagree raise
-AssertionError, an internal error, never a report.
+one agreement rule, _agreed_rank: rows that disagree raise AssertionError,
+an internal error, never a report.
 rank3_arrays is the cornacchia method's criterion on arrays, the rank-3 scan's
 kernel.  It reads eisenstein.rank3_lattice, a lattice enumeration of
 4N = A^2 + 27B^2 (which shares no step with Cornacchia) that builds only the
@@ -29,9 +35,10 @@ ninth power, and for N = 4, 7 (mod 9) the points with 3 | B alone, so a hit
 is rank 2 and no hit rank 1.  The scalar rank3_criterion on represent_4n is
 its reference, at every N the lattice reads.  The lattice checks that every
 N = 1 (mod 9) is hit exactly once, but in classes 4 and 7 it sees only the
-rank-2 primes, so a missing point reads rank 1.  The whole-range check for those classes is Jacobi's cubic
-character of 3 in tier-1 (test_cubic_character_of_3_counts_the_rank_two_primes,
-to 10^7) and CI's byte pins of the scan, to 10^8 and to 2^30.
+rank-2 primes, so a missing point reads rank 1.  The whole-range check for
+those classes is the cube row's character in tier-1
+(test_cubic_character_of_3_counts_the_rank_two_primes, to 10^7) and CI's
+byte pins of the scan, to 10^8 and to 2^30.
 
 For general regular p only bounds are reported: the coarse envelope
 (p-1)/2 .. (p-1)(p-2) and the alpha-refined window of rank_window.
@@ -90,6 +97,8 @@ def _rank3_on_split(s: eisenstein.SplitData, methods: tuple[str, ...]) -> dict[s
             out[method] = 2 - eisenstein.gerth_matrix(s).rank
         elif method == "star" and not one_mod_9:
             out[method] = 2 if eisenstein.star_condition(s) else 1
+        elif method == "cube" and not one_mod_9:  # the guard row: 3 is a cube iff 3 | B
+            out[method] = 2 if pow(3, s.ctx.cofactor, s.ctx.modulus) == 1 else 1
         elif method == "factorial" and one_mod_9:
             fm = factorial_mod(s.ctx.cofactor, s.ctx)  # ((N-1)/3)!
             out[method] = 2 if pow(fm, s.ctx.cofactor, s.ctx.modulus) == 1 else 1
@@ -97,7 +106,7 @@ def _rank3_on_split(s: eisenstein.SplitData, methods: tuple[str, ...]) -> dict[s
 
 
 def _agreed_rank(n: int, results: dict[str, int]) -> int:
-    """The one rank every method in results gives; disagreement is an internal error."""
+    """The one rank every row in results gives; disagreement is an internal error."""
     values = set(results.values())
     if len(values) != 1:
         raise AssertionError(f"rank criteria disagree at N={n}: {results}")
@@ -107,14 +116,17 @@ def _agreed_rank(n: int, results: dict[str, int]) -> int:
 def rank3_detail(
     n: int, method: str = "cornacchia"
 ) -> tuple[int, eisenstein.SplitData, dict[str, int]]:
-    """rank3 with what it rests on: the split of N and every method result run."""
+    """rank3 with what it rests on: the split of N and every method result run.
+
+    "all" also runs the cube row, which must agree but is not returned.
+    """
     if method != "all" and method not in RANK3_METHODS:
         raise DomainError(f"unknown method {method!r}; pick from {RANK3_METHODS + ('all',)}")
     s = eisenstein.split_prime(n)
-    results = _rank3_on_split(s, RANK3_METHODS if method == "all" else (method,))
+    results = _rank3_on_split(s, RANK3_METHODS + ("cube",) if method == "all" else (method,))
     if not results:
         raise DomainError(f"method {method!r} is not valid for N={n} (mod 9 class)")
-    return _agreed_rank(n, results), s, results
+    return _agreed_rank(n, results), s, {m: r for m, r in results.items() if m != "cube"}
 
 
 def rank3(n: int, method: str = "cornacchia") -> int:
@@ -133,7 +145,9 @@ class RankReport:
 
     exact_rank3 is only ever set for p = 3; for larger p the criteria yield
     bounds, never exact values, and the field stays None.  methods_agreed is
-    True on every p = 3 report (bounds raises otherwise) and None for p >= 5.
+    True on every p = 3 report and None for p >= 5: bounds raises unless
+    cornacchia agrees with the cube row, which reads N alone (N = 4, 7 (mod 9);
+    at N = 1 (mod 9) cornacchia is the one row).
     """
 
     n: int
@@ -185,9 +199,9 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
         if include_cl_f:
             cl_f_upper = invariants.mu_count(ctx).cl_f_upper
         if p == 3:
-            # Every cheap applicable method; the O(N) factorial path stays opt-in.
+            # cornacchia, checked by the cube row off N alone; the O(N) factorial stays opt-in
             s = eisenstein.split_of(ctx)
-            exact = _agreed_rank(n, _rank3_on_split(s, ("cornacchia", "gerth", "star")))
+            exact = _agreed_rank(n, _rank3_on_split(s, ("cornacchia", "cube")))
             rep = s.rep
     else:
         check_contract(n, p)
@@ -201,7 +215,7 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     return RankReport(
         n=n,
         p=p,
-        target_class=TargetClass.of(n, p),
+        target_class=TargetClass(n, p),
         rep=rep,
         exact_rank3=exact,
         methods_agreed=True if p == 3 else None,

@@ -304,7 +304,7 @@ def test_classify_errors():
         classify_target(25, 3)
     with pytest.raises(DomainError, match="odd prime"):
         classify_target(7, 4)
-    with pytest.raises(AssertionError, match="inconsistent target class"):
-        TargetClass(7, 3, 7, pi_ramified=False, zeta_is_norm=False)  # 7 != 1 (mod 9) ramifies
+    with pytest.raises(TypeError):  # the residue and both flags are derived from (N, p)
+        TargetClass(7, 3, 7, pi_ramified=False, zeta_is_norm=False)
     with pytest.raises(DomainError, match="2\\^62"):
         classify_target(2**62 + 135, 3)  # prime, 1 (mod 3), outside the contract

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import cyclorank.eisenstein
-from cyclorank.eisenstein import rank3_lattice, represent_4n, split_prime
+from cyclorank.eisenstein import GerthMatrix, rank3_lattice, represent_4n, split_prime
 from cyclorank.errors import DomainError
 from cyclorank.invariants import alpha_count
 from cyclorank.modmath import ModulusContext
 from cyclorank.primes import DEFAULT_SIEVE_CAP, primes_in_class, primes_in_range
 from cyclorank.rank import RankReport, bounds, rank3, rank3_arrays, rank3_detail
+from cyclorank.validation import TruthRow, validate_rows
 from oracles import euler_flags, prime_walk, random_split_primes, three_is_a_cube
 
 
@@ -35,6 +36,8 @@ def test_rank3_method_validity():
         rank3(7, "factorial")
     with pytest.raises(DomainError, match="unknown method"):
         rank3(7, "magic")
+    with pytest.raises(DomainError, match="unknown method"):
+        rank3(7, "cube")  # the guard row is no method
     with pytest.raises(DomainError):
         rank3(5)
     with pytest.raises(DomainError):
@@ -130,9 +133,9 @@ def test_rank3_arrays_cost_follows_the_primes_not_their_span():
     "n", [19, 37, 7, 13, 1000000000000000009, 1000000000000000177, 1000000000000000003]
 )
 def test_p3_query_computes_one_root(monkeypatch, n):
-    # one (N, 3) context per query, and the context computes the root: the split, the
-    # cubic symbols of gerth and the factorial criterion all read it (N = 1, 1, 7, 4, 1,
-    # 7, 4 mod 9)
+    # one (N, 3) context per query, and the context computes the root and the cofactor:
+    # the split, the cube row, the cubic symbols of gerth and the factorial criterion all
+    # read it (N = 1, 1, 7, 4, 1, 7, 4 mod 9)
     real_init = ModulusContext.__post_init__
     calls = []
 
@@ -148,6 +151,44 @@ def test_p3_query_computes_one_root(monkeypatch, n):
         calls.clear()
         query()
         assert calls == [(n, 3)]
+
+
+@pytest.mark.parametrize("n", [7, 13, 31, 61])
+def test_a_flipped_cornacchia_rank_is_caught(monkeypatch, n):
+    # N = 7, 4, 4, 7 (mod 9): the cube row reads N alone, so Cornacchia giving the other
+    # valid rank must raise from every p = 3 answer, also under -O
+    real = cyclorank.rank.rank3_criterion
+    monkeypatch.setattr(cyclorank.rank, "rank3_criterion", lambda rep: 3 - real(rep))
+    for query in (lambda: bounds(n, 3), lambda: rank3(n, "all"),
+                  lambda: validate_rows([TruthRow(n, 3, 1)])):
+        with pytest.raises(AssertionError, match=f"rank criteria disagree at N={n}:"):
+            query()
+
+
+def test_the_cube_row_guards_rank3_all(monkeypatch):
+    # cornacchia, gerth and star flipped together: only the cube row is left to disagree
+    real_rank, real_gerth = cyclorank.rank.rank3_criterion, cyclorank.eisenstein.gerth_matrix
+    real_star = cyclorank.eisenstein.star_condition
+    monkeypatch.setattr(cyclorank.rank, "rank3_criterion", lambda rep: 3 - real_rank(rep))
+    monkeypatch.setattr(cyclorank.eisenstein, "gerth_matrix",
+                        lambda s: GerthMatrix((), 1 - real_gerth(s).rank))
+    monkeypatch.setattr(cyclorank.eisenstein, "star_condition", lambda s: not real_star(s))
+    for n in (7, 13, 31, 61):
+        with pytest.raises(AssertionError, match=f"rank criteria disagree at N={n}:"):
+            rank3(n, "all")
+
+
+def test_p3_bounds_read_neither_gerth_nor_star(monkeypatch):
+    # both restate 3 | B, which the cube row checks from N alone
+    def refuse(s):
+        raise AssertionError("bounds(N, 3) read a criterion that restates 3 | B")
+
+    monkeypatch.setattr(cyclorank.eisenstein, "gerth_matrix", refuse)
+    monkeypatch.setattr(cyclorank.eisenstein, "star_condition", refuse)
+    ns = list(primes_in_class(10**4, 3, {1}))
+    assert {n % 9 for n in ns} == {1, 4, 7}
+    for n in ns:
+        assert bounds(n, 3).exact_rank3 == rank3(n), n
 
 
 def test_bounds_examples():
