@@ -23,10 +23,12 @@ powers column by column.  Both try prime g only: the least such g is prime,
 since a composite g = ab gives g^((N-1)/p) = 1 whenever a and b both did.
 The scans, whose sieve proves N prime, build no context:
 invariants.alpha_counts takes one table per chunk, and the rank-3 scan
-reads no root.  power_residues, x^((N-1)/k) on arrays, is the one array form
-of the character: the root rule, alpha_counts' characters and the rank-3
-scan's ninth powers (k = 9) run through it.  No scalar helper here works
-without a context.
+reads no root.  powers_table's root rule runs through
+_arrays.fixed_base_powmod, one k-ary loop over a table of g^w for its
+constant base g = 2, 3, 5, ...  power_residues, x^((N-1)/k) on arrays, is
+the one array form of the character for a base per element:
+alpha_counts' characters and the rank-3 scan's ninth powers (k = 9) run
+through it.  No scalar helper here works without a context.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from itertools import count
 
 import numpy as np
 
-from ._arrays import class_products, powmod
+from ._arrays import class_products, fixed_base_powmod, powmod
 from .errors import DomainError
 from .primes import is_prime, require_within_cap
 
@@ -125,7 +127,7 @@ class PowerClass:
 def power_residues(xs, ns, k: int) -> np.ndarray:
     """x^((N-1)/k) mod N, elementwise over xs >= 0 and sieved N = 1 (mod k) below the 2^30 cap.
 
-    The one array form of the residue character: powers_table's root rule,
+    The one array form of the residue character for a base per element:
     invariants.alpha_counts' characters and the rank-3 scan's ninth powers
     read it.  uint64; the cap is enforced by _arrays.powmod, also under -O.
     """
@@ -137,15 +139,16 @@ def powers_table(ns, p: int) -> np.ndarray:
     """ModulusContext(N, p).powers as column i, for each N = ns[i] of sieved primes N = 1 (mod p).
 
     uint64, shape (p, len(ns)); every N must lie below the 2^30 cap, which the
-    first powmod enforces before any product is taken.  The root by one array
-    modpow per prime g, retrying only the N still at 1.
+    first fixed_base_powmod enforces before any product is taken.  The root by
+    one fixed-base array modpow per prime g, retrying only the N still at 1.
     """
     n = np.asarray(ns, dtype=np.uint64)
-    root = power_residues(2, n, p)
+    e = (n - 1) // p
+    root = fixed_base_powmod(2, e, n)
     g = 2
     while (retry := np.flatnonzero(root == 1)).size:
         g = next(q for q in count(g + 1) if is_prime(q))
-        root[retry] = power_residues(g, n[retry], p)
+        root[retry] = fixed_base_powmod(g, e[retry], n[retry])
     powers = np.empty((p, n.size), dtype=np.uint64)
     powers[0] = 1
     for k in range(1, p):

@@ -356,7 +356,7 @@ def test_alpha_count_evaluates_p_minus_3_over_2_characters(monkeypatch):
 
 def test_alpha_counts_evaluate_p_minus_3_over_2_characters(monkeypatch):
     # the batch side: one 2-D character call of (p-3)/2 rows, one column per N; the powers
-    # table's root rule calls modmath's power_residues, which this does not count
+    # table's root rule runs through _arrays.fixed_base_powmod, not power_residues
     calls = []
 
     def counting_power_residues(xs, ns, k):

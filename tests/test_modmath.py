@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cyclorank._arrays import class_products, powmod
+from cyclorank._arrays import class_products, fixed_base_powmod, powmod
 from cyclorank.eisenstein import represent_4n
 from cyclorank.errors import DomainError
 from cyclorank.invariants import alpha_count, alpha_counts
@@ -104,12 +104,15 @@ def test_context_refuses_a_large_p_and_coarse_queries_build_none(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("p", sorted(REGULAR_PRIMES_BELOW_100))  # 3 and every regular p < 100
-@pytest.mark.parametrize("lo, hi", [(2, 10**5), (DEFAULT_SIEVE_CAP - 10**5, DEFAULT_SIEVE_CAP + 1)])
-def test_powers_table_is_the_context_table(p, lo, hi):
+# 3 and every regular p < 100 below 10^5 and at the uint64 width edge; p = 107 and 1019 on
+# a range that holds two and one N whose root needs g = 3 (42373, 98227; 666427)
+@pytest.mark.parametrize("lo, hi, p", [
+    (lo, hi, p) for lo, hi in [(2, 10**5), (DEFAULT_SIEVE_CAP - 10**5, DEFAULT_SIEVE_CAP + 1)]
+    for p in sorted(REGULAR_PRIMES_BELOW_100)] + [(2, 10**5, 107), (2, 10**6, 1019)])
+def test_powers_table_is_the_context_table(lo, hi, p):
     # the array form of the root rule against the scalar one, column by column, on every
     # prime N = 1 (mod p) of the range, and so against test_context_root_properties'
-    # brute-force first g; the second range is the uint64 width edge
+    # brute-force first g
     ns = np.fromiter(primes_in_range(lo, hi, p, {1}), dtype=np.int64)
     table = powers_table(ns, p)
     assert (table.dtype, table.shape) == (np.uint64, (p, ns.size))
@@ -127,6 +130,54 @@ def test_powers_table_edge_cases():
     # 2^30 + 3 is a prime = 1 (mod 3) above the cap; the guard is a raise, kept under -O
     with pytest.raises(AssertionError, match="cap"):
         powers_table(np.array([7, DEFAULT_SIEVE_CAP + 3]), 3)
+
+
+def _fixed_base_thresholds(g):
+    # every N below the cap that is the largest with (N-1)^a * g^(2^k - 1) < 2^64, a = 1..4,
+    # k = 0..5: where fixed_base_powmod's window width k changes (a = 2), and where its
+    # remainders before a square or a window product start or stop (a = 1, 3, 4; k = 0, a = 3
+    # gives 2,642,246 and a = 4 gives 2^16)
+    tops = set()
+    for a in (1, 2, 3, 4):
+        for k in range(6):
+            bound = (2**64 - 1) // g ** ((1 << k) - 1)
+            n1 = round(bound ** (1 / a))
+            n1 -= n1**a > bound
+            n1 += (n1 + 1) ** a <= bound
+            if n1 < DEFAULT_SIEVE_CAP:
+                tops.add(n1 + 1)
+    return sorted(tops)
+
+
+@pytest.mark.parametrize("g", [q for q in range(32) if is_prime(q)])
+def test_fixed_base_powmod_matches_powmod(g):
+    # seeded exponents below 2^30 against moduli whose largest sits on each side of every
+    # threshold, at the cap, and at log-uniform points below it; the largest modulus decides
+    # k and every remainder, so each list also holds moduli near it, exponents 2^b - 1 whose
+    # every window reads the largest table entry, exponents 0 and 1, and modulus 1
+    rng = np.random.default_rng(g)
+    tops = _fixed_base_thresholds(g)
+    assert _ONE_REMAINDER_TOP in tops and 2**16 in tops
+    sizes = [m + d for m in tops for d in (0, 1)] + [DEFAULT_SIEVE_CAP]
+    sizes += np.exp(rng.uniform(1, 30 * math.log(2), 12)).astype(int).tolist()
+    for m in sorted(s for s in sizes if 2 <= s <= DEFAULT_SIEVE_CAP):
+        mod = np.concatenate([[m, m - 1, 1], rng.integers(m // 2 + 1, m + 1, 24), rng.integers(1, m + 1, 8)])
+        exp = np.concatenate([[0, 1], (1 << rng.integers(0, 31, 16)) - 1, rng.integers(0, 2**30, mod.size - 18)])
+        mod, exp = mod.astype(np.uint64), exp.astype(np.uint64)
+        want = powmod(g, exp, mod).tolist()
+        assert want == [pow(g, e, n) for e, n in zip(exp.tolist(), mod.tolist())]
+        assert fixed_base_powmod(g, exp, mod).tolist() == want, (g, m)
+        # 0-d operands, alone and broadcast against a 1-D one
+        assert fixed_base_powmod(g, 2**30 - 1, m).tolist() == pow(g, 2**30 - 1, m)
+        assert fixed_base_powmod(g, exp[3], mod[3]).tolist() == want[3]  # numpy scalars
+        assert fixed_base_powmod(g, exp, m).tolist() == [pow(g, e, m) for e in exp.tolist()]
+        assert fixed_base_powmod(g, 2**30 - 1, mod).tolist() == [pow(g, 2**30 - 1, n) for n in mod.tolist()]
+    for e, n in ((0, 1), (0, 7), (1, 1), (1, 7), (5, 1)):
+        assert fixed_base_powmod(g, e, n).tolist() == pow(g, e, n)
+    assert fixed_base_powmod(g, np.array([], dtype=np.uint64), np.array([], dtype=np.uint64)).size == 0
+    # the width raise of powmod, kept under -O: 2^30 + 3 is a prime above the cap
+    with pytest.raises(AssertionError, match="exceeds"):
+        fixed_base_powmod(g, np.array([5, 5]), np.array([7, DEFAULT_SIEVE_CAP + 3]))
 
 
 def test_power_residues_are_euler_characters():
@@ -255,7 +306,7 @@ def test_array_powmod_matches_pow(triples):
     for b, e, m in triples:
         assert powmod(b, e, m).tolist() == pow(b, e, m)
         assert powmod(np.uint64(b), np.uint64(e), np.uint64(m)).tolist() == pow(b, e, m)
-    # the root rule's shape: one scalar base against arrays of exponents and moduli
+    # one scalar base against arrays of exponents and moduli
     b = triples[0][0]
     assert powmod(b, exp, mod).tolist() == [pow(b, e, m) for _, e, m in triples]
     # alpha_counts' shape: a 2-D base against one exponent and one modulus per column
