@@ -88,11 +88,22 @@ alpha_counts is the batch form that the alpha scan runs: for an array of
 sieved N below the 2^30 cap it takes the roots' powers from
 modmath.powers_table, the units u_j as running sums of its rows, their
 (p-3)/2 characters as one 2-D modmath.power_residues on the shared exponent
-(N-1)/p, their discrete logs by comparison against the powers, and every
-flag by _flags, the one evaluation of the linear form.  uint64 residues are
-exact below the cap (_arrays).  alpha_count is the point-query kernel and
-the batch kernel's oracle: the same units, summed as it runs, and the same
-_flags.
+(N-1)/p, their discrete logs by an in-place masked count against the
+powers, and every flag by _flags, the one evaluation of the linear form.
+The count makes one pass per power k = 1..p-1 over buffers allocated once
+per call: eq = (chars == f^k), found |= eq, logs += k * eq.  A character of
+a prime N matches exactly one power, so logs ends at its index, and found,
+started at the k = 0 matches, guards the value that matches none (a
+composite N) with an explicit AssertionError.  logs and the term k * eq are
+int16, as an index is below p <= 1021: each pass writes 2 bytes per value,
+where an int64 masked sum, which allocated its temporaries, lost 2x to a
+masked store at p = 97.  The scalar is np.int16(k): with a Python int, NumPy
+2 runs the multiply as an int64 loop and casts it back, several times the
+cost of the int16 loop.
+The passes are dense, so the logs stay O(p^2) per N, as the masked store's
+were.  uint64 residues are exact below the cap (_arrays).  alpha_count is the
+point-query kernel and the batch kernel's oracle: the same units, summed as
+it runs, and the same _flags.
 """
 
 from __future__ import annotations
@@ -260,9 +271,10 @@ def alpha_counts(ns, p: int) -> np.ndarray:
     """alpha for each N of an array of sieved primes N = 1 (mod p) below the 2^30 cap.
 
     The batch form of alpha_count: the same root, units u_j, characters and
-    linear form, evaluated on arrays, (p-3)/2 characters per N.  Raises
-    AssertionError when a character value is no power of the root, which a
-    composite N can cause.
+    linear form, evaluated on arrays, (p-3)/2 characters per N.  The logs are
+    an in-place masked count against the powers, in int16 with an int16
+    scalar k, as in the module docstring.  Raises AssertionError when a
+    character value is no power of the root, which a composite N can cause.
     """
     n = np.asarray(ns, dtype=np.uint64)
     if p == 3:
@@ -275,10 +287,17 @@ def alpha_counts(ns, p: int) -> np.ndarray:
     for r in range(1, half - 2):
         units[r] += units[r - 1]
     chars = power_residues(units, n, p)
-    logs = np.full(chars.shape, -1, dtype=np.int64)
-    for k in range(p):
-        logs[chars == powers[k]] = k
-    if (unmatched := (logs < 0).any(axis=0)).any():
+    # logs by an in-place masked count: each value matches one power, so logs sums k * eq
+    eq = np.empty(chars.shape, dtype=bool)
+    term = np.empty(chars.shape, dtype=np.int16)
+    logs = np.zeros(chars.shape, dtype=np.int16)
+    found = chars == powers[0]
+    for k in range(1, p):
+        np.equal(chars, powers[k], out=eq)
+        found |= eq
+        np.multiply(eq, np.int16(k), out=term)  # an int16 scalar keeps the loop in int16
+        logs += term
+    if (unmatched := ~found.all(axis=0)).any():
         raise AssertionError(f"N={n[unmatched][0]}: a character value is no power of the root")
     j = np.arange(2, half, dtype=np.int64)[:, None]
     b = 2 * logs - (j - 1) * ((n - 1) // p % p).astype(np.int64)  # c = ind(f) = ((N-1)/p) mod p

@@ -141,6 +141,9 @@ def powers_table(ns, p: int) -> np.ndarray:
     uint64, shape (p, len(ns)); every N must lie below the 2^30 cap, which the
     first fixed_base_powmod enforces before any product is taken.  The root by
     one fixed-base array modpow per prime g, retrying only the N still at 1.
+    The rows fill by doubling: with rows 0..k-1 known, rows k..2k-2 are rows
+    1..k-1 times row k-1, one product and one remainder written in place into
+    the table, so about 2 log2(p) numpy calls in all, not p - 1 row products.
     """
     n = np.asarray(ns, dtype=np.uint64)
     e = (n - 1) // p
@@ -150,9 +153,14 @@ def powers_table(ns, p: int) -> np.ndarray:
         g = next(q for q in count(g + 1) if is_prime(q))
         root[retry] = fixed_base_powmod(g, e[retry], n[retry])
     powers = np.empty((p, n.size), dtype=np.uint64)
-    powers[0] = 1
-    for k in range(1, p):
-        powers[k] = powers[k - 1] * root % n
+    powers[0], powers[1] = 1, root
+    k = 2  # rows 0..k-1 are filled
+    while k < p:
+        m = min(k - 1, p - k)
+        block = powers[k : k + m]
+        np.multiply(powers[1 : 1 + m], powers[k - 1], out=block)
+        np.remainder(block, n, out=block)
+        k += m
     return powers
 
 

@@ -9,6 +9,9 @@ It hands each chunk as an array to the scan's array kernel, which gives one
 integer outcome per prime (the exact 3-rank, or alpha), and counts
 (checkpoint, class, outcome) with one np.bincount per chunk, a prime's
 checkpoint being the first threshold 10^3, 10^4, ..., limit at or above it.
+The outcome axis is only as wide as the largest outcome seen plus one, not p
+(to 10^7 alpha reaches 5 at p = 97 and 4 at p = 1019), and tallies of
+unequal width are summed with the narrower one padded by zeros.
 The alpha kernel is invariants.alpha_counts, whose widest array, the
 (p, chunk) uint64 powers table, holds at most _CHUNK_CELLS cells (2 MB).  The
 rank-3 kernel is rank.rank3_arrays, which enumerates the chunk's lattice
@@ -89,21 +92,34 @@ def _sub_ranges(limit: int, shards: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
+def _add_tallies(total: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """The sum of two (T, p, w) tallies, the narrower outcome axis padded with zeros; reuses one."""
+    if total.shape[2] < part.shape[2]:
+        total, part = part, total
+    total[..., : part.shape[2]] += part
+    return total
+
+
 def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], thresholds: tuple[int, ...],
            outcome: Outcome) -> np.ndarray:
-    """Counts of the primes in [lo, hi) by (checkpoint, class index, outcome), shape (T, p, p)."""
+    """Counts of the primes in [lo, hi) by (checkpoint, class index, outcome), shape (T, p, w).
+
+    w is one more than the largest outcome seen (0 for no prime), so at most p.
+    """
     # The caller has checked p; the sieve proves every n prime and = 1 (mod p).
     m = p * p
-    tally = np.zeros((len(thresholds), p, p), dtype=np.int64)
+    tally = np.zeros((len(thresholds), p, 0), dtype=np.int64)
     primes = primes_in_range(lo, hi, m, classes)
     while (ns := np.fromiter(islice(primes, _CHUNK_CELLS // p), dtype=np.int64)).size:
         out = outcome(ns)
-        if (bad := (out < 0) | (out >= p)).any():  # the packed key needs 0 <= outcome < p
+        if (bad := (out < 0) | (out >= p)).any():  # the outcome axis is at most p wide
             raise AssertionError(f"outcome {out[bad][0]} at N={ns[bad][0]} is outside [0, {p})")
         # checkpoint: the first threshold >= N (the last is the limit); class index (N mod p^2) // p
         # (N mod p^2 as N - N // p^2 * p^2: numpy's floor division by a scalar beats np.remainder)
-        key = np.searchsorted(thresholds, ns) * m + (ns - ns // m * m) // p * p + out
-        tally += np.bincount(key, minlength=tally.size).reshape(tally.shape)
+        width = int(out.max()) + 1
+        key = (np.searchsorted(thresholds, ns) * p + (ns - ns // m * m) // p) * width + out
+        counts = np.bincount(key, minlength=len(thresholds) * p * width)
+        tally = _add_tallies(tally, counts.reshape(len(thresholds), p, width))
     return tally
 
 
@@ -181,7 +197,7 @@ def _build_summary(kind: str, p: int, limit: int, classes: tuple[int, ...],
     # tally: the shards' (checkpoint, class index, outcome) counts, summed
     by_class = tally.sum(axis=0).tolist()
     hist = {c: {o: n for o, n in enumerate(by_class[c // p]) if n} for c in classes}
-    hit = np.array([_is_hit(kind, o) for o in range(p)])
+    hit = np.array([_is_hit(kind, o) for o in range(tally.shape[2])], dtype=bool)
     by_outcome = tally.sum(axis=1).cumsum(axis=0)  # primes up to each threshold, by outcome
     checkpoints = tuple(Checkpoint(t, int(row.sum()), int(row[hit].sum()))
                         for t, row in zip(thresholds, by_outcome))
@@ -198,12 +214,13 @@ def _scan(kind: str, p: int, limit: int, classes: tuple[int, ...], outcome: Outc
     thresholds = _thresholds(limit)
     ranges = _sub_ranges(limit, shards if shards is not None else workers_n)
     run = functools.partial(_shard, p=p, classes=classes, thresholds=thresholds, outcome=outcome)
-    # summed as they arrive: up to sqrt(limit) arrays of up to 8 p^2 counts are never all held
+    # summed as they arrive, each padded to the widest outcome axis: up to sqrt(limit) arrays
+    # of up to 8 p^2 counts are never all held
     if workers_n > 1 and len(ranges) > 1:
         with ProcessPoolExecutor(max_workers=min(workers_n, len(ranges))) as pool:
-            tally = sum(pool.map(run, *zip(*ranges)))
+            tally = functools.reduce(_add_tallies, pool.map(run, *zip(*ranges)))
     else:
-        tally = sum(run(lo, hi) for lo, hi in ranges)
+        tally = functools.reduce(_add_tallies, (run(lo, hi) for lo, hi in ranges))
     return _build_summary(kind, p, limit, classes, thresholds, tally)
 
 

@@ -326,12 +326,16 @@ def test_alpha_counts_edge_cases():
     assert alpha_counts(np.array([], dtype=np.uint64), 7).tolist() == []
 
 
-@pytest.mark.parametrize("n", [341, 1111, 4681])
-def test_alpha_counts_refuse_a_composite_n(n):
-    # 341 = 11 * 31 and the others are composite N = 1 (mod 5): some character value is
-    # then no power of the root; the check is an explicit raise, so it holds under -O
-    with pytest.raises(AssertionError, match=f"N={n}"):
-        alpha_counts(np.array([n]), 5)
+@pytest.mark.parametrize("n, p", [(341, 5), (1111, 5), (4681, 5), (209, 13), (1285, 107)],
+                         ids=["341", "1111", "4681", "209-13", "1285-107"])
+def test_alpha_counts_refuse_a_composite_n(n, p):
+    # 341 = 11 * 31 and the others are composite N = 1 (mod p): some character value is
+    # then no power of the root; the check is an explicit raise, so it holds under -O.
+    # At p = 13 and 107 the log loop runs 12 and 106 passes.  The sieved primes before N
+    # must match, so the raise names N, not the first prime whose characters are not all 1
+    primes = np.fromiter(primes_in_range(2, 10**4, p, {1}), dtype=np.int64)
+    with pytest.raises(AssertionError, match=f"^N={n}:"):
+        alpha_counts(np.append(primes, n), p)
 
 
 def test_alpha_count_evaluates_p_minus_3_over_2_characters(monkeypatch):
