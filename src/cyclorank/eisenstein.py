@@ -79,22 +79,25 @@ class QuadRep:
 class SplitData:
     """Primary factor of N in Z[zeta_3] plus the induced data in F_N.
 
-    `primary` is the generator n = a + b*zeta_3 with a = 1 (mod 3), 3 | b;
-    `zeta_image` is the residue t with t^2 + t + 1 = 0 (mod N) and
-    a + b*t = 0 (mod N), i.e. the image of zeta_3 in Z[zeta_3]/n = F_N: the
-    context's root or its square.
-    `ctx` is the (N, 3) context it was made from; every cubic symbol reads it.
+    Made from the representation `rep` and the (N, 3) context `ctx`, which
+    every cubic symbol reads; the rest is derived.  `primary` is the
+    generator n = a + b*zeta_3 with a = 1 (mod 3), 3 | b, read off rep as
+    a = (-A - 3B)/2, b = -3B; `zeta_image` is the residue t with
+    t^2 + t + 1 = 0 (mod N) and a + b*t = 0 (mod N), i.e. the image of
+    zeta_3 in Z[zeta_3]/n = F_N: the context's root or its square, whichever
+    kills a + b*t.
     """
 
-    primary: EisensteinInt
+    primary: EisensteinInt = field(init=False)
     rep: QuadRep
-    zeta_image: int
+    zeta_image: int = field(init=False)
     ctx: ModulusContext = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.rep.n
-        a, b = self.primary.a, self.primary.b
-        t = self.zeta_image
+        n, powers = self.rep.n, self.ctx.powers
+        a, b = (-self.rep.A - 3 * self.rep.B) // 2, -3 * self.rep.B
+        t = powers[1] if (a + b * powers[1]) % n == 0 else powers[2]
+        self.__dict__.update(primary=EisensteinInt(a, b), zeta_image=t)
         if not (self.primary.norm() == n and a % 3 == 1 and b % 3 == 0
                 and (t * t + t + 1) % n == 0 and (a + b * t) % n == 0
                 and self.ctx.modulus == n and self.ctx.p == 3):
@@ -257,12 +260,7 @@ def split_of(ctx: ModulusContext) -> SplitData:
     y = math.isqrt(y2)
     if rem or y * y != y2:
         raise DomainError(f"Cornacchia found no A^2 + 27B^2 = 4*{n}: N is not a split prime")
-    rep = _normalize_pair(x, y, n)
-    a = (-rep.A - 3 * rep.B) // 2
-    b = -3 * rep.B
-    # zeta_3's image is the context's root or its square, whichever kills a + b*zeta_3
-    t = ctx.powers[1] if (a + b * ctx.powers[1]) % n == 0 else ctx.powers[2]
-    return SplitData(primary=EisensteinInt(a, b), rep=rep, zeta_image=t, ctx=ctx)
+    return SplitData(rep=_normalize_pair(x, y, n), ctx=ctx)
 
 
 def cubic_symbol(x: int, s: SplitData) -> PowerClass:
@@ -296,10 +294,16 @@ def star_condition(s: SplitData) -> bool:
 
 @dataclass(frozen=True)
 class GerthMatrix:
-    """Row of cubic-symbol exponents whose rank s gives the exact 3-rank 2 - s."""
+    """Row of cubic-symbol exponents whose rank s gives the exact 3-rank 2 - s.
+
+    Made from its entries; rank is derived: 1 iff the row is nonzero over F_3.
+    """
 
     entries: tuple[int, ...]
-    rank: int
+    rank: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.__dict__.update(rank=int(any(e % 3 for e in self.entries)))
 
 
 def gerth_matrix(s: SplitData) -> GerthMatrix:
@@ -319,4 +323,4 @@ def gerth_matrix(s: SplitData) -> GerthMatrix:
     if sym.index != 0:
         raise AssertionError(f"symbol of 2a - b is nontrivial at N={n}")
     e3 = (1 - n * s.primary.a) // 3 % 3
-    return GerthMatrix(entries=(sym.index, sym.index, e3), rank=0 if e3 == 0 else 1)
+    return GerthMatrix(entries=(sym.index, sym.index, e3))

@@ -108,7 +108,7 @@ it runs, and the same _flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
 
@@ -244,10 +244,14 @@ class AlphaCount:
 
     power_flags[i] is True when U_(p-1-i) is a p-th power, i.e. when the
     twist-i cohomological contribution to the refined lower bound is 1.
+    Made from the flags; alpha is derived, the number of True flags.
     """
 
-    alpha: int
+    alpha: int = field(init=False)
     power_flags: dict[int, bool]
+
+    def __post_init__(self) -> None:
+        self.__dict__.update(alpha=sum(self.power_flags.values()))
 
 
 @cache
@@ -313,20 +317,25 @@ def alpha_count(ctx: ModulusContext) -> AlphaCount:
     """
     n, p, e, powers = ctx.modulus, ctx.p, ctx.cofactor, ctx.powers
     if p == 3:
-        return AlphaCount(alpha=0, power_flags={})
+        return AlphaCount(power_flags={})
     c = e % p
     # b_j = 2*ind(u_j) - (j-1)*c, the weight of j^k in ind(U_k); u runs unreduced, pow reduces it
     b, u = [], 1
     for j in range(2, (p + 1) // 2):
         u += powers[j - 1]
         b.append(2 * powers.index(pow(u, e, n)) - (j - 1) * c)
-    flags = {2 * r: f for r, f in enumerate(_flags(p, np.array(b)).tolist(), 1)}
-    return AlphaCount(alpha=sum(flags.values()), power_flags=flags)
+    flags = _flags(p, np.array(b)).tolist()
+    return AlphaCount(power_flags={2 * r: f for r, f in enumerate(flags, 1)})
 
 
 @dataclass(frozen=True)
 class InvariantRecord:
-    """Everything the product invariants say about one (N, p); f is ModulusContext.root."""
+    """Everything the product invariants say about one (N, p); f is ModulusContext.root.
+
+    Made from the classes, the products and the flags; the rest is derived:
+    alpha counts the True power_flags, and mu and cl_f_upper are
+    MuBound.of(p, mi_classes) when is_regular(p), else None.
+    """
 
     n: int
     p: int
@@ -334,12 +343,17 @@ class InvariantRecord:
     m_cls: PowerClass
     mi_classes: dict[int, PowerClass]
     mk_products: dict[int, UnitProduct]
-    mu: int | None
-    cl_f_upper: int | None
-    alpha: int
+    mu: int | None = field(init=False)
+    cl_f_upper: int | None = field(init=False)
+    alpha: int = field(init=False)
     power_flags: dict[int, bool]
 
     def __post_init__(self) -> None:
+        mu = cl_f_upper = None
+        if is_regular(self.p):
+            mb = MuBound.of(self.p, self.mi_classes)
+            mu, cl_f_upper = mb.mu, mb.cl_f_upper
+        self.__dict__.update(mu=mu, cl_f_upper=cl_f_upper, alpha=sum(self.power_flags.values()))
         if not 0 <= self.alpha <= max(0, (self.p - 3) // 2):
             raise AssertionError(f"alpha={self.alpha} out of range for p={self.p}")
         if 1 in self.mi_classes and (self.m_cls.index == 0) != (self.mi_classes[1].index == 0):
@@ -360,22 +374,6 @@ def invariant_record(n: int, p: int) -> InvariantRecord:
     """
     ctx = ModulusContext(n, p)
     pc = product_classes(ctx)
-    mk = unit_products(ctx)
-    if is_regular(p):
-        mb = MuBound.of(p, pc.mi)
-        mu, cl_f_upper = mb.mu, mb.cl_f_upper
-    else:
-        mu, cl_f_upper = None, None
-    ac = alpha_count(ctx)
-    return InvariantRecord(
-        n=n,
-        p=p,
-        f=ctx.root,
-        m_cls=pc.m,
-        mi_classes=pc.mi,
-        mk_products=mk,
-        mu=mu,
-        cl_f_upper=cl_f_upper,
-        alpha=ac.alpha,
-        power_flags=ac.power_flags,
-    )
+    return InvariantRecord(n=n, p=p, f=ctx.root, m_cls=pc.m, mi_classes=pc.mi,
+                           mk_products=unit_products(ctx),
+                           power_flags=alpha_count(ctx).power_flags)

@@ -46,7 +46,7 @@ For general regular p only bounds are reported: the coarse envelope
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,26 +144,35 @@ class RankReport:
     """Per-(N, p) record of classification, exact rank or bounds, and witnesses.
 
     exact_rank3 is only ever set for p = 3; for larger p the criteria yield
-    bounds, never exact values, and the field stays None.  methods_agreed is
-    True on every p = 3 report and None for p >= 5: bounds raises unless
-    cornacchia agrees with the cube row, which reads N alone (N = 4, 7 (mod 9);
-    at N = 1 (mod 9) cornacchia is the one row).
+    bounds, never exact values, and the field stays None.  The caller gives
+    what it computed: rep, exact_rank3, alpha (None where p fails the
+    regularity guard), coarse_upper and cl_f_upper.  The rest is derived:
+    target_class is TargetClass(n, p); coarse_lower is (p-1)/2;
+    methods_agreed is True iff p = 3 (None otherwise), as bounds raises
+    unless cornacchia agrees with the cube row, which reads N alone
+    (N = 4, 7 (mod 9); at N = 1 (mod 9) cornacchia is the one row); and
+    lower, upper are rank_window(p, alpha), or the coarse envelope when
+    alpha is None.
     """
 
     n: int
     p: int
-    target_class: TargetClass
+    target_class: TargetClass = field(init=False)
     rep: eisenstein.QuadRep | None
     exact_rank3: int | None
-    methods_agreed: bool | None
+    methods_agreed: bool | None = field(init=False)
     alpha: int | None
-    lower: int
-    upper: int
-    coarse_lower: int
+    lower: int = field(init=False)
+    upper: int = field(init=False)
+    coarse_lower: int = field(init=False)
     coarse_upper: int
     cl_f_upper: int | None = None
 
     def __post_init__(self) -> None:
+        p, alpha, coarse_lower = self.p, self.alpha, (self.p - 1) // 2
+        lower, upper = (coarse_lower, self.coarse_upper) if alpha is None else rank_window(p, alpha)
+        self.__dict__.update(target_class=TargetClass(self.n, p), coarse_lower=coarse_lower,
+                             methods_agreed=True if p == 3 else None, lower=lower, upper=upper)
         if not self.coarse_lower <= self.lower <= self.upper <= self.coarse_upper:
             raise AssertionError(f"window [{self.lower},{self.upper}] leaves its envelope")
         if self.p == 3 and ((self.lower, self.upper) != (1, 2) or self.exact_rank3 not in (1, 2)):
@@ -183,19 +192,15 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
     """
     if cl_k_rank < 0:
         raise DomainError("cl_k_rank must be non-negative")
-    coarse_lower = (p - 1) // 2
     if cl_k_rank == 0:
         coarse_upper = (p - 1) * (p - 2)
     else:
         coarse_upper = p * cl_k_rank + 3 * (p - 1) * (p - 1) // 2
 
-    alpha: int | None = None
-    cl_f_upper: int | None = None
-    rep = exact = None
+    alpha = cl_f_upper = rep = exact = None
     if invariants.is_regular(p):
         ctx = ModulusContext(n, p)
         alpha = invariants.alpha_count(ctx).alpha
-        lower, upper = rank_window(p, alpha)
         if include_cl_f:
             cl_f_upper = invariants.mu_count(ctx).cl_f_upper
         if p == 3:
@@ -211,18 +216,5 @@ def bounds(n: int, p: int, cl_k_rank: int = 0, include_cl_f: bool = False) -> Ra
             )
         if include_cl_f:
             invariants.require_regular(p)
-        lower, upper = coarse_lower, coarse_upper
-    return RankReport(
-        n=n,
-        p=p,
-        target_class=TargetClass(n, p),
-        rep=rep,
-        exact_rank3=exact,
-        methods_agreed=True if p == 3 else None,
-        alpha=alpha,
-        lower=lower,
-        upper=upper,
-        coarse_lower=coarse_lower,
-        coarse_upper=coarse_upper,
-        cl_f_upper=cl_f_upper,
-    )
+    return RankReport(n=n, p=p, rep=rep, exact_rank3=exact, alpha=alpha,
+                      coarse_upper=coarse_upper, cl_f_upper=cl_f_upper)

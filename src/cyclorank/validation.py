@@ -49,11 +49,19 @@ class ValidationReport:
 
     rows_checked: int = 0
     rank3_rows: int = 0
-    matches: int = 0
     mismatches: list[Mismatch] = field(default_factory=list)
-    bounds_rows: int = 0
     bound_violations: list[Mismatch] = field(default_factory=list)
     skipped: list[tuple[int, str]] = field(default_factory=list)
+
+    @property
+    def matches(self) -> int:
+        """p = 3 rows whose exact rank is the observed one."""
+        return self.rank3_rows - len(self.mismatches)
+
+    @property
+    def bounds_rows(self) -> int:
+        """p >= 5 rows, checked against their window."""
+        return self.rows_checked - self.rank3_rows
 
     @property
     def ok(self) -> bool:
@@ -109,14 +117,11 @@ def validate_rows(rows: list[TruthRow]) -> ValidationReport:
         report.rows_checked += 1
         if row.p == 3:
             report.rank3_rows += 1
-            if rb.exact_rank3 == row.rank:
-                report.matches += 1
-            else:
+            if rb.exact_rank3 != row.rank:
                 report.mismatches.append(
                     Mismatch(row.n, row.p, row.line, str(rb.exact_rank3), row.rank)
                 )
             continue
-        report.bounds_rows += 1
         if not rb.lower <= row.rank <= rb.upper:
             report.bound_violations.append(
                 Mismatch(row.n, row.p, row.line, f"[{rb.lower},{rb.upper}]", row.rank)

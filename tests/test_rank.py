@@ -171,7 +171,7 @@ def test_the_cube_row_guards_rank3_all(monkeypatch):
     real_star = cyclorank.eisenstein.star_condition
     monkeypatch.setattr(cyclorank.rank, "rank3_criterion", lambda rep: 3 - real_rank(rep))
     monkeypatch.setattr(cyclorank.eisenstein, "gerth_matrix",
-                        lambda s: GerthMatrix((), 1 - real_gerth(s).rank))
+                        lambda s: GerthMatrix((0, 0, 1 - real_gerth(s).rank)))
     monkeypatch.setattr(cyclorank.eisenstein, "star_condition", lambda s: not real_star(s))
     for n in (7, 13, 31, 61):
         with pytest.raises(AssertionError, match=f"rank criteria disagree at N={n}:"):
@@ -302,9 +302,7 @@ def test_p5_envelope_small():
 
 def test_rank_report_invariants_enforced():
     with pytest.raises(AssertionError):
-        RankReport(
-            n=7, p=3, target_class=None, rep=None, exact_rank3=1, methods_agreed=True,
-            alpha=0, lower=2, upper=1, coarse_lower=1, coarse_upper=2,
-        )
+        # p = 3's window (1, 2) leaves a coarse envelope that ends at 1
+        RankReport(n=7, p=3, rep=None, exact_rank3=1, alpha=0, coarse_upper=1)
     with pytest.raises(AssertionError, match="not an exact rank 1 or 2"):
         dataclasses.replace(bounds(61, 3), exact_rank3=3)

@@ -1,14 +1,18 @@
 """The public surface: every export resolves, no deleted name lingers, every
 unexported function has a caller in the library or the benchmark, no caller
-can pass a reference element the context already fixes, and no result guard
-is a bare assert that `python -O` would strip."""
+can pass a reference element the context already fixes, no result type takes
+a value it can derive from its other inputs, and no result guard is a bare
+assert that `python -O` would strip."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import cyclorank
 from cyclorank.eisenstein import (
@@ -112,3 +116,24 @@ def test_library_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_result_types_take_only_their_inputs():
+    # each record is made from what its caller computes and derives the rest, so a
+    # changed input cannot leave a stale derived field behind
+    takes = {cyclorank.RankReport: 7, SplitData: 2, cyclorank.InvariantRecord: 7,
+             cyclorank.AlphaCount: 1, GerthMatrix: 1, cyclorank.ValidationReport: 5}
+    assert {cls: len(inspect.signature(cls).parameters) for cls in takes} == takes
+    r = cyclorank.bounds(61, 3)
+    given = dict(n=61, p=3, rep=r.rep, exact_rank3=2, alpha=0, coarse_upper=2)
+    assert cyclorank.RankReport(**given) == r
+    with pytest.raises(TypeError):
+        cyclorank.RankReport(**given, methods_agreed=True)
+    # the alpha-refined window follows alpha, where a given window would stay (2, 8)
+    r = dataclasses.replace(cyclorank.bounds(11, 5), alpha=1)
+    assert (r.lower, r.upper) == (3, 12)
+    assert cyclorank.AlphaCount(power_flags={2: True, 4: False}).alpha == 1
+    assert GerthMatrix((0, 0, 2)).rank == 1 and GerthMatrix((0, 0, 0)).rank == 0
+    rows = [cyclorank.TruthRow(61, 3, 1), cyclorank.TruthRow(7, 3, 1), cyclorank.TruthRow(11, 5, 2)]
+    report = cyclorank.validation.validate_rows(rows)
+    assert (report.rows_checked, report.matches, report.bounds_rows) == (3, 1, 1)
