@@ -53,7 +53,7 @@ Outcome = Callable[[np.ndarray], np.ndarray]
 # primes a kernel call reads, times p: 87,381 at p = 3 and 2,702 at p = 97, so a kernel's
 # fixed numpy cost is paid rarely.  The alpha kernel's (p, chunk) uint64 powers table then
 # holds _CHUNK_CELLS cells (2 MB); the rank-3 kernel's widest arrays, the lattice points
-# its criterion reads, about 2-3.5 per prime, up to 310k int64 (2.5 MB) at the 2^30 cap.
+# its criterion reads, about 2 to 3.5 per prime, up to 310k int64 (2.5 MB) at the 2^30 cap.
 # Only the default classes 1, 4, 7 fit such a chunk in one lattice window (eisenstein._WINDOW);
 # classes 4, 7 take two windows per chunk and a single class three
 _CHUNK_CELLS = 1 << 18
