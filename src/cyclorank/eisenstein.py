@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _require_width, isqrt
+from ._arrays import _require_width, isqrt, mod_by
 from .errors import DomainError
 from .modmath import ModulusContext, PowerClass, check_contract, power_class
 
@@ -161,7 +161,7 @@ def _lattice_window(n: np.ndarray) -> np.ndarray:
     lo, hi = int(n[0]), int(n[-1])
     bs = np.arange(1, math.isqrt(max(0, 4 * hi) // 27) + 1, dtype=np.int64)
     odd, even = bs[0::2], bs[1::2]
-    shift = 6 * (even % 4 == 0)  # b even
+    shift = 6 * (mod_by(even, 4) == 0)  # b even
     groups = np.cumsum([odd.size, odd.size, even.size, even.size])
     b = np.concatenate((odd, odd, even, even))
     signed = np.repeat(_SIGNED_STEPS, np.diff(groups, prepend=0))
@@ -178,7 +178,7 @@ def _lattice_window(n: np.ndarray) -> np.ndarray:
     cnt = np.maximum(0, (isqrt(4 * hi - q)[:, None] - x) // (3 * step[:, None]) + 1)
     first = np.sign(signed)[:, None] * x  # the first A of each sub-progression
     # class 1 (A = 7 mod 9) in full, classes 4 and 7 only where 3 | B
-    cnt *= (first % 9 == 7) | (b % 3 == 0)[:, None]
+    cnt *= (mod_by(first, 9) == 7) | (mod_by(b, 3) == 0)[:, None]
     cnt = cnt.ravel()
     edges = np.concatenate(([0], np.cumsum(cnt)))  # sub-progression k: edges[k] .. edges[k+1]-1
     # point i of sub-progression k: A = first + 3*signed*(i - edges[k]), one step per group;
@@ -201,7 +201,7 @@ def _lattice_window(n: np.ndarray) -> np.ndarray:
     point = point_at[at] * on
     hit = point > 0
     # an N the outcome reads must be hit, as must any N off the table
-    r9 = n - n // 9 * 9  # N mod 9; floor division by a constant is the cheaper ufunc
+    r9 = mod_by(n, 9)
     missed = ~hit & (~on | (r9 != 4) & (r9 != 7))
     # once those N are hit, no N is hit twice iff as many points as N hit them
     ours = np.zeros(point_at.size, dtype=bool)

@@ -114,7 +114,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._arrays import class_products, powmod
+from ._arrays import class_products, mod_by, powmod
 from .errors import DomainError
 from .modmath import ModulusContext, PowerClass, power_class, power_residues, powers_table
 from .primes import DEFAULT_SIEVE_CAP, is_prime, require_within_cap
@@ -136,7 +136,7 @@ def _kummer(p: int) -> bool:
     vanishes exactly when p divides the numerator of B_k.
     """
     k = np.arange(2, p - 2, 2)[:, None]
-    return is_prime(p) and bool((powmod(np.arange(1, p), k, p * p).sum(axis=1) % (p * p)).all())
+    return is_prime(p) and bool(mod_by(powmod(np.arange(1, p), k, p * p).sum(axis=1), p * p).all())
 
 
 def require_regular(p: int) -> None:
@@ -268,7 +268,7 @@ def _flags(p: int, b: np.ndarray) -> np.ndarray:
 
     b holds b_j at row j - 2: a vector, or one column per N.
     """
-    return _twists(p)[:, 1:] @ b % p == 0
+    return mod_by(_twists(p)[:, 1:] @ b, p) == 0
 
 
 def alpha_counts(ns, p: int) -> np.ndarray:
@@ -304,7 +304,7 @@ def alpha_counts(ns, p: int) -> np.ndarray:
     if (unmatched := ~found.all(axis=0)).any():
         raise AssertionError(f"N={n[unmatched][0]}: a character value is no power of the root")
     j = np.arange(2, half, dtype=np.int64)[:, None]
-    b = 2 * logs - (j - 1) * ((n - 1) // p % p).astype(np.int64)  # c = ind(f) = ((N-1)/p) mod p
+    b = 2 * logs - (j - 1) * mod_by((n - 1) // p, p).astype(np.int64)  # c = ind(f) = ((N-1)/p) mod p
     return _flags(p, b).sum(axis=0)
 
 

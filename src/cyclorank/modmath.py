@@ -148,10 +148,13 @@ def powers_table(ns, p: int) -> np.ndarray:
     n = np.asarray(ns, dtype=np.uint64)
     e = (n - 1) // p
     root = fixed_base_powmod(2, e, n)
+    retry = np.flatnonzero(root == 1)
     g = 2
-    while (retry := np.flatnonzero(root == 1)).size:
+    while retry.size:
         g = next(q for q in count(g + 1) if is_prime(q))
-        root[retry] = fixed_base_powmod(g, e[retry], n[retry])
+        r = fixed_base_powmod(g, e[retry], n[retry])
+        root[retry] = r
+        retry = retry[r == 1]
     powers = np.empty((p, n.size), dtype=np.uint64)
     powers[0], powers[1] = 1, root
     k = 2  # rows 0..k-1 are filled

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eisenstein, invariants
+from ._arrays import mod_by
 from .errors import DomainError
 from .modmath import ModulusContext, TargetClass, check_contract, factorial_mod, power_residues
 
@@ -81,7 +82,7 @@ def rank3_arrays(ns) -> np.ndarray:
     n = np.asarray(ns, dtype=np.int64)
     a = eisenstein.rank3_lattice(n)
     ranks = np.where(a != 0, 2, 1)
-    nine = np.flatnonzero(n - n // 9 * 9 == 1)  # N mod 9 without np.remainder, the slower ufunc
+    nine = np.flatnonzero(mod_by(n, 9) == 1)
     m = n[nine]
     ranks[nine] = np.where(power_residues(a[nine] % m, m, 9) == 1, 2, 1)
     return ranks

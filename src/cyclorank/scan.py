@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._arrays import mod_by
 from .errors import DomainError
 from .invariants import alpha_counts, require_regular
 from .primes import primes_in_range, require_within_cap
@@ -115,9 +116,8 @@ def _shard(lo: int, hi: int, p: int, classes: tuple[int, ...], thresholds: tuple
         if (bad := (out < 0) | (out >= p)).any():  # the outcome axis is at most p wide
             raise AssertionError(f"outcome {out[bad][0]} at N={ns[bad][0]} is outside [0, {p})")
         # checkpoint: the first threshold >= N (the last is the limit); class index (N mod p^2) // p
-        # (N mod p^2 as N - N // p^2 * p^2: numpy's floor division by a scalar beats np.remainder)
         width = int(out.max()) + 1
-        key = (np.searchsorted(thresholds, ns) * p + (ns - ns // m * m) // p) * width + out
+        key = (np.searchsorted(thresholds, ns) * p + mod_by(ns, m) // p) * width + out
         counts = np.bincount(key, minlength=len(thresholds) * p * width)
         tally = _add_tallies(tally, counts.reshape(len(thresholds), p, width))
     return tally

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cyclorank._arrays import class_products, fixed_base_powmod, powmod
+from cyclorank._arrays import class_products, fixed_base_powmod, mod_by, powmod
 from cyclorank.eisenstein import represent_4n
 from cyclorank.errors import DomainError
 from cyclorank.invariants import alpha_count, alpha_counts
@@ -382,6 +382,26 @@ def test_kernels_on_both_sides_of_the_one_remainder_threshold():
             else:
                 want = [alpha_count(ModulusContext(n, p)).alpha for n in chunk.tolist()]
                 assert alpha_counts(chunk, p).tolist() == want, p
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 9, 13, 169, 2**30 - 35])
+def test_mod_by_is_pythons_remainder(m):
+    rng = np.random.default_rng(m)
+    top = 2**64 - 1
+    edges = [0, 1, m - 1, m, m + 1, 2**63, top - m, top - 1, top]
+    u = np.concatenate((np.array(edges, dtype=np.uint64), rng.integers(0, top, 247, dtype=np.uint64)))
+    edges = [0, 1, -1, m, -m, -m - 1, 2**63 - 1, -(2**63)]
+    i = np.concatenate((np.array(edges, dtype=np.int64), rng.integers(-(2**63), 2**63 - 1, 248)))
+    for x in (u, i, u.reshape(16, 16), i.reshape(8, 32)):
+        got = mod_by(x, m)
+        assert got.dtype == x.dtype and got.shape == x.shape
+        assert got.ravel().tolist() == [v % m for v in x.ravel().tolist()]
+    # out receives the residues and x is left as it was
+    x, out = u.reshape(16, 16), np.empty((16, 16), dtype=np.uint64)
+    before = x.copy()
+    assert mod_by(x, m, out=out) is out
+    assert out.ravel().tolist() == [v % m for v in x.ravel().tolist()]
+    assert (x == before).all()
 
 
 def _class_products_loop(hi, p, n):
